@@ -19,7 +19,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .database import (STATUS_KINDS, cross_check_toric, export_table,
-                       import_table, load_builtin, lookup, query)
+                       import_table, load_builtin, lookup, query,
+                       status_counts, table_line)
 from .errors import ToolkitError
 from .formulas import (DelPezzoDescriptor, KNOWN_EQUIVARIANT,
                        cubic_surface_lct, del_pezzo_lct, double_cover_lct,
@@ -170,11 +171,10 @@ def _cmd_family(args, out) -> int:
     db = load_builtin()
     if args.list:
         for r in query(db, rank=args.rank, status_kind=args.status, value=args.value):
-            value = "-" if r.status.value is None else str(r.status.value)
             if args.machine:
-                print(f"{r.id}|{r.id.rank}|{r.status.kind}|{value}|{r.provenance}",
-                      file=out)
+                print(table_line(r), file=out)
             else:
+                value = "-" if r.status.value is None else str(r.status.value)
                 print(f"{r.id}  rank={r.id.rank}  {r.status.kind}  {value}", file=out)
         return 0
     if args.id is None:
@@ -202,11 +202,8 @@ def _cmd_family(args, out) -> int:
 
 
 def _print_db_summary(db, machine: bool, out) -> None:
-    counts = {kind: 0 for kind in STATUS_KINDS}
-    fans = 0
-    for r in db.records:
-        counts[r.status.kind] += 1
-        fans += r.fan is not None
+    counts = status_counts(db.records)
+    fans = sum(r.fan is not None for r in db.records)
     if machine:
         print(f"families={len(db.records)}", file=out)
         for kind in STATUS_KINDS:

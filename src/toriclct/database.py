@@ -90,6 +90,14 @@ class FamilyRecord:
         return self.id.rank
 
 
+def status_counts(records) -> dict[str, int]:
+    """Number of records of each status kind, in STATUS_KINDS order."""
+    counts = dict.fromkeys(STATUS_KINDS, 0)
+    for r in records:
+        counts[r.status.kind] += 1
+    return counts
+
+
 @dataclass(frozen=True)
 class Database:
     """All 105 family records, sorted by id; construction enforces the
@@ -106,9 +114,7 @@ class Database:
                     for i in range(1, RANK_SIZES[rank] + 1)]
         if ids != expected:
             raise ValueError("records must cover exactly the 105 families")
-        counts = {kind: 0 for kind in STATUS_KINDS}
-        for r in records:
-            counts[r.status.kind] += 1
+        counts = status_counts(records)
         if counts != {"exact_all": 64, "exact_general": 20,
                       "upper_bound": 14, "unknown": 7}:
             raise ValueError(f"status counts off: {counts}")
@@ -350,15 +356,17 @@ def with_fan(db: Database, family, fan: RaySet | None) -> Database:
 # text export / import
 
 
+def table_line(record: FamilyRecord) -> str:
+    """One record as 'id|rank|status_kind|value_or_dash|provenance'."""
+    value = "-" if record.status.value is None else str(record.status.value)
+    return (f"{record.id}|{record.id.rank}|{record.status.kind}"
+            f"|{value}|{record.provenance}")
+
+
 def export_table(db: Database) -> str:
-    """Canonical text: one 'id|rank|status_kind|value_or_dash|provenance'
-    line per record in id order, then one '[fan id]' block per stored fan."""
-    lines = []
-    for record in db.records:
-        value = "-" if record.status.value is None else str(record.status.value)
-        lines.append(f"{record.id}|{record.id.rank}|{record.status.kind}"
-                     f"|{value}|{record.provenance}")
-    chunks = ["\n".join(lines) + "\n"]
+    """Canonical text: one table_line per record in id order, then one
+    '[fan id]' block per stored fan."""
+    chunks = ["".join(table_line(record) + "\n" for record in db.records)]
     for record in db.records:
         if record.fan is not None:
             chunks.append(f"\n[fan {record.id}]\n{format_fan(record.fan)}")

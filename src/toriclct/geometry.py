@@ -36,9 +36,7 @@ def dot(u: Sequence, v: Sequence):
 
 def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
     """The primitive part of a nonzero integer vector: v divided by gcd(v)."""
-    g = 0
-    for c in v:
-        g = gcd(g, c)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive part")
     return tuple(c // g for c in v)
@@ -61,50 +59,51 @@ def mat_mul(a, b):
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
+def _echelon(rows, width: int):
+    """Reduced row echelon form over Q, pivoting in the first width columns
+    and carrying later columns along: (the nonzero reduced rows, their pivot
+    columns, the product of the pivots signed by the row swaps)."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    det = Fraction(1)
+    for col in range(width):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        if piv != top:
+            a[top], a[piv] = a[piv], a[top]
+            det = -det
+        p = a[top][col]
+        det *= p
+        a[top] = [x / p for x in a[top]]
+        for r in range(len(a)):
+            if r != top and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[top])]
+        pivots.append(col)
+    return a[:len(pivots)], pivots, det
+
+
+def _scale_to_integers(values) -> tuple[tuple[int, ...], int]:
+    """Rationals times the lcm of their denominators: (integers, lcm)."""
+    den = lcm(*(c.denominator for c in values))
+    return tuple(c.numerator * (den // c.denominator) for c in values), den
+
+
 def mat_det(m) -> Fraction:
     """Exact determinant by fraction elimination (matrices here are tiny)."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+    _, pivots, det = _echelon(m, n)
+    return det if len(pivots) == n else Fraction(0)
 
 
 def mat_rank(rows: Iterable[Sequence]) -> int:
     """Rank over Q of a list of row vectors."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    if not work:
-        return 0
-    width = len(work[0])
-    rank = 0
-    for col in range(width):
-        piv = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = 1 / work[rank][col]
-        for r in range(rank + 1, len(work)):
-            if work[r][col]:
-                f = work[r][col] * inv
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-        if rank == min(len(work), width):
-            break
-    return rank
+    rows = list(rows)
+    return len(_echelon(rows, len(rows[0]))[1]) if rows else 0
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +157,8 @@ class HPolytope:
 
 def _integer_rows(poly: HPolytope) -> list[tuple[int, ...]]:
     """Each halfspace rescaled to integer entries, as (normal..., offset)."""
-    rows = []
-    for h in poly.halfspaces:
-        den = 1
-        for c in (*h.normal, h.offset):
-            den = lcm(den, c.denominator)
-        rows.append(tuple(int(c * den) for c in (*h.normal, h.offset)))
-    return rows
+    return [_scale_to_integers((*h.normal, h.offset))[0]
+            for h in poly.halfspaces]
 
 
 def _full_rank_subsets(rows, width: int, depth: int):
@@ -205,38 +199,18 @@ def _full_rank_subsets(rows, width: int, depth: int):
     yield from descend(list(rows), [], 1, 0)
 
 
-def _solve_triangle(triangle, width: int) -> tuple[Fraction, ...]:
-    """Back-substitute a full triangular equality system <a, x> = b.
-
-    triangle holds width rows of width+1 integers (last column is b); row k
-    is zero at the pivot columns of rows 0..k-1.
-    """
-    x: list = [None] * width
+def _back_substitute(triangle, x: list) -> list:
+    """Solve a triangle from _full_rank_subsets for the pivot entries of x,
+    last row first: <row[:width], x> = row[width] (0 if absent), width =
+    len(x). The entries of x off the pivot columns are given."""
+    width = len(x)
     for pc, row in reversed(triangle):
-        acc = Fraction(row[width])
+        acc = Fraction(row[width] if len(row) > width else 0)
         for c in range(width):
-            if c != pc and row[c] and x[c] is not None:
+            if c != pc and row[c]:
                 acc -= row[c] * x[c]
         x[pc] = acc / row[pc]
-    return tuple(x)
-
-
-def _kernel_vector(triangle, width: int) -> tuple[int, ...]:
-    """Primitive integer generator of the kernel of width-1 independent rows."""
-    pivot_cols = {pc for pc, _ in triangle}
-    free = next(c for c in range(width) if c not in pivot_cols)
-    d: list = [None] * width
-    d[free] = Fraction(1)
-    for pc, row in reversed(triangle):
-        acc = Fraction(0)
-        for c in range(width):
-            if c != pc and row[c] and d[c] is not None:
-                acc -= row[c] * d[c]
-        d[pc] = acc / row[pc]
-    den = 1
-    for c in d:
-        den = lcm(den, c.denominator)
-    return primitive_vector(tuple(int(c * den) for c in d))
+    return x
 
 
 def is_bounded(poly: HPolytope) -> bool:
@@ -254,7 +228,10 @@ def is_bounded(poly: HPolytope) -> bool:
     if mat_rank(normals) < n:
         return False
     for triangle in _full_rank_subsets(normals, n, n - 1):
-        d = _kernel_vector(triangle, n)
+        # the kernel of the n-1 rows: 1 at the free column, solved for the rest
+        pivot_cols = {pc for pc, _ in triangle}
+        d = [Fraction(c not in pivot_cols) for c in range(n)]
+        d = _scale_to_integers(_back_substitute(triangle, d))[0]
         lo = hi = False
         for a in normals:
             s = dot(a, d)
@@ -285,13 +262,10 @@ def enumerate_vertices(poly: HPolytope) -> tuple[tuple[Fraction, ...], ...]:
     rows = _integer_rows(poly)
     seen: dict[tuple[Fraction, ...], bool] = {}
     for triangle in _full_rank_subsets(rows, n, n):
-        point = _solve_triangle(triangle, n)
+        point = tuple(_back_substitute(triangle, [0] * n))
         if point in seen:
             continue
-        den = 1
-        for c in point:
-            den = lcm(den, c.denominator)
-        nums = tuple(int(c * den) for c in point)
+        nums, den = _scale_to_integers(point)
         ok = True
         for row in rows:
             s = 0
@@ -316,19 +290,10 @@ def solve_square_system(matrix, rhs) -> tuple[Fraction, ...] | None:
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("dimension mismatch")
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col] * inv
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(aug[r][n] / aug[r][r] for r in range(n))
+    reduced, pivots, _ = _echelon([(*row, b) for row, b in zip(matrix, rhs)], n)
+    if len(pivots) < n:
+        return None
+    return tuple(row[n] for row in reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -438,36 +403,12 @@ def fixed_subspace(gens) -> list[tuple[int, ...]]:
     for g in gens:
         if len(g) != n or any(len(row) != n for row in g):
             raise ValueError("matrices must be square of one dimension")
-        for i in range(n):
-            row = [Fraction(g[i][j] - (i == j)) for j in range(n)]
-            if any(row):
-                rows.append(row)
-    # reduced row echelon form
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
+        rows += ([g[i][j] - (i == j) for j in range(n)] for i in range(n))
+    reduced, pivots, _ = _echelon(rows, n)
     basis = []
-    for free in range(n):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][free]
-        den = 1
-        for c in vec:
-            den = lcm(den, c.denominator)
-        basis.append(primitive_vector(tuple(int(c * den) for c in vec)))
+    for free in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(c == free) for c in range(n)]
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[free]
+        basis.append(primitive_vector(_scale_to_integers(vec)[0]))
     return basis

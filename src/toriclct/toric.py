@@ -11,18 +11,23 @@ G-equivariant global log canonical threshold of the toric variety is
 
 where D^G is the G-fixed part of D. The variety is assumed Q-factorial
 (fan simplicial); that hypothesis is not verified here.
+
+The engine works from the group's generators: G permutes R iff each
+generator does, and D^G lies in the intersection of the generators' fixed
+subspaces. An element list given directly is validated in O(|G| log |G|)
+matrix products.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from .errors import (DegenerateSubdivision, FanNotComplete,
                      GroupDoesNotPreserveFan, GroupNotClosed, NotWellFormed,
-                     ParseError)
+                     ParseError, Unbounded)
 from .geometry import (HalfSpace, HPolytope, dot, enumerate_vertices,
                        fixed_subspace, identity_matrix, is_bounded, mat_det,
                        mat_mul, mat_rank, mat_vec, primitive_vector,
@@ -45,11 +50,8 @@ class RaySet:
             v = tuple(int(c) for c in v)
             if all(c == 0 for c in v):
                 raise ValueError("zero vector is not a ray")
-            g = 0
-            for c in v:
-                g = gcd(g, c)
-            if g != 1:
-                w = tuple(c // g for c in v)
+            w = primitive_vector(v)
+            if w != v:
                 warnings.warn(f"ray {v} normalized to primitive {w}",
                               RuntimeWarning, stacklevel=3)
                 v = w
@@ -74,35 +76,75 @@ class RaySet:
         return len(self.rays)
 
 
+def _matrices(matrices, what: str, unimodular: bool = True) -> tuple:
+    """Integer copies of a nonempty list of square matrices of one
+    dimension, checked to have |det| = 1 unless unimodular is false."""
+    out = tuple(tuple(tuple(int(c) for c in row) for row in g)
+                for g in matrices)
+    if not out:
+        raise ValueError(f"need at least one {what}")
+    n = len(out[0])
+    for g in out:
+        if len(g) != n or any(len(row) != n for row in g):
+            raise ValueError(f"{what}s must be square of one dimension")
+        if unimodular and abs(mat_det(g)) != 1:
+            raise ValueError(f"{what} {g} is not unimodular")
+    return out
+
+
+def _closure(gens, cap: int) -> set:
+    """The products of gens, by breadth-first multiplication from the
+    identity; stops as soon as more than cap elements are found."""
+    elements = {identity_matrix(len(gens[0]))}
+    frontier = list(elements)
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for h in gens:
+                prod = mat_mul(g, h)
+                if prod not in elements:
+                    elements.add(prod)
+                    fresh.append(prod)
+                    if len(elements) > cap:
+                        return elements
+        frontier = fresh
+    return elements
+
+
 @dataclass(frozen=True)
 class GroupAction:
     """A finite group of integer matrices, |det| = 1 each, closed under
-    product and containing the identity."""
+    product and containing the identity.
+
+    generators: the elements outside the span of the ones picked before
+    them, in element order. Each pick at least doubles the span, so there
+    are at most log2 |G|, and the list is a group iff their closure is it.
+    """
 
     elements: tuple[tuple[tuple[int, ...], ...], ...]
+    generators: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        elements = tuple(tuple(tuple(int(c) for c in row) for row in g)
-                         for g in self.elements)
-        if not elements:
-            raise ValueError("need at least one element")
-        n = len(elements[0])
-        for g in elements:
-            if len(g) != n or any(len(row) != n for row in g):
-                raise ValueError("elements must be square of one dimension")
-            if abs(mat_det(g)) != 1:
-                raise ValueError(f"element {g} is not unimodular")
+        elements = _matrices(self.elements, "element", unimodular=False)
         table = set(elements)
         if len(table) != len(elements):
             raise GroupNotClosed("repeated elements")
-        if identity_matrix(n) not in table:
+        span = {identity_matrix(len(elements[0]))}
+        if not span <= table:
             raise GroupNotClosed("identity element missing")
+        gens = []
         for g in elements:
-            for h in elements:
-                if mat_mul(g, h) not in table:
-                    raise GroupNotClosed(
-                        "element list is not closed under product")
+            if g not in span:
+                # only picks need the det check: the span is their products
+                _matrices((g,), "element")
+                gens.append(g)
+                span = _closure(gens, len(elements))
+                if len(span) > len(elements):
+                    break
+        if span != table:
+            raise GroupNotClosed("element list is not closed under product")
         object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "generators", tuple(gens))
 
     @property
     def dim(self) -> int:
@@ -113,32 +155,12 @@ class GroupAction:
 
     @classmethod
     def generate(cls, generators, cap: int = 10000) -> "GroupAction":
-        """Closure of a generator list under product, via fixed-point
-        iteration; raises GroupNotClosed when the closure exceeds cap."""
-        gens = [tuple(tuple(int(c) for c in row) for row in g)
-                for g in generators]
-        if not gens:
-            raise ValueError("need at least one generator")
-        n = len(gens[0])
-        for g in gens:
-            if len(g) != n or any(len(row) != n for row in g):
-                raise ValueError("generators must be square of one dimension")
-            if abs(mat_det(g)) != 1:
-                raise ValueError(f"generator {g} is not unimodular")
-        elements = {identity_matrix(n)}
-        frontier = list(elements)
-        while frontier:
-            fresh = []
-            for g in frontier:
-                for h in gens:
-                    prod = mat_mul(g, h)
-                    if prod not in elements:
-                        elements.add(prod)
-                        fresh.append(prod)
-                        if len(elements) > cap:
-                            raise GroupNotClosed(
-                                f"closure exceeds cap of {cap} elements")
-            frontier = fresh
+        """Closure of a generator list under product; raises GroupNotClosed
+        when the closure exceeds cap."""
+        gens = _matrices(generators, "generator")
+        elements = _closure(gens, cap)
+        if len(elements) > cap:
+            raise GroupNotClosed(f"closure exceeds cap of {cap} elements")
         return cls(tuple(sorted(elements)))
 
 
@@ -182,25 +204,30 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
     equivariant under an optional finite group of lattice automorphisms.
 
     The dual polytope must be bounded (fan complete), else FanNotComplete.
-    With a group, every element must permute the rays, else
+    With a group, every generator must permute the rays, else
     GroupDoesNotPreserveFan; the pairing maximum is then taken over the
     G-fixed part of the dual polytope, computed by enumerating vertices in
-    coordinates on the common fixed subspace.
+    coordinates on the common fixed subspace of the generators.
     """
     poly = dual_polytope(rays)
-    if not is_bounded(poly):
-        raise FanNotComplete("rays do not positively span the lattice")
     if group is None:
-        vertices = enumerate_vertices(poly)
+        try:
+            vertices = enumerate_vertices(poly)
+        except Unbounded:
+            raise FanNotComplete("rays do not positively span the lattice") from None
     else:
+        if not is_bounded(poly):
+            raise FanNotComplete("rays do not positively span the lattice")
         if group.dim != rays.dim:
             raise ValueError("group dimension does not match rays")
+        # the trivial group has no generators
+        gens = group.generators or group.elements
         ray_set = set(rays)
-        for g in group.elements:
+        for g in gens:
             if {mat_vec(g, v) for v in rays} != ray_set:
                 raise GroupDoesNotPreserveFan(
-                    f"element {g} does not permute the rays")
-        basis = fixed_subspace(group.elements)
+                    f"generator {g} does not permute the rays")
+        basis = fixed_subspace(gens)
         if not basis:
             vertices = (tuple(Fraction(0) for _ in range(rays.dim)),)
         else:
@@ -317,10 +344,7 @@ def wps_fan(weights) -> RaySet:
     col = tuple(tuple(weights[i] if j == 0 else 0 for j in range(n + 1))
                 for i in range(n + 1))
     u = smith_normal_form(col).u
-    rays = []
-    for i in range(n + 1):
-        v = tuple(u[r][i] for r in range(1, n + 1))
-        rays.append(v)
+    rays = [tuple(u[r][i] for r in range(1, n + 1)) for i in range(n + 1)]
     combo = [sum(w * v[i] for w, v in zip(weights, rays)) for i in range(n)]
     if any(combo):
         raise AssertionError("quotient basis failed: sum a_i v_i != 0")
@@ -336,10 +360,7 @@ def check_well_formed(weights) -> None:
     if any(a < 1 for a in weights):
         raise ValueError("weights must be positive")
     for drop in range(len(weights)):
-        g = 0
-        for i, a in enumerate(weights):
-            if i != drop:
-                g = gcd(g, a)
+        g = gcd(*(a for i, a in enumerate(weights) if i != drop))
         if g != 1:
             raise NotWellFormed(
                 f"weights {weights} share a factor {g} once {weights[drop]} is dropped")

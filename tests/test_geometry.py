@@ -1,6 +1,7 @@
 """Kernel tests: exact solving, boundedness, vertex enumeration, Smith
 normal form, fixed subspaces."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from conftest import hpoly, oracle_vertices_2d, random_bounded_poly
 from toriclct.errors import EmptyPolytope, Unbounded
 from toriclct.geometry import (HalfSpace, HPolytope, enumerate_vertices,
                                fixed_subspace, identity_matrix, is_bounded,
-                               mat_det, smith_normal_form,
+                               mat_det, mat_rank, smith_normal_form,
                                solve_square_system)
 
 F = Fraction
@@ -175,3 +176,82 @@ def test_fraction_axioms_smoke():
         assert (a + b) + c == a + (b + c)
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
+
+
+# ---------------------------------------------------------------------------
+# the elimination against independent oracles
+
+
+def _leibniz_det(m):
+    """Sum over permutations of sign * product: no elimination at all."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+def _minor_rank(rows):
+    """The largest k with a nonzero k x k minor."""
+    for k in range(min(len(rows), len(rows[0])), 0, -1):
+        for rs in itertools.combinations(range(len(rows)), k):
+            for cs in itertools.combinations(range(len(rows[0])), k):
+                if _leibniz_det([[rows[r][c] for c in cs] for r in rs]):
+                    return k
+    return 0
+
+
+def _random_matrix(rng, n_rows, n_cols):
+    rows = [[rng.randint(-5, 5) for _ in range(n_cols)] for _ in range(n_rows)]
+    if n_rows > 1 and rng.random() < 0.4:
+        # a row that is a combination of two others: singular on purpose
+        i, j, k = (rng.randrange(n_rows) for _ in range(3))
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+def test_mat_det_matches_leibniz():
+    rng = random.Random(41)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        m = _random_matrix(rng, n, n)
+        expected = _leibniz_det(m)
+        assert mat_det(m) == expected
+        singular += expected == 0
+    assert singular > 20
+
+
+def test_mat_rank_matches_minors():
+    rng = random.Random(43)
+    deficient = 0
+    for _ in range(300):
+        n_rows, n_cols = rng.randint(1, 4), rng.randint(1, 4)
+        rows = _random_matrix(rng, n_rows, n_cols)
+        expected = _minor_rank(rows)
+        assert mat_rank(rows) == expected
+        deficient += expected < min(n_rows, n_cols)
+    assert deficient > 20
+    assert mat_rank([]) == 0
+
+
+def test_solve_square_system_satisfies_equations():
+    rng = random.Random(47)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        m = _random_matrix(rng, n, n)
+        b = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+        x = solve_square_system(m, b)
+        if _leibniz_det(m) == 0:
+            assert x is None
+            singular += 1
+        else:
+            assert [sum(a * c for a, c in zip(row, x)) for row in m] == b
+    assert singular > 20

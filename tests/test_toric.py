@@ -71,6 +71,68 @@ def test_group_requires_closure():
         GroupAction((EYE2, rot4))
 
 
+def _d4():
+    return GroupAction.generate([SWAP2, ((-1, 0), (0, 1))])
+
+
+def test_group_requires_closure_when_greedy_span_overshoots():
+    # the picks of D4 minus one element still generate all eight
+    d4 = _d4()
+    for missing in d4.elements:
+        if missing == EYE2:
+            continue
+        with pytest.raises(GroupNotClosed, match="not closed"):
+            GroupAction(tuple(g for g in d4.elements if g != missing))
+    shear = ((1, 1), (0, 1))  # infinite order: its closure outgrows the list
+    with pytest.raises(GroupNotClosed):
+        GroupAction((EYE2, shear))
+
+
+def _signed_permutation_group(n):
+    """B_n from a transposition, an n-cycle and one sign change."""
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    swap = [eye[1], eye[0]] + eye[2:]
+    cycle = eye[1:] + eye[:1]
+    flip = [[-1] + [0] * (n - 1)] + eye[1:]
+    return GroupAction.generate([swap, cycle, flip])
+
+
+def _named_groups():
+    return {
+        "B2": _signed_permutation_group(2),
+        "B3": _signed_permutation_group(3),
+        "B4": _signed_permutation_group(4),
+        "S3 on P2": GroupAction.generate([SWAP2, ROT3]),
+        "S4 on P3": GroupAction.generate([
+            ((0, 1, 0), (1, 0, 0), (0, 0, 1)), ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+            ((-1, 0, 0), (-1, 1, 0), (-1, 0, 1))]),
+    }
+
+
+def test_generators_decide_the_group():
+    orders = {"B2": 8, "B3": 48, "B4": 384, "S3 on P2": 6, "S4 on P3": 24}
+    for name, g in _named_groups().items():
+        assert len(g) == orders[name], name
+        assert 2 ** len(g.generators) <= len(g), name
+        assert fixed_subspace(g.generators) == fixed_subspace(g.elements), name
+        assert GroupAction(g.elements) == g, name
+        assert GroupAction.generate(g.generators) == g, name
+
+
+def test_generators_fix_what_the_elements_fix_on_cyclic_subgroups():
+    for name, full in _named_groups().items():
+        for h in full.elements:
+            g = GroupAction.generate([h])
+            assert fixed_subspace(g.generators or g.elements) == \
+                fixed_subspace(g.elements), (name, h)
+
+
+def test_trivial_group_has_no_generators():
+    g = GroupAction((EYE2,))
+    assert g.generators == ()
+    assert toric_lct(P2, g) == toric_lct(P2)
+
+
 def test_generate_s3():
     g = GroupAction.generate([SWAP2, ROT3])
     assert len(g) == 6
@@ -153,6 +215,18 @@ def test_group_must_preserve_rays():
     rays = RaySet(((1, 0), (0, 1), (-1, -2)))
     with pytest.raises(GroupDoesNotPreserveFan):
         toric_lct(rays, GroupAction((EYE2, SWAP2)))
+
+
+def test_group_must_preserve_rays_at_a_later_generator():
+    # -I keeps this fan; the second pick, an anti-diagonal swap, does not
+    rays = RaySet(((1, 0), (-1, 0), (1, 2), (-1, -2)))
+    group = GroupAction.generate([SWAP2, NEG2])
+    first, *rest = group.generators
+    assert rest
+    assert {tuple(sum(a * x for a, x in zip(row, v)) for row in first)
+            for v in rays} == set(rays)
+    with pytest.raises(GroupDoesNotPreserveFan):
+        toric_lct(rays, group)
 
 
 def test_group_dimension_mismatch():
