@@ -36,7 +36,9 @@ def dot(u: Sequence, v: Sequence):
 
 def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
     """The primitive part of a nonzero integer vector: v divided by gcd(v)."""
-    g = gcd(*v)
+    g = 0
+    for c in v:
+        g = gcd(g, c)
     if g == 0:
         raise ValueError("zero vector has no primitive part")
     return tuple(c // g for c in v)

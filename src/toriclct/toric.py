@@ -129,9 +129,10 @@ class GroupAction:
         table = set(elements)
         if len(table) != len(elements):
             raise GroupNotClosed("repeated elements")
-        span = {identity_matrix(len(elements[0]))}
-        if not span <= table:
+        identity = identity_matrix(len(elements[0]))
+        if identity not in table:
             raise GroupNotClosed("identity element missing")
+        span = {identity}
         gens = []
         for g in elements:
             if g not in span:
@@ -344,7 +345,10 @@ def wps_fan(weights) -> RaySet:
     col = tuple(tuple(weights[i] if j == 0 else 0 for j in range(n + 1))
                 for i in range(n + 1))
     u = smith_normal_form(col).u
-    rays = [tuple(u[r][i] for r in range(1, n + 1)) for i in range(n + 1)]
+    rays = []
+    for i in range(n + 1):
+        v = tuple(u[r][i] for r in range(1, n + 1))
+        rays.append(v)
     combo = [sum(w * v[i] for w, v in zip(weights, rays)) for i in range(n)]
     if any(combo):
         raise AssertionError("quotient basis failed: sum a_i v_i != 0")
@@ -360,7 +364,10 @@ def check_well_formed(weights) -> None:
     if any(a < 1 for a in weights):
         raise ValueError("weights must be positive")
     for drop in range(len(weights)):
-        g = gcd(*(a for i, a in enumerate(weights) if i != drop))
+        g = 0
+        for i, a in enumerate(weights):
+            if i != drop:
+                g = gcd(g, a)
         if g != 1:
             raise NotWellFormed(
                 f"weights {weights} share a factor {g} once {weights[drop]} is dropped")

@@ -71,13 +71,9 @@ def test_group_requires_closure():
         GroupAction((EYE2, rot4))
 
 
-def _d4():
-    return GroupAction.generate([SWAP2, ((-1, 0), (0, 1))])
-
-
 def test_group_requires_closure_when_greedy_span_overshoots():
     # the picks of D4 minus one element still generate all eight
-    d4 = _d4()
+    d4 = GroupAction.generate([SWAP2, ((-1, 0), (0, 1))])
     for missing in d4.elements:
         if missing == EYE2:
             continue
