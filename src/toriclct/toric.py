@@ -14,8 +14,8 @@ where D^G is the G-fixed part of D. The variety is assumed Q-factorial
 
 The engine works from the group's generators: G permutes R iff each
 generator does, and D^G lies in the intersection of the generators' fixed
-subspaces. An element list given directly is validated in O(|G| log |G|)
-matrix products.
+subspaces. An element list given directly is checked for closure over
+all |G|^2 products.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ class RaySet:
         return len(self.rays)
 
 
-def _matrices(matrices, what: str, unimodular: bool = True) -> tuple:
+def _matrices(matrices, what: str) -> tuple:
     """Integer copies of a nonempty list of square matrices of one
-    dimension, checked to have |det| = 1 unless unimodular is false."""
+    dimension, checked to have |det| = 1."""
     out = tuple(tuple(tuple(int(c) for c in row) for row in g)
                 for g in matrices)
     if not out:
@@ -87,7 +87,7 @@ def _matrices(matrices, what: str, unimodular: bool = True) -> tuple:
     for g in out:
         if len(g) != n or any(len(row) != n for row in g):
             raise ValueError(f"{what}s must be square of one dimension")
-        if unimodular and abs(mat_det(g)) != 1:
+        if abs(mat_det(g)) != 1:
             raise ValueError(f"{what} {g} is not unimodular")
     return out
 
@@ -118,32 +118,28 @@ class GroupAction:
 
     generators: the elements outside the span of the ones picked before
     them, in element order. Each pick at least doubles the span, so there
-    are at most log2 |G|, and the list is a group iff their closure is it.
+    are at most log2 |G|, and their closure is the group.
     """
 
     elements: tuple[tuple[tuple[int, ...], ...], ...]
     generators: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        elements = _matrices(self.elements, "element", unimodular=False)
+        elements = _matrices(self.elements, "element")
         table = set(elements)
         if len(table) != len(elements):
             raise GroupNotClosed("repeated elements")
         identity = identity_matrix(len(elements[0]))
         if identity not in table:
             raise GroupNotClosed("identity element missing")
+        if any(mat_mul(g, h) not in table for g in elements for h in elements):
+            raise GroupNotClosed("element list is not closed under product")
         span = {identity}
         gens = []
         for g in elements:
             if g not in span:
-                # only picks need the det check: the span is their products
-                _matrices((g,), "element")
                 gens.append(g)
                 span = _closure(gens, len(elements))
-                if len(span) > len(elements):
-                    break
-        if span != table:
-            raise GroupNotClosed("element list is not closed under product")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "generators", tuple(gens))
 
