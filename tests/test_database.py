@@ -254,3 +254,31 @@ def test_import_normalizes_value_spelling():
     loaded = import_table(text)
     assert lookup(loaded, "4.5").status.value == F(3, 7)
     assert export_table(loaded) == export_table(DB)
+
+
+def test_import_fan_block_boundaries():
+    # accepted, or the exact line of the ParseError; the builtin table has
+    # 251 lines, so an appended block's header is line 253
+    good = export_table(DB)
+    first = good.splitlines()[0] + "\n"
+    records = "".join(ln + "\n" for ln in good.splitlines()[:105])
+    rest = records.replace(first, "")
+    cases = [
+        (good + "\n[fan 2.6\n1\n-1\n", 253),              # header without ]
+        (good + "\n[fan x.y]\n1\n-1\n", 253),             # header, bad id
+        (rest + "\n[fan 1.1]\n1\n-1\n", 106),             # family not yet read
+        (good + "\n[fan 2.6]\n1\nx\n", 255),              # bad ray row
+        (rest + "\n[fan 2.6]\n1\n-1\n" + first, 109),     # record inside a block
+        (good + "\n[fan 2.6]\n1\n-1\n[fan 1.1]\n1\n-1\n", None),  # two blocks
+        (good + "\n[fan 2.6]\n", 253),                    # empty block at end
+        (good + "\n[fan 2.6]\n\n", 253),                  # empty, then blank
+        (good + "\n[fan 2.6]\n[fan 1.1]\n1\n-1\n", 253),  # empty, then header
+        (good + "\n[fan 2.6]\n1\n-1,0\n", 253),           # mixed dimension
+    ]
+    for text, lineno in cases:
+        if lineno is None:
+            assert lookup(import_table(text), "1.1").fan is not None
+            continue
+        with pytest.raises(ParseError) as info:
+            import_table(text)
+        assert info.value.lineno == lineno

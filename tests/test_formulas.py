@@ -282,3 +282,36 @@ def test_known_equivariant_entries():
 def test_known_equivariant_unknown_key():
     with pytest.raises(UnknownKey, match="dP5_S5"):
         known_equivariant_lct("nonsense")
+
+
+# Every descriptor over degree 0..10, nodes 0..2, at most one flag and every
+# degree8_type: the ones below get their value, all others raise.
+DEL_PEZZO_GRID_VALUES = {
+    (1, 0, "cuspidal", None): F(5, 6), (1, 0, None, None): F(1),
+    (2, 0, "tacnodal", None): F(3, 4), (2, 0, None, None): F(5, 6),
+    (3, 0, "eckardt", None): F(2, 3), (3, 0, None, None): F(3, 4),
+    (4, 0, None, None): F(2, 3), (4, 1, None, None): F(1, 2),
+    (5, 0, None, None): F(1, 2), (5, 1, None, None): F(1, 2),
+    (6, 0, None, None): F(1, 2), (6, 1, None, None): F(1, 3),
+    (7, 0, None, None): F(1, 3),
+    (8, 0, None, "product"): F(1, 2), (8, 0, None, "nonproduct"): F(1, 3),
+    (9, 0, None, None): F(1, 3),
+}
+
+
+def test_del_pezzo_descriptor_grid():
+    flags = {None: {}, "cuspidal": {"has_cuspidal_anticanonical": True},
+             "tacnodal": {"has_tacnodal_anticanonical": True},
+             "eckardt": {"has_eckardt_point": True}}
+    seen = {}
+    for degree in range(11):
+        for nodes in range(3):
+            for flag, kwargs in flags.items():
+                for deg8 in (None, "product", "nonproduct"):
+                    key = (degree, nodes, flag, deg8)
+                    try:
+                        seen[key] = del_pezzo_lct(DelPezzoDescriptor(
+                            degree, nodes=nodes, degree8_type=deg8, **kwargs))
+                    except UnsupportedDescriptor:
+                        pass
+    assert seen == DEL_PEZZO_GRID_VALUES
