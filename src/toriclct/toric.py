@@ -9,13 +9,15 @@ G-equivariant global log canonical threshold of the toric variety is
 
     lct = 1 / (1 + max{<w, v> : w in D^G, v in R}),
 
-where D^G is the G-fixed part of D. The variety is assumed Q-factorial
-(fan simplicial); that hypothesis is not verified here.
+where D^G is the G-fixed part of D. G acts on the dual lattice by inverse
+transposes, so D^G = {w in D : <w, g v> = <w, v> for every g in G and v in
+R}: the G-invariant divisors. The variety is assumed Q-factorial (fan
+simplicial); that hypothesis is not verified here.
 
 The engine works from the group's generators: G permutes R iff each
-generator does, and D^G lies in the intersection of the generators' fixed
-subspaces. An element list given directly is checked for closure over
-all |G|^2 products.
+generator does, and D^G lies in the intersection of the fixed subspaces of
+the generators' transposes. An element list given directly is checked for
+closure over all |G|^2 products.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (DegenerateSubdivision, FanNotComplete,
 from .geometry import (HalfSpace, HPolytope, dot, enumerate_vertices,
                        fixed_subspace, identity_matrix, is_bounded, mat_det,
                        mat_mul, mat_rank, mat_vec, primitive_vector,
-                       smith_normal_form)
+                       smith_normal_form, transpose)
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,7 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
     With a group, every generator must permute the rays, else
     GroupDoesNotPreserveFan; the pairing maximum is then taken over the
     G-fixed part of the dual polytope, computed by enumerating vertices in
-    coordinates on the common fixed subspace of the generators.
+    coordinates on the common fixed subspace of the generators' transposes.
     """
     poly = dual_polytope(rays)
     if group is None:
@@ -224,7 +226,7 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
             if {mat_vec(g, v) for v in rays} != ray_set:
                 raise GroupDoesNotPreserveFan(
                     f"generator {g} does not permute the rays")
-        basis = fixed_subspace(gens)
+        basis = fixed_subspace([transpose(g) for g in gens])
         if not basis:
             vertices = (tuple(Fraction(0) for _ in range(rays.dim)),)
         else:

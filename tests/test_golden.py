@@ -134,7 +134,7 @@ GOLDEN = {
     'c6 trial 20': ('1', '0', '0,0', '-1,-1'),
     'c6 trial 21': ('1', '0', '0,0', '-1,0'),
     'c6 trial 22': ('1', '0', '0,0,0', '-1,0,0'),
-    'c6 trial 23': ('1/2', '1', '0,-1,0', '-1,-1,-1'),
+    'c6 trial 23': ('1/4', '3', '-1,3,-1', '0,1,0'),
     'c6 trial 24': ('1', '0', '0,0', '-1,-1'),
     'c6 trial 25': ('1', '0', '0,0', '-1,0'),
     'c6 trial 26': ('1', '0', '0,0,0', '-1,0,0'),
@@ -150,22 +150,22 @@ GOLDEN = {
     'c6 trial 36': ('1', '0', '0,0', '-1,-1'),
     'c6 trial 37': ('1', '0', '0,0', '-1,0'),
     'c6 trial 38': ('1', '0', '0,0,0', '-1,0,0'),
-    'c6 trial 39': ('1/3', '2', '-1,-1,0', '-1,-1,-1'),
+    'c6 trial 39': ('1/4', '3', '-1,3,-1', '0,1,0'),
     'c6 trial 40': ('1', '0', '0,0', '-1,-1'),
     'c6 trial 41': ('1', '0', '0,0', '-1,0'),
     'c6 trial 42': ('1', '0', '0,0,0', '-1,0,0'),
-    'c6 trial 43': ('1/3', '2', '-1,0,-1', '-1,-1,-1'),
+    'c6 trial 43': ('1/2', '1', '-1,1,-1', '-1,-1,-1'),
     'c6 trial 44': ('1', '0', '0,0', '-1,-1'),
     'c6 trial 45': ('1/2', '1', '-1,-1', '-1,0'),
     'c6 trial 46': ('1', '0', '0,0,0', '-1,0,0'),
     'c6 trial 47': ('1', '0', '0,0,0', '-1,-1,-1'),
-    'c6 trial 48': ('1/2', '1', '-1,0', '-1,-1'),
+    'c6 trial 48': ('1/3', '2', '2,-1', '1,0'),
     'c6 trial 49': ('1/2', '1', '-1,-1', '-1,0'),
-    'c6 cyclic 0.0': ('1/2', '1', '0,-1', '-1,-1'),
+    'c6 cyclic 0.0': ('1/3', '2', '-1,2', '0,1'),
     'c6 cyclic 0.1': ('1', '0', '0,0', '-1,-1'),
     'c6 cyclic 0.2': ('1', '0', '0,0', '-1,-1'),
     'c6 cyclic 0.3': ('1/3', '2', '-1,-1', '-1,-1'),
-    'c6 cyclic 0.4': ('1/2', '1', '-1,0', '-1,-1'),
+    'c6 cyclic 0.4': ('1/3', '2', '2,-1', '1,0'),
     'c6 cyclic 0.5': ('1/3', '2', '-1,-1', '-1,-1'),
     'c6 cyclic 1.0': ('1', '0', '0,0', '-1,0'),
     'c6 cyclic 1.1': ('1/2', '1', '0,-1', '0,-1'),
@@ -223,28 +223,28 @@ GOLDEN = {
     'c6 cyclic 2.45': ('1/2', '1', '-1,-1,-1', '-1,0,0'),
     'c6 cyclic 2.46': ('1/2', '1', '-1,-1,0', '-1,0,0'),
     'c6 cyclic 2.47': ('1/2', '1', '-1,-1,-1', '-1,0,0'),
-    'c6 cyclic 3.0': ('1/3', '2', '0,-1,-1', '-1,-1,-1'),
-    'c6 cyclic 3.1': ('1/3', '2', '0,-1,-1', '-1,-1,-1'),
+    'c6 cyclic 3.0': ('1/2', '1', '-1,1,1', '0,0,1'),
+    'c6 cyclic 3.1': ('1/4', '3', '-1,-1,3', '0,0,1'),
     'c6 cyclic 3.2': ('1', '0', '0,0,0', '-1,-1,-1'),
-    'c6 cyclic 3.3': ('1/2', '1', '0,-1,0', '-1,-1,-1'),
-    'c6 cyclic 3.4': ('1/2', '1', '0,0,-1', '-1,-1,-1'),
+    'c6 cyclic 3.3': ('1/4', '3', '-1,3,-1', '0,1,0'),
+    'c6 cyclic 3.4': ('1/4', '3', '-1,-1,3', '0,0,1'),
     'c6 cyclic 3.5': ('1', '0', '0,0,0', '-1,-1,-1'),
     'c6 cyclic 3.6': ('1', '0', '0,0,0', '-1,-1,-1'),
-    'c6 cyclic 3.7': ('1/2', '1', '0,0,-1', '-1,-1,-1'),
-    'c6 cyclic 3.8': ('1/3', '2', '-1,0,-1', '-1,-1,-1'),
+    'c6 cyclic 3.7': ('1/4', '3', '-1,-1,3', '0,0,1'),
+    'c6 cyclic 3.8': ('1/2', '1', '-1,1,-1', '-1,-1,-1'),
     'c6 cyclic 3.9': ('1', '0', '0,0,0', '-1,-1,-1'),
-    'c6 cyclic 3.10': ('1/2', '1', '0,-1,0', '-1,-1,-1'),
+    'c6 cyclic 3.10': ('1/4', '3', '-1,3,-1', '0,1,0'),
     'c6 cyclic 3.11': ('1', '0', '0,0,0', '-1,-1,-1'),
     'c6 cyclic 3.12': ('1/4', '3', '-1,-1,-1', '-1,-1,-1'),
     'c6 cyclic 3.13': ('1/4', '3', '-1,-1,-1', '-1,-1,-1'),
     'c6 cyclic 3.14': ('1', '0', '0,0,0', '-1,-1,-1'),
-    'c6 cyclic 3.15': ('1/3', '2', '-1,-1,0', '-1,-1,-1'),
+    'c6 cyclic 3.15': ('1/2', '1', '-1,-1,1', '-1,-1,-1'),
     'c6 cyclic 3.16': ('1/4', '3', '-1,-1,-1', '-1,-1,-1'),
     'c6 cyclic 3.17': ('1/4', '3', '-1,-1,-1', '-1,-1,-1'),
-    'c6 cyclic 3.18': ('1/3', '2', '-1,0,-1', '-1,-1,-1'),
-    'c6 cyclic 3.19': ('1/2', '1', '-1,0,0', '-1,-1,-1'),
-    'c6 cyclic 3.20': ('1/2', '1', '-1,0,0', '-1,-1,-1'),
-    'c6 cyclic 3.21': ('1/3', '2', '-1,-1,0', '-1,-1,-1'),
+    'c6 cyclic 3.18': ('1/4', '3', '-1,-1,3', '0,0,1'),
+    'c6 cyclic 3.19': ('1/4', '3', '3,-1,-1', '1,0,0'),
+    'c6 cyclic 3.20': ('1/4', '3', '3,-1,-1', '1,0,0'),
+    'c6 cyclic 3.21': ('1/4', '3', '-1,3,-1', '0,1,0'),
     'c6 cyclic 3.22': ('1/4', '3', '-1,-1,-1', '-1,-1,-1'),
     'c6 cyclic 3.23': ('1/4', '3', '-1,-1,-1', '-1,-1,-1'),
     'P2 swap': ('1/3', '2', '-1,-1', '-1,-1'),

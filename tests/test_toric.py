@@ -11,7 +11,7 @@ from conftest import (conjugate_group, inverse_unimodular, random_unimodular,
 from toriclct.errors import (DegenerateSubdivision, FanNotComplete,
                              GroupDoesNotPreserveFan, GroupNotClosed,
                              NotWellFormed, ParseError)
-from toriclct.geometry import fixed_subspace
+from toriclct.geometry import fixed_subspace, mat_vec
 from toriclct.toric import (GroupAction, RaySet, ToricLctReport,
                             bundle_lct_closed_form, check_well_formed,
                             dual_polytope, format_fan, parse_fan, product_fan,
@@ -257,6 +257,67 @@ def test_conjugated_group_invariance():
         u = random_unimodular(rng, 2)
         conj = conjugate_group(u, inverse_unimodular(u), group)
         assert toric_lct(transform_rays(u, P2), conj).lct == 1
+
+
+# The threshold of a cyclic subgroup of S3 on P2 or S4 on P3 depends only on
+# its conjugacy class, read off as the cycle type of the generator on the
+# rays; the identity gives the plain value.
+CLASS_LCT = {
+    (1, 1, 1): F(1, 3), (1, 2): F(1, 3), (3,): F(1),
+    (1, 1, 1, 1): F(1, 4), (1, 1, 2): F(1, 4), (1, 3): F(1, 4),
+    (2, 2): F(1, 2), (4,): F(1),
+}
+
+
+def _cycle_type(g, rays):
+    image = {v: mat_vec(g, v) for v in rays}
+    lengths, seen = [], set()
+    for v in rays:
+        n = 0
+        while v not in seen:
+            seen.add(v)
+            v = image[v]
+            n += 1
+        if n:
+            lengths.append(n)
+    return tuple(sorted(lengths))
+
+
+def _permutation_cyclic_subgroups():
+    for name, rays in (("S3 on P2", P2), ("S4 on P3", P3)):
+        for g in _named_groups()[name].elements:
+            yield rays, g, GroupAction.generate([g])
+
+
+def test_cyclic_subgroup_thresholds_follow_conjugacy_classes():
+    for rays, g, group in _permutation_cyclic_subgroups():
+        assert toric_lct(rays, group).lct == CLASS_LCT[_cycle_type(g, rays)], g
+
+
+def test_witness_divisor_is_group_invariant():
+    cases = [(rays, group) for rays, _, group in _permutation_cyclic_subgroups()]
+    cases += [(rays, group) for rays, group in (
+        (P2, GroupAction((EYE2, SWAP2))),
+        (product_fan(P1, P1), GroupAction.generate([SWAP2])))]
+    for rays, group in cases:
+        w = toric_lct(rays, group).witness_vertex
+        for g in group.elements:
+            assert all(sum(a * b for a, b in zip(w, mat_vec(g, v))) ==
+                       sum(a * b for a, b in zip(w, v)) for v in rays), g
+
+
+def test_conjugated_subgroup_invariance():
+    rng = random.Random(23)
+    swap = GroupAction((EYE2, SWAP2))
+    for _ in range(20):
+        u = random_unimodular(rng, 2)
+        conj = conjugate_group(u, inverse_unimodular(u), swap)
+        assert toric_lct(transform_rays(u, P2), conj).lct == F(1, 3)
+    for rays, g, group in _permutation_cyclic_subgroups():
+        u = random_unimodular(rng, rays.dim)
+        conj = conjugate_group(u, inverse_unimodular(u), group)
+        assert toric_lct(transform_rays(u, rays), conj).lct == \
+            CLASS_LCT[_cycle_type(g, rays)], g
 
 
 # ---------------------------------------------------------------------------
