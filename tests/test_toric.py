@@ -284,8 +284,10 @@ def _cycle_type(g, rays):
 
 
 def _permutation_cyclic_subgroups():
-    for name, rays in (("S3 on P2", P2), ("S4 on P3", P3)):
-        for g in _named_groups()[name].elements:
+    s4 = [((0, 1, 0), (1, 0, 0), (0, 0, 1)), ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+          ((-1, 0, 0), (-1, 1, 0), (-1, 0, 1))]
+    for rays, gens in ((P2, [SWAP2, ROT3]), (P3, s4)):
+        for g in GroupAction.generate(gens).elements:
             yield rays, g, GroupAction.generate([g])
 
 
