@@ -26,8 +26,8 @@ from .formulas import (DelPezzoDescriptor, KNOWN_EQUIVARIANT,
                        cubic_surface_lct, del_pezzo_lct, double_cover_lct,
                        fermat_cse, hypersurface_lct, known_equivariant_lct,
                        monomial_cse, p1_product_lct, product_lct, wps_lct)
-from .toric import (GroupAction, RaySet, bundle_lct_closed_form, parse_fan,
-                    projectivized_bundle_fan, toric_lct, wps_fan)
+from .toric import (GroupAction, RaySet, _square_matrix, bundle_lct_closed_form,
+                    parse_fan, projectivized_bundle_fan, toric_lct, wps_fan)
 
 _STATUS_HUMAN = {
     "exact_all": "exact value for every smooth member",
@@ -77,13 +77,8 @@ def _cmd_toric(args, out) -> int:
     else:
         rays = RaySet(tuple(_vector_list(args.rays)))
     if args.group:
-        matrices = []
-        for flat in _vector_list(args.group):
-            n = rays.dim
-            if len(flat) != n * n:
-                raise ValueError(f"group matrices need {n * n} entries, got {len(flat)}")
-            matrices.append(tuple(flat[i * n:(i + 1) * n] for i in range(n)))
-        group = GroupAction.generate(matrices)
+        group = GroupAction.generate([_square_matrix(flat, rays.dim)
+                                      for flat in _vector_list(args.group)])
     report = toric_lct(rays, group)
     if args.machine:
         print(f"lct={report.lct}", file=out)
@@ -266,23 +261,6 @@ def _cmd_equivariant(args, out) -> int:
     return 0
 
 
-_HANDLERS = {
-    "toric": _cmd_toric,
-    "wps": _cmd_wps,
-    "bundle": _cmd_bundle,
-    "cse": _cmd_cse,
-    "hypersurface": _cmd_hypersurface,
-    "double-cover": _cmd_double_cover,
-    "product": _cmd_product,
-    "p1-product": _cmd_p1_product,
-    "dp": _cmd_dp,
-    "cubic-sing": _cmd_cubic_sing,
-    "family": _cmd_family,
-    "db": _cmd_db,
-    "equivariant": _cmd_equivariant,
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toriclct",
@@ -290,49 +268,50 @@ def _build_parser() -> argparse.ArgumentParser:
                     "formulas, and the Fano threefold database")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str):
+    def add(name: str, handler, help_text: str):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--machine", action="store_true",
                        help="stable key=value output")
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("toric", "threshold of a complete fan")
+    p = add("toric", _cmd_toric, "threshold of a complete fan")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--rays", help="rays like '1,0;0,1;-1,-1'")
     src.add_argument("--fan-file", help="fan file path, or - for stdin")
     p.add_argument("--group", help="generator matrices, row-major, like '0,1,1,0'")
 
-    p = add("wps", "threshold of a well-formed weighted projective space")
+    p = add("wps", _cmd_wps, "threshold of a well-formed weighted projective space")
     p.add_argument("weights", nargs="+", type=int)
 
-    p = add("bundle", "threshold of a projectivized split bundle over projective space")
+    p = add("bundle", _cmd_bundle, "threshold of a projectivized split bundle over projective space")
     p.add_argument("--base-dim", type=int, required=True,
                    help="dimension of the base projective space")
     p.add_argument("--twists", required=True, help="twist degrees like '1,2'")
 
-    p = add("cse", "complex singularity exponent at the origin")
+    p = add("cse", _cmd_cse, "complex singularity exponent at the origin")
     kind = p.add_mutually_exclusive_group(required=True)
     kind.add_argument("--monomial", help="exponents like '2,3,5'")
     kind.add_argument("--fermat", help="exponents of a power sum like '2,3,5'")
 
-    p = add("hypersurface", "threshold of a smooth low-degree hypersurface")
+    p = add("hypersurface", _cmd_hypersurface, "threshold of a smooth low-degree hypersurface")
     p.add_argument("--ambient", type=int, required=True,
                    help="dimension n of the ambient projective space")
     p.add_argument("--degree", type=int, required=True)
 
-    p = add("double-cover", "threshold of a double cover of projective space")
+    p = add("double-cover", _cmd_double_cover, "threshold of a double cover of projective space")
     p.add_argument("--ambient", type=int, required=True,
                    help="dimension n of the covered projective space")
     p.add_argument("--degree", type=int, required=True,
                    help="d for a branch divisor of degree 2d")
 
-    p = add("product", "threshold of a product from the two factor thresholds")
+    p = add("product", _cmd_product, "threshold of a product from the two factor thresholds")
     p.add_argument("values", nargs=2, type=Fraction)
 
-    p = add("p1-product", "threshold of P1 x X from the threshold of X")
+    p = add("p1-product", _cmd_p1_product, "threshold of P1 x X from the threshold of X")
     p.add_argument("value", type=Fraction)
 
-    p = add("dp", "threshold of a del Pezzo surface")
+    p = add("dp", _cmd_dp, "threshold of a del Pezzo surface")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--nodes", type=int, choices=(0, 1), default=0)
     flags = p.add_mutually_exclusive_group()
@@ -345,17 +324,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deg8", choices=("product", "nonproduct"),
                    help="degree 8 only: quadric surface or one-point blow-up")
 
-    p = add("cubic-sing", "threshold of a cubic surface from its singularity types")
+    p = add("cubic-sing", _cmd_cubic_sing, "threshold of a cubic surface from its singularity types")
     p.add_argument("types", help="comma-separated types like 'A4,A1'")
 
-    p = add("family", "one Fano threefold family record, or --list")
+    p = add("family", _cmd_family, "one Fano threefold family record, or --list")
     p.add_argument("id", nargs="?", help="family id like 3.27")
     p.add_argument("--list", action="store_true")
     p.add_argument("--rank", type=int)
     p.add_argument("--status", choices=STATUS_KINDS)
     p.add_argument("--value", type=Fraction)
 
-    p = add("db", "database summary, cross-check, export, import")
+    p = add("db", _cmd_db, "database summary, cross-check, export, import")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--cross-check", action="store_true",
                       help="recompute every stored fan through the engine")
@@ -364,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--import", dest="import_path", metavar="PATH",
                       help="parse and validate a table (- for stdin)")
 
-    p = add("equivariant", "tabulated equivariant thresholds (no key: list keys)")
+    p = add("equivariant", _cmd_equivariant, "tabulated equivariant thresholds (no key: list keys)")
     p.add_argument("key", nargs="?")
 
     return parser
@@ -380,7 +359,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _HANDLERS[args.command](args, out)
+        return args.handler(args, out)
     except (ToolkitError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=err)
         return 1

@@ -13,8 +13,9 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import InvalidId, ParseError
-from .toric import (RaySet, format_fan, product_fan, projective_space_fan,
-                    projectivized_bundle_fan, star_subdivide, toric_lct)
+from .toric import (RaySet, _blocks, _int_rows, format_fan, product_fan,
+                    projective_space_fan, projectivized_bundle_fan,
+                    star_subdivide, toric_lct)
 
 RANK_SIZES = {1: 17, 2: 36, 3: 31, 4: 13, 5: 8}
 STATUS_KINDS = ("exact_all", "exact_general", "upper_bound", "unknown")
@@ -374,74 +375,57 @@ def export_table(db: Database) -> str:
 
 
 def import_table(text: str) -> Database:
-    """Inverse of export_table (notes are not serialized). Raises ParseError
-    with the offending line number on malformed input."""
+    """Inverse of export_table (notes are not serialized). A blank line or a
+    '[fan id]' header starts a new block; a fan block holds the ray rows of
+    a fan file. Raises ParseError with the offending line number on
+    malformed input."""
     entries: dict[FamilyId, tuple[LctStatus, str]] = {}
     fans: dict[FamilyId, RaySet] = {}
-    fan_id: FamilyId | None = None
-    fan_header = 0
-    fan_rows: list[tuple[int, ...]] = []
-
-    def finish_fan():
-        if fan_id is None:
-            return
-        if not fan_rows:
-            raise ParseError(fan_header, f"fan block for {fan_id} has no rays")
-        try:
-            fans[fan_id] = RaySet(tuple(fan_rows))
-        except ValueError as exc:
-            raise ParseError(fan_header, str(exc))
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            finish_fan()
-            fan_id = None
-            continue
-        if line.startswith("[fan"):
-            finish_fan()
-            if not line.endswith("]"):
-                raise ParseError(lineno, "malformed fan header")
+    for block in _blocks(text, "[fan"):
+        header_line, header = block[0]
+        header = header.strip()
+        if header.startswith("[fan"):
+            if not header.endswith("]"):
+                raise ParseError(header_line, "malformed fan header")
             try:
-                fan_id = FamilyId.parse(line[len("[fan"):-1])
+                fan_id = FamilyId.parse(header[len("[fan"):-1])
+            except InvalidId as exc:
+                raise ParseError(header_line, str(exc))
+            if fan_id not in entries:
+                raise ParseError(header_line, f"fan for unknown family {fan_id}")
+            if fan_id in fans:
+                raise ParseError(header_line, f"duplicate fan block for {fan_id}")
+            rows = _int_rows(block[1:])
+            if not rows:
+                raise ParseError(header_line, f"fan block for {fan_id} has no rays")
+            try:
+                fans[fan_id] = RaySet(tuple(tuple(values) for _, values in rows))
+            except ValueError as exc:
+                raise ParseError(header_line, str(exc))
+            continue
+        for lineno, raw in block:
+            fields = raw.strip().split("|", 4)
+            if len(fields) != 5:
+                raise ParseError(lineno, "expected id|rank|status_kind|value|provenance")
+            id_text, rank_text, kind, value_text, provenance = fields
+            try:
+                fid = FamilyId.parse(id_text)
             except InvalidId as exc:
                 raise ParseError(lineno, str(exc))
-            if fan_id not in entries:
-                raise ParseError(lineno, f"fan for unknown family {fan_id}")
-            if fan_id in fans:
-                raise ParseError(lineno, f"duplicate fan block for {fan_id}")
-            fan_header = lineno
-            fan_rows = []
-            continue
-        if fan_id is not None:
-            try:
-                fan_rows.append(tuple(int(tok) for tok in line.split(",")))
-            except ValueError:
-                raise ParseError(lineno, f"not a comma-separated integer row: {raw!r}")
-            continue
-        fields = line.split("|", 4)
-        if len(fields) != 5:
-            raise ParseError(lineno, "expected id|rank|status_kind|value|provenance")
-        id_text, rank_text, kind, value_text, provenance = fields
-        try:
-            fid = FamilyId.parse(id_text)
-        except InvalidId as exc:
-            raise ParseError(lineno, str(exc))
-        if not rank_text.isdigit() or int(rank_text) != fid.rank:
-            raise ParseError(lineno, f"rank {rank_text!r} does not match id {fid}")
-        if fid in entries:
-            raise ParseError(lineno, f"duplicate record for {fid}")
-        if kind == "unknown":
-            if value_text != "-":
-                raise ParseError(lineno, "unknown status takes value '-'")
-            status = LctStatus.unknown()
-        else:
-            try:
-                status = LctStatus(kind, Fraction(value_text))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(lineno, str(exc))
-        entries[fid] = (status, provenance)
-    finish_fan()
+            if not rank_text.isdigit() or int(rank_text) != fid.rank:
+                raise ParseError(lineno, f"rank {rank_text!r} does not match id {fid}")
+            if fid in entries:
+                raise ParseError(lineno, f"duplicate record for {fid}")
+            if kind == "unknown":
+                if value_text != "-":
+                    raise ParseError(lineno, "unknown status takes value '-'")
+                status = LctStatus.unknown()
+            else:
+                try:
+                    status = LctStatus(kind, Fraction(value_text))
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise ParseError(lineno, str(exc))
+            entries[fid] = (status, provenance)
 
     records = tuple(FamilyRecord(id=fid, status=status, provenance=provenance,
                                  fan=fans.get(fid))

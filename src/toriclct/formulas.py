@@ -1,8 +1,10 @@
 """Closed-form log canonical thresholds and complex singularity exponents.
 
-Every function returns an exact Fraction. The del Pezzo and cubic-surface
-classifiers encode the standard value tables for surfaces; the remaining
-functions are one-line formulas with explicit validity regimes.
+Every function returns an exact Fraction. The del Pezzo values and the
+surfaces they are known for live in one table, DEL_PEZZO_LCT; the
+cubic-surface classifier encodes the standard value table for singular
+cubics; the remaining functions are one-line formulas with explicit
+validity regimes.
 """
 
 from __future__ import annotations
@@ -83,16 +85,35 @@ def p1_product_lct(a) -> Fraction:
     return min(Fraction(1, 2), a)
 
 
+# The global lct of every tabulated del Pezzo surface, keyed by (degree,
+# nodes, flags, degree8_type); flags name the boolean features it carries.
+DEL_PEZZO_LCT = {
+    (1, 0, (), None): Fraction(1), (1, 0, ("cuspidal",), None): Fraction(5, 6),
+    (2, 0, (), None): Fraction(5, 6), (2, 0, ("tacnodal",), None): Fraction(3, 4),
+    (3, 0, (), None): Fraction(3, 4), (3, 0, ("Eckardt",), None): Fraction(2, 3),
+    (4, 0, (), None): Fraction(2, 3), (4, 1, (), None): Fraction(1, 2),
+    (5, 0, (), None): Fraction(1, 2), (5, 1, (), None): Fraction(1, 2),
+    (6, 0, (), None): Fraction(1, 2), (6, 1, (), None): Fraction(1, 3),
+    (7, 0, (), None): Fraction(1, 3),
+    (8, 0, (), "product"): Fraction(1, 2), (8, 0, (), "nonproduct"): Fraction(1, 3),
+    (9, 0, (), None): Fraction(1, 3),
+}
+
+
+def _describe(nodes: int, flags: tuple, degree8_type) -> str:
+    """The features of a DEL_PEZZO_LCT key, in words."""
+    named = ([f"{nodes} node" + "s" * (nodes != 1)] if nodes else []) + list(flags)
+    if degree8_type is not None:
+        named.append(f"{degree8_type} type")
+    return " + ".join(named) or "no feature"
+
+
 @dataclass(frozen=True)
 class DelPezzoDescriptor:
     """A del Pezzo surface, described by degree plus the features that move
-    its threshold.
-
-    nodes (0 or 1) applies to degrees 4, 5, 6 only; the anticanonical-curve
-    flags apply to degrees 1 (cuspidal) and 2 (tacnodal); the Eckardt flag to
-    degree 3; degree8_type ("product" for the quadric surface, "nonproduct"
-    for the one-point blow-up of the plane) is required exactly in degree 8.
-    Invalid combinations raise UnsupportedDescriptor.
+    its threshold; degree8_type is "product" for the quadric surface and
+    "nonproduct" for the one-point blow-up of the plane. A combination that
+    is not a key of DEL_PEZZO_LCT raises UnsupportedDescriptor.
     """
 
     degree: int
@@ -102,54 +123,28 @@ class DelPezzoDescriptor:
     has_eckardt_point: bool = False
     degree8_type: str | None = None
 
+    @property
+    def key(self) -> tuple:
+        """The (degree, nodes, flags, degree8_type) key of DEL_PEZZO_LCT."""
+        flags = (("cuspidal", self.has_cuspidal_anticanonical),
+                 ("tacnodal", self.has_tacnodal_anticanonical),
+                 ("Eckardt", self.has_eckardt_point))
+        return (self.degree, self.nodes, tuple(name for name, on in flags if on),
+                self.degree8_type)
+
     def __post_init__(self):
-        if not 1 <= self.degree <= 9:
-            raise UnsupportedDescriptor(f"degree {self.degree} is not in 1..9")
-        if self.nodes not in (0, 1):
-            raise UnsupportedDescriptor("nodes must be 0 or 1")
-        if self.nodes and self.degree not in (4, 5, 6):
+        if self.key not in DEL_PEZZO_LCT:
+            known = [_describe(*k[1:]) for k in DEL_PEZZO_LCT if k[0] == self.degree]
             raise UnsupportedDescriptor(
-                f"one-node values are tabulated for degrees 4, 5, 6 only, not {self.degree}"
-                + ("; route singular cubics to cubic_surface_lct" if self.degree == 3 else ""))
-        if self.has_cuspidal_anticanonical and self.degree != 1:
-            raise UnsupportedDescriptor("cuspidal flag applies to degree 1 only")
-        if self.has_tacnodal_anticanonical and self.degree != 2:
-            raise UnsupportedDescriptor("tacnodal flag applies to degree 2 only")
-        if self.has_eckardt_point and self.degree != 3:
-            raise UnsupportedDescriptor("Eckardt flag applies to degree 3 only")
-        if self.degree == 8:
-            if self.degree8_type not in ("product", "nonproduct"):
-                raise UnsupportedDescriptor(
-                    "degree 8 needs degree8_type 'product' or 'nonproduct'")
-        elif self.degree8_type is not None:
-            raise UnsupportedDescriptor("degree8_type applies to degree 8 only")
+                f"no value for degree {self.degree} with {_describe(*self.key[1:])}; "
+                f"tabulated for degree {self.degree}: {', '.join(known) or 'none'}"
+                + ("; route singular cubics to cubic_surface_lct"
+                   if self.degree == 3 and self.nodes else ""))
 
 
 def del_pezzo_lct(surface: DelPezzoDescriptor) -> Fraction:
-    """Global lct of a del Pezzo surface.
-
-    Smooth values by degree: 1 -> 1 (5/6 with a cuspidal anticanonical
-    curve), 2 -> 5/6 (3/4 tacnodal), 3 -> 3/4 (2/3 with an Eckardt point),
-    4 -> 2/3, 5 and 6 -> 1/2, 7 -> 1/3, 8 -> 1/2 for the quadric surface and
-    1/3 otherwise, 9 -> 1/3. One-node values: degree 4 -> 1/2, 5 -> 1/2,
-    6 -> 1/3.
-    """
-    d = surface.degree
-    if surface.nodes:
-        return {4: Fraction(1, 2), 5: Fraction(1, 2), 6: Fraction(1, 3)}[d]
-    if d == 1:
-        return Fraction(5, 6) if surface.has_cuspidal_anticanonical else Fraction(1)
-    if d == 2:
-        return Fraction(3, 4) if surface.has_tacnodal_anticanonical else Fraction(5, 6)
-    if d == 3:
-        return Fraction(2, 3) if surface.has_eckardt_point else Fraction(3, 4)
-    if d == 4:
-        return Fraction(2, 3)
-    if d in (5, 6):
-        return Fraction(1, 2)
-    if d == 8:
-        return Fraction(1, 2) if surface.degree8_type == "product" else Fraction(1, 3)
-    return Fraction(1, 3)  # degrees 7 and 9
+    """Global lct of a del Pezzo surface, looked up in DEL_PEZZO_LCT."""
+    return DEL_PEZZO_LCT[surface.key]
 
 
 def cubic_surface_lct(singularities: Iterable[str]) -> Fraction:

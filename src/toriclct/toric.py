@@ -267,18 +267,24 @@ def product_fan(a: RaySet, b: RaySet) -> RaySet:
     return RaySet(tuple(rays))
 
 
+def _twists(n: int, twists) -> tuple[int, ...]:
+    """Checked integer twists of a split bundle over projective n-space."""
+    twists = tuple(int(a) for a in twists)
+    if n < 1 or not twists:
+        raise ValueError("need base dimension >= 1 and at least one twist")
+    if any(a < 0 for a in twists):
+        raise ValueError("twists must be nonnegative")
+    return twists
+
+
 def projectivized_bundle_fan(n: int, twists) -> RaySet:
     """Fan of P(O + O(-a_1) + ... + O(-a_k)) over projective n-space.
 
     Fiber rays e_1..e_k and -(e_1+...+e_k); base rays e_{k+1}..e_{k+n} and
     the twisted ray (-a_1, ..., -a_k, -1, ..., -1).
     """
-    twists = tuple(int(a) for a in twists)
+    twists = _twists(n, twists)
     k = len(twists)
-    if n < 1 or k < 1:
-        raise ValueError("need base dimension >= 1 and at least one twist")
-    if any(a < 0 for a in twists):
-        raise ValueError("twists must be nonnegative")
     d = k + n
     rays = [tuple(int(i == j) for j in range(d)) for i in range(k)]
     rays.append(tuple(-1 if j < k else 0 for j in range(d)))
@@ -290,11 +296,7 @@ def projectivized_bundle_fan(n: int, twists) -> RaySet:
 def bundle_lct_closed_form(n: int, twists) -> Fraction:
     """lct of P(O + O(-a_1) + ... + O(-a_k)) over projective n-space:
     1 / (1 + max(k, n + a_1 + ... + a_k))."""
-    twists = tuple(int(a) for a in twists)
-    if n < 1 or len(twists) < 1:
-        raise ValueError("need base dimension >= 1 and at least one twist")
-    if any(a < 0 for a in twists):
-        raise ValueError("twists must be nonnegative")
+    twists = _twists(n, twists)
     return Fraction(1, 1 + max(len(twists), n + sum(twists)))
 
 
@@ -387,27 +389,45 @@ def format_fan(rays: RaySet, group: GroupAction | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _blocks(text: str, header: str | None = None) -> list[list[tuple[int, str]]]:
+    """The runs of non-blank lines of text, as (lineno, line) pairs. A blank
+    line ends a run; so does a line starting with header, if one is given."""
+    blocks: list[list[tuple[int, str]]] = [[]]
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if blocks[-1] and (not line or header is not None and line.startswith(header)):
+            blocks.append([])
+        if line:
+            blocks[-1].append((lineno, raw))
+    return [block for block in blocks if block]
+
+
+def _int_rows(lines) -> list[tuple[int, list[int]]]:
+    """(lineno, values) of the comma-separated integer rows among (lineno,
+    line) pairs; '#' starts a comment. ParseError at any other line."""
+    rows = []
+    for lineno, raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            try:
+                rows.append((lineno, [int(tok) for tok in line.split(",")]))
+            except ValueError:
+                raise ParseError(lineno, f"not a comma-separated integer row: {raw!r}")
+    return rows
+
+
+def _square_matrix(entries, n: int) -> tuple[tuple[int, ...], ...]:
+    """The n x n matrix with the given row-major entries."""
+    if len(entries) != n * n:
+        raise ValueError(f"expected {n * n} row-major entries")
+    return tuple(tuple(entries[r * n:(r + 1) * n]) for r in range(n))
+
+
 def parse_fan(text: str) -> tuple[RaySet, GroupAction | None]:
     """Inverse of format_fan. '#' starts a comment; a blank line separates
     the ray block from the optional group block. Raises ParseError with the
     offending line number."""
-    blocks: list[list[tuple[int, list[int]]]] = [[]]
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            # blank line: block separator
-            if blocks[-1]:
-                blocks.append([])
-            continue
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue  # comment-only line
-        try:
-            values = [int(tok) for tok in line.split(",")]
-        except ValueError:
-            raise ParseError(lineno, f"not a comma-separated integer row: {raw!r}")
-        blocks[-1].append((lineno, values))
-    if blocks and not blocks[-1]:
-        blocks.pop()
+    blocks = [rows for rows in map(_int_rows, _blocks(text)) if rows]
     if not blocks:
         raise ParseError(1, "no rays")
     if len(blocks) > 2:
@@ -425,11 +445,10 @@ def parse_fan(text: str) -> tuple[RaySet, GroupAction | None]:
     if len(blocks) == 2:
         matrices = []
         for lineno, values in blocks[1]:
-            if len(values) != dim * dim:
-                raise ParseError(lineno,
-                                 f"expected {dim * dim} row-major entries")
-            matrices.append(tuple(tuple(values[r * dim:(r + 1) * dim])
-                                  for r in range(dim)))
+            try:
+                matrices.append(_square_matrix(values, dim))
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc))
         try:
             group = GroupAction(tuple(matrices))
         except (ValueError, GroupNotClosed) as exc:

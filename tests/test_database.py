@@ -282,3 +282,8 @@ def test_import_fan_block_boundaries():
         with pytest.raises(ParseError) as info:
             import_table(text)
         assert info.value.lineno == lineno
+
+
+def test_import_fan_block_reads_rows_like_a_fan_file():
+    text = export_table(DB) + "\n[fan 2.6]\n# P1\n1  # east\n-1\n"
+    assert tuple(lookup(import_table(text), "2.6").fan) == ((1,), (-1,))

@@ -315,3 +315,9 @@ def test_del_pezzo_descriptor_grid():
                     except UnsupportedDescriptor:
                         pass
     assert seen == DEL_PEZZO_GRID_VALUES
+
+
+def test_del_pezzo_degree8_type_is_no_flag():
+    for degree, flag in ((1, "cuspidal"), (2, "tacnodal"), (3, "Eckardt")):
+        with pytest.raises(UnsupportedDescriptor):
+            DelPezzoDescriptor(degree, degree8_type=flag)
