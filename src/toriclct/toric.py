@@ -404,7 +404,7 @@ def _blocks(text: str, header: str | None = None) -> list[list[tuple[int, str]]]
 
 def _int_rows(lines) -> list[tuple[int, list[int]]]:
     """(lineno, values) of the comma-separated integer rows among (lineno,
-    line) pairs; '#' starts a comment. ParseError at any other line."""
+    line) pairs; '#' starts a comment. Raises ParseError on any other line."""
     rows = []
     for lineno, raw in lines:
         line = raw.split("#", 1)[0].strip()
