@@ -1,13 +1,17 @@
 """Shared exact helpers: random polytopes, an independent 2D vertex oracle,
-random unimodular matrices, and group conjugation."""
+the brute-force Fraction vertex oracle, random unimodular matrices, and
+group conjugation."""
 
 import functools
 import random
 from fractions import Fraction
 from math import lcm
 
-from toriclct.geometry import (HalfSpace, HPolytope, mat_mul, mat_vec,
-                               primitive_vector, solve_square_system)
+from toriclct.errors import EmptyPolytope, Unbounded
+from toriclct.geometry import (HalfSpace, HPolytope, _full_rank_subsets,
+                               _integer_rows, _scale_to_integers, dot,
+                               mat_mul, mat_rank, mat_vec, primitive_vector,
+                               solve_square_system)
 from toriclct.toric import GroupAction, RaySet
 
 
@@ -70,6 +74,79 @@ def oracle_vertices_2d(poly) -> set:
             hull.pop()
         hull.append(q)
     return set(hull)
+
+
+# The Fraction corner kernel that the integer kernel in geometry replaced,
+# kept as the reference: same subset walk, corners solved over Q.
+
+
+def _back_substitute(triangle, x: list) -> list:
+    """Solve a triangle from _full_rank_subsets for the pivot entries of x,
+    last row first: <row[:width], x> = row[width] (0 if absent), width =
+    len(x). The entries of x off the pivot columns are given."""
+    width = len(x)
+    for pc, row in reversed(triangle):
+        acc = Fraction(row[width] if len(row) > width else 0)
+        for c in range(width):
+            if c != pc and row[c]:
+                acc -= row[c] * x[c]
+        x[pc] = acc / row[pc]
+    return x
+
+
+def oracle_is_bounded(poly: HPolytope) -> bool:
+    """Boundedness by sign-testing the kernel direction of every independent
+    (dim-1)-subset of normals, solved over Q."""
+    n = poly.dim
+    normals = [row[:-1] for row in _integer_rows(poly)]
+    if mat_rank(normals) < n:
+        return False
+    for triangle in _full_rank_subsets(normals, n, n - 1):
+        # the kernel of the n-1 rows: 1 at the free column, solved for the rest
+        pivot_cols = {pc for pc, _ in triangle}
+        d = [Fraction(c not in pivot_cols) for c in range(n)]
+        d = _scale_to_integers(_back_substitute(triangle, d))[0]
+        lo = hi = False
+        for a in normals:
+            s = dot(a, d)
+            if s > 0:
+                hi = True
+            elif s < 0:
+                lo = True
+            if lo and hi:
+                break
+        if not (lo and hi):
+            return False
+    return True
+
+
+def oracle_enumerate_vertices(poly: HPolytope) -> tuple[tuple[Fraction, ...], ...]:
+    """Vertices by solving every dim-subset of halfspaces over Q, dropping
+    infeasible corners and deduplicating equal ones; sorted."""
+    if not oracle_is_bounded(poly):
+        raise Unbounded("polytope has a recession direction")
+    n = poly.dim
+    rows = _integer_rows(poly)
+    seen: dict[tuple[Fraction, ...], bool] = {}
+    for triangle in _full_rank_subsets(rows, n, n):
+        point = tuple(_back_substitute(triangle, [0] * n))
+        if point in seen:
+            continue
+        nums, den = _scale_to_integers(point)
+        ok = True
+        for row in rows:
+            s = 0
+            for a, p in zip(row, nums):
+                if a:
+                    s += a * p
+            if s < row[n] * den:
+                ok = False
+                break
+        seen[point] = ok
+    vertices = sorted(p for p, ok in seen.items() if ok)
+    if not vertices:
+        raise EmptyPolytope("no feasible point")
+    return tuple(vertices)
 
 
 def random_unimodular(rng: random.Random, n: int):

@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import (conjugate_group, inverse_unimodular, random_unimodular,
+from conftest import (conjugate_group, inverse_unimodular,
+                      oracle_enumerate_vertices, random_unimodular,
                       transform_rays)
 
+from toriclct.database import load_builtin, lookup
 from toriclct.errors import (DegenerateSubdivision, FanNotComplete,
                              GroupDoesNotPreserveFan, GroupNotClosed,
                              NotWellFormed, ParseError)
@@ -320,6 +322,31 @@ def test_conjugated_subgroup_invariance():
         conj = conjugate_group(u, inverse_unimodular(u), group)
         assert toric_lct(transform_rays(u, rays), conj).lct == \
             CLASS_LCT[_cycle_type(g, rays)], g
+
+
+def _brute_force_maximum(rays):
+    """(max_pairing, witness_vertex, witness_ray) by a Fraction double loop
+    over every (w, v): the largest pairing, then the smallest (w, v)."""
+    vertices = oracle_enumerate_vertices(dual_polytope(rays))
+    pairs = [(sum(a * b for a, b in zip(w, v)), w, v)
+             for w in vertices for v in rays]
+    best = max(p for p, _, _ in pairs)
+    return (best, *min((w, v) for p, w, v in pairs if p == best))
+
+
+def test_tie_break_and_types_match_brute_force():
+    db = load_builtin()
+    fans = [P2, product_fan(product_fan(P1, P1), P1),
+            product_fan(lookup(db, "5.2").fan, lookup(db, "5.3").fan)]
+    rng = random.Random(94)
+    fans += [transform_rays(random_unimodular(rng, fan.dim), fan) for fan in fans]
+    for rays in fans:
+        report = toric_lct(rays)
+        expected = _brute_force_maximum(rays)
+        assert (report.max_pairing, report.witness_vertex, report.witness_ray) == expected
+        assert type(report.lct) is Fraction and type(report.max_pairing) is Fraction
+        assert all(type(c) is Fraction for c in report.witness_vertex)
+        assert all(type(c) is int for c in report.witness_ray)
 
 
 # ---------------------------------------------------------------------------
