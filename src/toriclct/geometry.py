@@ -1,8 +1,8 @@
 """Exact rational linear algebra and bounded-polytope vertex enumeration.
 
-Scalars are arbitrary precision: plain int for lattice data, fractions.Fraction
-for everything else. There is no floating point and no epsilon anywhere;
-equality of points means equality of reduced fractions.
+Corner systems are solved fraction-free in homogeneous integer coordinates,
+(x, t) for the point x / t. fractions.Fraction holds stored and returned
+values and runs only the Gauss-Jordan routine _echelon. No floats, no epsilon.
 
 Vectors are tuples, matrices are tuples of row tuples. An H-polytope is a
 finite intersection of closed halfspaces {w : <normal, w> >= offset}.
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import EmptyPolytope, Unbounded
@@ -31,7 +32,7 @@ def dot(u: Sequence, v: Sequence):
     """Exact inner product of two equal-length vectors."""
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
@@ -194,25 +195,30 @@ def _full_rank_subsets(rows, width: int, depth: int):
                               for rc, pc_rc in zip(r, row))
                 else:
                     r = tuple(piv * rc // divisor for rc in r)
-                if any(r[c] for c in range(width)):
+                if any(r[:width]):
                     reduced.append(r)
             yield from descend(reduced, triangle + [(pc, row)], piv, picked + 1)
 
     yield from descend(list(rows), [], 1, 0)
 
 
-def _back_substitute(triangle, x: list) -> list:
-    """Solve a triangle from _full_rank_subsets for the pivot entries of x,
-    last row first: <row[:width], x> = row[width] (0 if absent), width =
-    len(x). The entries of x off the pivot columns are given."""
-    width = len(x)
+def _kernel(triangle, width: int) -> tuple[int, ...]:
+    """The primitive integer d, positive at the one non-pivot column, with
+    <row, d> = 0 for the width - 1 rows of a _full_rank_subsets triangle.
+    Back-substituted last row first (d[pc] is still 0 when its row is
+    reached), rescaled by positive factors only, so signs survive."""
+    pivot_cols = {pc for pc, _ in triangle}
+    d = [int(c not in pivot_cols) for c in range(width)]
     for pc, row in reversed(triangle):
-        acc = Fraction(row[width] if len(row) > width else 0)
-        for c in range(width):
-            if c != pc and row[c]:
-                acc -= row[c] * x[c]
-        x[pc] = acc / row[pc]
-    return x
+        s = dot(row, d)
+        p = row[pc]
+        if s % p:
+            m = abs(p) // gcd(s, p)
+            d = [x * m for x in d]
+            s *= m
+        d[pc] = -s // p
+    g = gcd(*d)
+    return tuple(x // g for x in d)
 
 
 def is_bounded(poly: HPolytope) -> bool:
@@ -230,10 +236,7 @@ def is_bounded(poly: HPolytope) -> bool:
     if mat_rank(normals) < n:
         return False
     for triangle in _full_rank_subsets(normals, n, n - 1):
-        # the kernel of the n-1 rows: 1 at the free column, solved for the rest
-        pivot_cols = {pc for pc, _ in triangle}
-        d = [Fraction(c not in pivot_cols) for c in range(n)]
-        d = _scale_to_integers(_back_substitute(triangle, d))[0]
+        d = _kernel(triangle, n)
         lo = hi = False
         for a in normals:
             s = dot(a, d)
@@ -252,8 +255,10 @@ def enumerate_vertices(poly: HPolytope) -> tuple[tuple[Fraction, ...], ...]:
     """All vertices of a bounded H-polytope, sorted lexicographically.
 
     Every dim-subset of halfspaces with independent normals is solved as an
-    exact corner system; candidate corners failing any halfspace are dropped
-    and coinciding corners deduplicated by exact equality.
+    exact corner system in homogeneous rows (a, -b): its corner is the
+    primitive integer (x, t) with t > 0 that every row annihilates, the
+    point x / t. Corners failing some <row, (x, t)> >= 0 are dropped and
+    coinciding corners share one key.
 
     Raises Unbounded when the polytope has a recession direction and
     EmptyPolytope when no point satisfies all halfspaces.
@@ -261,24 +266,15 @@ def enumerate_vertices(poly: HPolytope) -> tuple[tuple[Fraction, ...], ...]:
     if not is_bounded(poly):
         raise Unbounded("polytope has a recession direction")
     n = poly.dim
-    rows = _integer_rows(poly)
-    seen: dict[tuple[Fraction, ...], bool] = {}
+    rows = [(*row[:n], -row[n]) for row in _integer_rows(poly)]
+    seen: dict[tuple[int, ...], bool] = {}
     for triangle in _full_rank_subsets(rows, n, n):
-        point = tuple(_back_substitute(triangle, [0] * n))
-        if point in seen:
+        corner = _kernel(triangle, n + 1)
+        if corner in seen:
             continue
-        nums, den = _scale_to_integers(point)
-        ok = True
-        for row in rows:
-            s = 0
-            for a, p in zip(row, nums):
-                if a:
-                    s += a * p
-            if s < row[n] * den:
-                ok = False
-                break
-        seen[point] = ok
-    vertices = sorted(p for p, ok in seen.items() if ok)
+        seen[corner] = all(dot(row, corner) >= 0 for row in rows)
+    vertices = sorted(tuple(Fraction(x, corner[n]) for x in corner[:n])
+                      for corner, ok in seen.items() if ok)
     if not vertices:
         raise EmptyPolytope("no feasible point")
     return tuple(vertices)

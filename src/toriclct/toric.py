@@ -30,10 +30,10 @@ from math import gcd
 from .errors import (DegenerateSubdivision, FanNotComplete,
                      GroupDoesNotPreserveFan, GroupNotClosed, NotWellFormed,
                      ParseError, Unbounded)
-from .geometry import (HalfSpace, HPolytope, dot, enumerate_vertices,
-                       fixed_subspace, identity_matrix, is_bounded, mat_det,
-                       mat_mul, mat_rank, mat_vec, primitive_vector,
-                       smith_normal_form, transpose)
+from .geometry import (HalfSpace, HPolytope, _scale_to_integers, dot,
+                       enumerate_vertices, fixed_subspace, identity_matrix,
+                       is_bounded, mat_det, mat_mul, mat_rank, mat_vec,
+                       primitive_vector, smith_normal_form, transpose)
 
 
 @dataclass(frozen=True)
@@ -231,18 +231,22 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
             vertices = (tuple(Fraction(0) for _ in range(rays.dim)),)
         else:
             restricted = _restrict(poly, basis)
-            vertices = tuple(
-                sorted(tuple(sum(Fraction(t) * Fraction(b[i]) for t, b in zip(point, basis))
-                             for i in range(rays.dim))
-                       for point in enumerate_vertices(restricted)))
+            lift = transpose(basis)
+            vertices = tuple(sorted(mat_vec(lift, point)
+                                    for point in enumerate_vertices(restricted)))
+    # vertices and rays in sorted order, so the first strict maximum is the
+    # smallest maximal (w, v); each vertex is paired as integers over its lcm
+    ordered = sorted(rays)
     best = None
     for w in vertices:
-        for v in rays:
-            p = dot(w, v)
-            if best is None or p > best[0] or (p == best[0] and (w, v) < best[1:]):
-                best = (p, w, v)
-    m, wv, wr = best
-    return ToricLctReport(lct=Fraction(1, 1) / (1 + m), max_pairing=Fraction(m),
+        nums, den = _scale_to_integers(w)
+        for v in ordered:
+            p = dot(nums, v)
+            if best is None or p * best[1] > best[0] * den:
+                best = (p, den, w, v)
+    num, den, wv, wr = best
+    m = Fraction(num, den)
+    return ToricLctReport(lct=1 / (1 + m), max_pairing=m,
                           witness_vertex=wv, witness_ray=wr)
 
 
