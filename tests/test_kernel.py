@@ -68,7 +68,8 @@ def _random_rational_poly(rng, n):
             normal[rng.randrange(n)] = 1
         if rng.random() < 0.3:
             normal = [F(c, rng.randint(1, 3)) for c in normal]
-        halfspaces.append(HalfSpace(tuple(normal), F(-rng.randint(1, 9), rng.randint(1, 4))))
+        offset = F(-rng.randint(1, 9), rng.randint(1, 4))
+        halfspaces.append(HalfSpace(tuple(normal), offset))
     return HPolytope(tuple(halfspaces))
 
 
