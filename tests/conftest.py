@@ -8,10 +8,9 @@ from fractions import Fraction
 from math import lcm
 
 from toriclct.errors import EmptyPolytope, Unbounded
-from toriclct.geometry import (HalfSpace, HPolytope, _full_rank_subsets,
-                               _integer_rows, _scale_to_integers, dot,
-                               mat_mul, mat_rank, mat_vec, primitive_vector,
-                               solve_square_system)
+from toriclct.geometry import (HalfSpace, HPolytope, _integer_rows,
+                               _scale_to_integers, dot, mat_mul, mat_rank,
+                               mat_vec, primitive_vector, solve_square_system)
 from toriclct.toric import GroupAction, RaySet
 
 
@@ -76,8 +75,46 @@ def oracle_vertices_2d(poly) -> set:
     return set(hull)
 
 
-# The Fraction corner kernel that the integer kernel in geometry replaced,
-# kept as the reference: same subset walk, corners solved over Q.
+# The brute-force corner kernel that geometry replaced, kept as the
+# reference: every full-rank subset of halfspaces, corners solved over Q.
+
+
+def _full_rank_subsets(rows, width: int, depth: int):
+    """Yield a triangular form for every depth-subset of rows whose leading
+    width columns are linearly independent.
+
+    Rows are integer tuples and may carry trailing payload columns (offsets),
+    which the elimination transforms alongside. Pivots are searched among the
+    first width columns only. The elimination is fraction-free (Bareiss), so
+    all intermediate entries stay integers; each yielded triangle is a list of
+    (pivot_col, row) in elimination order.
+    """
+
+    def descend(tail, triangle, divisor, picked):
+        if picked == depth:
+            yield triangle
+            return
+        # keep enough rows below to still reach the target depth
+        budget = len(tail) - (depth - picked) + 1
+        for pos in range(budget):
+            row = tail[pos]
+            pc = next((c for c in range(width) if row[c]), -1)
+            if pc < 0:
+                continue
+            piv = row[pc]
+            reduced = []
+            for r in tail[pos + 1:]:
+                f = r[pc]
+                if f:
+                    r = tuple((piv * rc - f * pc_rc) // divisor
+                              for rc, pc_rc in zip(r, row))
+                else:
+                    r = tuple(piv * rc // divisor for rc in r)
+                if any(r[:width]):
+                    reduced.append(r)
+            yield from descend(reduced, triangle + [(pc, row)], piv, picked + 1)
+
+    yield from descend(list(rows), [], 1, 0)
 
 
 def _back_substitute(triangle, x: list) -> list:
