@@ -1,7 +1,8 @@
-"""The corner kernel against the brute-force Fraction oracle in conftest:
+"""The vertex kernel against the brute-force Fraction oracle in conftest:
 equal boundedness and equal vertex tuples, order and types included, on
 stored and product fans in seeded bases, rational and non-simple polytopes,
-and one unbounded and one empty input."""
+shuffled halfspace orders, fans missing one ray, repeated rows, 1-D
+polytopes, and unbounded and empty inputs."""
 
 import itertools
 import random
@@ -14,7 +15,7 @@ from conftest import (hpoly, oracle_enumerate_vertices, oracle_is_bounded,
 from toriclct.database import load_builtin
 from toriclct.errors import EmptyPolytope, ToolkitError, Unbounded
 from toriclct.geometry import HalfSpace, HPolytope, enumerate_vertices, is_bounded
-from toriclct.toric import dual_polytope, product_fan
+from toriclct.toric import RaySet, dual_polytope, product_fan
 
 F = Fraction
 
@@ -105,3 +106,75 @@ def test_unbounded_and_empty_match_oracle():
     assert _agree(hpoly([(1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1)])) is Unbounded
     # x >= 1 and x <= 0 inside a bounded strip
     assert _agree(hpoly([(1, 0, 1), (-1, 0, 0), (0, 1, 0), (0, -1, -1)])) is EmptyPolytope
+
+
+# What an incremental kernel can get wrong and a subset walk cannot: the
+# insertion order of the halfspaces, recession directions left over when a
+# ray goes missing, and vertices lying on many more facets than the dimension.
+
+
+def test_shuffled_halfspace_order_gives_identical_tuples():
+    rng = random.Random(94)
+    for fan in _stored_fans():
+        poly = dual_polytope(fan)
+        expected = oracle_enumerate_vertices(poly)
+        for _ in range(5):
+            shuffled = list(poly.halfspaces)
+            rng.shuffle(shuffled)
+            shuffled = HPolytope(tuple(shuffled))
+            assert is_bounded(shuffled)
+            assert enumerate_vertices(shuffled) == expected
+
+
+def test_fans_missing_one_ray_match_oracle():
+    outcomes = []
+    for fan in _stored_fans():
+        for k in range(len(fan.rays)):
+            rays = fan.rays[:k] + fan.rays[k + 1:]
+            outcomes.append(_agree(dual_polytope(RaySet(rays))))
+    assert len(outcomes) == 110
+    assert sum(isinstance(o, tuple) for o in outcomes) == 40
+    assert outcomes.count(Unbounded) == 70
+
+
+CUBE = [(1, 0, 0, -1), (-1, 0, 0, -1), (0, 1, 0, -1), (0, -1, 0, -1),
+        (0, 0, 1, -1), (0, 0, -1, -1)]
+OCTAHEDRON_ROWS = [(a, b, c, -1) for a, b, c in itertools.product((1, -1), repeat=3)]
+
+
+def _product(rows_a, rows_b):
+    """The product polytope: each factor's rows padded by zero columns."""
+    da, db = len(rows_a[0]) - 1, len(rows_b[0]) - 1
+    return hpoly([(*r[:-1], *(0,) * db, r[-1]) for r in rows_a]
+                 + [(*(0,) * da, *r) for r in rows_b])
+
+
+@pytest.mark.parametrize("rows_a, rows_b, count", [
+    (CUBE, OCTAHEDRON_ROWS, 48),
+    (OCTAHEDRON_ROWS, OCTAHEDRON_ROWS, 36),
+], ids=["cube_x_octahedron", "octahedron_x_octahedron"])
+def test_degenerate_products_match_oracle(rows_a, rows_b, count):
+    # each vertex lies on 7 (cube x octahedron) or 8 facets in dimension 6
+    assert len(_agree(_product(rows_a, rows_b))) == count
+
+
+def test_repeated_rows_match_oracle():
+    box = [(1, 0, -1), (-1, 0, -2), (0, 1, -1), (0, -1, -3), (1, 1, -1)]
+    verbatim = _agree(hpoly(box + [box[0], box[4]]))
+    scaled = _agree(hpoly(box + [(2, 0, -2), (3, 3, -3)]))
+    assert verbatim == scaled == _agree(hpoly(box))
+    assert len(verbatim) == 5
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ([(1, -2), (-1, -3), (2, -5)], ((F(-2),), (F(3),))),
+    ([(1, -2), (3, 1)], Unbounded),
+    ([(1, 1), (-1, -3), (-2, 2)], EmptyPolytope),
+], ids=["interval", "half_line", "empty_interval"])
+def test_one_dimensional_polytopes_match_oracle(rows, expected):
+    assert _agree(hpoly(rows)) == expected
+
+
+def test_empty_polytope_with_non_spanning_normals_is_unbounded():
+    # x >= 1 and x <= 0 in the plane: empty, and y recedes
+    assert _agree(hpoly([(1, 0, 1), (-1, 0, 0)])) is Unbounded
