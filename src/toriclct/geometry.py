@@ -83,7 +83,7 @@ def _echelon(rows, width: int):
         for r in range(len(a)):
             if r != top and a[r][col]:
                 f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[top])]
+                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[top])]
         pivots.append(col)
     return a[:len(pivots)], pivots, det
 
@@ -164,120 +164,91 @@ def _integer_rows(poly: HPolytope) -> list[tuple[int, ...]]:
             for h in poly.halfspaces]
 
 
-def _full_rank_subsets(rows, width: int, depth: int):
-    """Yield a triangular form for every depth-subset of rows whose leading
-    width columns are linearly independent.
+def _extreme_rays(rows, d: int):
+    """The extreme rays of the pointed cone {y : <row, y> >= 0 for every
+    row}, by double description (Motzkin, Raiffa, Thompson and Thrall 1953;
+    Fukuda and Prodon 1996); None when the integer rows have rank < d.
 
-    Rows are integer tuples and may carry trailing payload columns (offsets),
-    which the elimination transforms alongside. Pivots are searched among the
-    first width columns only. The elimination is fraction-free (Bareiss), so
-    all intermediate entries stay integers; each yielded triangle is a list of
-    (pivot_col, row) in elimination order.
+    Each ray is a pair (primitive integer tuple, int bitmask of the rows it
+    is tight at). The first cone is cut by the first d independent rows in
+    input order; its rays are the columns of their inverse. Every other row
+    is then inserted in turn: a ray on its positive side and one on its
+    negative side combine into a ray on its hyperplane iff they are adjacent,
+    that is, their common tight rows Z number at least d - 2 and no third
+    ray is tight at all of Z. The test is combinatorial, so it stays exact
+    on degenerate cones.
     """
-
-    def descend(tail, triangle, divisor, picked):
-        if picked == depth:
-            yield triangle
-            return
-        # keep enough rows below to still reach the target depth
-        budget = len(tail) - (depth - picked) + 1
-        for pos in range(budget):
-            row = tail[pos]
-            pc = next((c for c in range(width) if row[c]), -1)
-            if pc < 0:
-                continue
-            piv = row[pc]
-            reduced = []
-            for r in tail[pos + 1:]:
-                f = r[pc]
-                if f:
-                    r = tuple((piv * rc - f * pc_rc) // divisor
-                              for rc, pc_rc in zip(r, row))
-                else:
-                    r = tuple(piv * rc // divisor for rc in r)
-                if any(r[:width]):
-                    reduced.append(r)
-            yield from descend(reduced, triangle + [(pc, row)], piv, picked + 1)
-
-    yield from descend(list(rows), [], 1, 0)
-
-
-def _kernel(triangle, width: int) -> tuple[int, ...]:
-    """The primitive integer d, positive at the one non-pivot column, with
-    <row, d> = 0 for the width - 1 rows of a _full_rank_subsets triangle.
-    Back-substituted last row first (d[pc] is still 0 when its row is
-    reached), rescaled by positive factors only, so signs survive."""
-    pivot_cols = {pc for pc, _ in triangle}
-    d = [int(c not in pivot_cols) for c in range(width)]
-    for pc, row in reversed(triangle):
-        s = dot(row, d)
-        p = row[pc]
-        if s % p:
-            m = abs(p) // gcd(s, p)
-            d = [x * m for x in d]
-            s *= m
-        d[pc] = -s // p
-    g = gcd(*d)
-    return tuple(x // g for x in d)
+    _, basis, _ = _echelon(transpose(rows), len(rows))
+    if len(basis) < d:
+        return None
+    square = [(*rows[i], *e) for i, e in zip(basis, identity_matrix(d))]
+    inverse = _echelon(square, d)[0]
+    tight = sum(1 << i for i in basis)
+    rays = [(primitive_vector(_scale_to_integers([r[d + j] for r in inverse])[0]),
+             tight ^ (1 << i)) for j, i in enumerate(basis)]
+    for k, row in enumerate(rows):
+        if k in basis:
+            continue
+        bit = 1 << k
+        pos, neg, kept = [], [], []
+        for y, mask in rays:
+            s = dot(row, y)
+            if s > 0:
+                pos.append((s, y, mask))
+                kept.append((y, mask))
+            elif s < 0:
+                neg.append((s, y, mask))
+            else:
+                kept.append((y, mask | bit))
+        # distinct extreme rays of a pointed cone have distinct tight sets
+        masks = [mask for _, mask in rays]
+        for sp, p, mp in pos:
+            for sn, q, mq in neg:
+                z = mp & mq
+                if z.bit_count() < d - 2 or any(
+                        m & z == z and m != mp and m != mq for m in masks):
+                    continue
+                y = primitive_vector([sp * b - sn * a for a, b in zip(p, q)])
+                kept.append((y, z | bit))
+        rays = kept
+    return rays
 
 
 def is_bounded(poly: HPolytope) -> bool:
     """Exact boundedness test: true iff the recession cone {d : <a_i, d> >= 0
     for every i} is {0}, i.e. the normals positively span the ambient space.
 
-    Decided by exhaustive sign analysis: if the normals do not span, any
-    kernel direction recedes; otherwise the cone is pointed and a nonzero
-    recession direction would lie on an extreme ray cut out by dim-1
-    independent normals, so the kernel direction of every independent
-    (dim-1)-subset is sign-tested against all normals.
+    Decided by double description on the normals alone: the polytope is
+    bounded iff they have full rank, so that the cone is pointed, and the
+    cone has no extreme ray.
     """
-    n = poly.dim
     normals = [row[:-1] for row in _integer_rows(poly)]
-    if mat_rank(normals) < n:
-        return False
-    for triangle in _full_rank_subsets(normals, n, n - 1):
-        d = _kernel(triangle, n)
-        lo = hi = False
-        for a in normals:
-            s = dot(a, d)
-            if s > 0:
-                hi = True
-            elif s < 0:
-                lo = True
-            if lo and hi:
-                break
-        if not (lo and hi):
-            return False
-    return True
+    return _extreme_rays(normals, poly.dim) == []
 
 
 def enumerate_vertices(poly: HPolytope) -> tuple[tuple[Fraction, ...], ...]:
     """All vertices of a bounded H-polytope, sorted lexicographically.
 
-    Every dim-subset of halfspaces with independent normals is solved as an
-    exact corner system in homogeneous rows (a, -b): its corner is the
-    primitive integer (x, t) with t > 0 that every row annihilates, the
-    point x / t. Corners failing some <row, (x, t)> >= 0 are dropped and
-    coinciding corners share one key.
+    The vertices are the extreme rays (x, t) with t > 0 of the homogenised
+    cone {(x, t) : t >= 0, <a, x> - b t >= 0}, found by double description
+    with the row t >= 0 inserted first; each is the point x / t.
 
-    Raises Unbounded when the polytope has a recession direction and
-    EmptyPolytope when no point satisfies all halfspaces.
+    Raises Unbounded when the polytope has a recession direction (the rows
+    have rank < dim + 1, or some extreme ray has t = 0) and EmptyPolytope
+    when no point satisfies all halfspaces (no extreme ray at all).
     """
-    if not is_bounded(poly):
-        raise Unbounded("polytope has a recession direction")
     n = poly.dim
-    rows = [(*row[:n], -row[n]) for row in _integer_rows(poly)]
-    seen: dict[tuple[int, ...], bool] = {}
-    for triangle in _full_rank_subsets(rows, n, n):
-        corner = _kernel(triangle, n + 1)
-        if corner in seen:
-            continue
-        seen[corner] = all(dot(row, corner) >= 0 for row in rows)
-    vertices = sorted(tuple(Fraction(x, corner[n]) for x in corner[:n])
-                      for corner, ok in seen.items() if ok)
-    if not vertices:
+    rows = [(0,) * n + (1,)] + [(*row[:n], -row[n]) for row in _integer_rows(poly)]
+    rays = _extreme_rays(rows, n + 1)
+    if rays is None or any(y[n] == 0 for y, _ in rays):
+        raise Unbounded("polytope has a recession direction")
+    if not rays:
         raise EmptyPolytope("no feasible point")
-    return tuple(vertices)
+    # sorted as integers over the common denominator, not as Fractions
+    den = lcm(*(y[n] for y, _ in rays))
+    points = sorted((y for y, _ in rays),
+                    key=lambda y: [x * (den // y[n]) for x in y[:n]])
+    return tuple(tuple(Fraction(x, y[n]) for x in y[:n]) for y in points)
 
 
 def solve_square_system(matrix, rhs) -> tuple[Fraction, ...] | None:

@@ -7,6 +7,7 @@ polytopes, and unbounded and empty inputs."""
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from conftest import (hpoly, oracle_enumerate_vertices, oracle_is_bounded,
@@ -14,7 +15,8 @@ from conftest import (hpoly, oracle_enumerate_vertices, oracle_is_bounded,
 
 from toriclct.database import load_builtin
 from toriclct.errors import EmptyPolytope, ToolkitError, Unbounded
-from toriclct.geometry import HalfSpace, HPolytope, enumerate_vertices, is_bounded
+from toriclct.geometry import (HalfSpace, HPolytope, _extreme_rays, dot,
+                               enumerate_vertices, is_bounded)
 from toriclct.toric import RaySet, dual_polytope, product_fan
 
 F = Fraction
@@ -178,3 +180,22 @@ def test_one_dimensional_polytopes_match_oracle(rows, expected):
 def test_empty_polytope_with_non_spanning_normals_is_unbounded():
     # x >= 1 and x <= 0 in the plane: empty, and y recedes
     assert _agree(hpoly([(1, 0, 1), (-1, 0, 0)])) is Unbounded
+
+
+def test_extreme_ray_masks_are_the_tight_rows():
+    rng = random.Random(95)
+    for fan in _stored_fans():
+        poly = dual_polytope(transform_rays(random_unimodular(rng, fan.dim), fan))
+        n = poly.dim
+        # t >= 0, then <v, x> + t >= 0 for each ray v
+        rows = [(0,) * n + (1,)] + [(*map(int, h.normal), 1) for h in poly.halfspaces]
+        rays = _extreme_rays(rows, n + 1)
+        assert len(rays) == len(enumerate_vertices(poly))
+        for y, mask in rays:
+            assert gcd(*y) == 1 and y[n] > 0
+            products = [dot(row, y) for row in rows]
+            assert min(products) == 0
+            assert mask == sum(1 << k for k, p in enumerate(products) if p == 0)
+            # a vertex of a 3-D polytope lies on at least three facets
+            assert mask.bit_count() >= n
+    assert _extreme_rays([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3) is None
