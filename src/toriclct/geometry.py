@@ -1,8 +1,11 @@
 """Exact rational linear algebra and bounded-polytope vertex enumeration.
 
-Corner systems are solved fraction-free in homogeneous integer coordinates,
-(x, t) for the point x / t. fractions.Fraction holds stored and returned
-values and runs only the Gauss-Jordan routine _echelon. No floats, no epsilon.
+Boundedness and vertices come from one double description routine: the
+extreme rays of a pointed cone, as primitive integer vectors, each with the
+rows it is tight at as an int bitmask; a vertex is a ray (x, t) of the
+homogenised cone, the point x / t. fractions.Fraction holds stored and
+returned values and runs only the Gauss-Jordan routine _echelon. No floats,
+no epsilon.
 
 Vectors are tuples, matrices are tuples of row tuples. An H-polytope is a
 finite intersection of closed halfspaces {w : <normal, w> >= offset}.
@@ -244,7 +247,7 @@ def enumerate_vertices(poly: HPolytope) -> tuple[tuple[Fraction, ...], ...]:
         raise Unbounded("polytope has a recession direction")
     if not rays:
         raise EmptyPolytope("no feasible point")
-    # sorted as integers over the common denominator, not as Fractions
+    # integer keys over the common denominator sort faster than Fractions
     den = lcm(*(y[n] for y, _ in rays))
     points = sorted((y for y, _ in rays),
                     key=lambda y: [x * (den // y[n]) for x in y[:n]])
