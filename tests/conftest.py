@@ -1,6 +1,6 @@
 """Shared exact helpers: random polytopes, an independent 2D vertex oracle,
-the brute-force Fraction vertex oracle, random unimodular matrices, and
-group conjugation."""
+the brute-force Fraction vertex oracle, the all-products group oracle,
+random unimodular matrices, and group conjugation."""
 
 import functools
 import random
@@ -9,8 +9,9 @@ from math import lcm
 
 from toriclct.errors import EmptyPolytope, Unbounded
 from toriclct.geometry import (HalfSpace, HPolytope, _integer_rows,
-                               _scale_to_integers, dot, mat_mul, mat_rank,
-                               mat_vec, primitive_vector, solve_square_system)
+                               _scale_to_integers, dot, identity_matrix,
+                               mat_det, mat_mul, mat_rank, mat_vec,
+                               primitive_vector, solve_square_system)
 from toriclct.toric import GroupAction, RaySet
 
 
@@ -184,6 +185,28 @@ def oracle_enumerate_vertices(poly: HPolytope) -> tuple[tuple[Fraction, ...], ..
     if not vertices:
         raise EmptyPolytope("no feasible point")
     return tuple(vertices)
+
+
+def oracle_is_group(elements) -> bool:
+    """Whether an element list is a group, by the all-products check: every
+    element square of one dimension with |det| = 1, no repeats, the
+    identity present, and all |G|^2 products in the list."""
+    elements = tuple(tuple(tuple(int(c) for c in row) for row in g)
+                     for g in elements)
+    if not elements:
+        return False
+    n = len(elements[0])
+    for g in elements:
+        if len(g) != n or any(len(row) != n for row in g):
+            return False
+        if abs(mat_det(g)) != 1:
+            return False
+    table = set(elements)
+    if len(table) != len(elements):
+        return False
+    if identity_matrix(n) not in table:
+        return False
+    return all(mat_mul(g, h) in table for g in elements for h in elements)
 
 
 def random_unimodular(rng: random.Random, n: int):

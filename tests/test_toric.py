@@ -6,14 +6,14 @@ from fractions import Fraction
 
 import pytest
 from conftest import (conjugate_group, inverse_unimodular,
-                      oracle_enumerate_vertices, random_unimodular,
-                      transform_rays)
+                      oracle_enumerate_vertices, oracle_is_group,
+                      random_unimodular, transform_rays)
 
 from toriclct.database import load_builtin, lookup
 from toriclct.errors import (DegenerateSubdivision, FanNotComplete,
                              GroupDoesNotPreserveFan, GroupNotClosed,
                              NotWellFormed, ParseError)
-from toriclct.geometry import fixed_subspace, mat_vec
+from toriclct.geometry import fixed_subspace, identity_matrix, mat_vec
 from toriclct.toric import (GroupAction, RaySet, ToricLctReport,
                             bundle_lct_closed_form, check_well_formed,
                             dual_polytope, format_fan, parse_fan, product_fan,
@@ -30,6 +30,8 @@ SWAP2 = ((0, 1), (1, 0))
 ROT3 = ((0, -1), (1, -1))  # order-3 rotation of the P2 fan
 NEG2 = ((-1, 0), (0, -1))
 EYE2 = ((1, 0), (0, 1))
+S4_ON_P3 = [((0, 1, 0), (1, 0, 0), (0, 0, 1)), ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+            ((-1, 0, 0), (-1, 1, 0), (-1, 0, 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +142,52 @@ def test_generate_infinite_hits_cap():
     shear = ((1, 1), (0, 1))
     with pytest.raises(GroupNotClosed):
         GroupAction.generate([shear], cap=100)
+
+
+def _accepts(elements) -> bool:
+    try:
+        GroupAction(tuple(elements))
+    except (ValueError, GroupNotClosed):
+        return False
+    return True
+
+
+def test_element_lists_are_accepted_exactly_when_the_oracle_accepts():
+    rng = random.Random(7)
+    verdicts = []
+    for full in (_signed_permutation_group(3), GroupAction.generate(S4_ON_P3)):
+        eye = identity_matrix(full.dim)
+        double = ((2,) + (0,) * (full.dim - 1),) + eye[1:]
+        for _ in range(15):
+            sub = GroupAction.generate(
+                rng.sample(full.elements, rng.randint(1, 3))).elements
+            lists = [sub]
+            others = [g for g in sub if g != eye]
+            if others:
+                dropped = rng.choice(others)
+                lists.append(tuple(g for g in sub if g != dropped))
+            outside = [g for g in full.elements if g not in sub]
+            if outside:
+                lists.append(sub + (rng.choice(outside),))
+            for extra in (random_unimodular(rng, full.dim), double):
+                if extra not in sub:
+                    lists.append(sub + (extra,))
+            lists += [tuple(rng.sample(els, len(els))) for els in lists]
+            for elements in lists:
+                verdict = oracle_is_group(elements)
+                assert _accepts(elements) == verdict, elements
+                verdicts.append(verdict)
+    assert verdicts.count(True) > 30 and verdicts.count(False) > 30
+
+
+def test_element_determinant_is_checked_before_closure():
+    with pytest.raises(ValueError, match="element .* is not unimodular"):
+        GroupAction((EYE2, NEG2, ((2, 0), (0, 1))))
+
+
+def test_generate_checks_generator_determinants():
+    with pytest.raises(ValueError, match="generator"):
+        GroupAction.generate([((2, 0), (0, 1))])
 
 
 # ---------------------------------------------------------------------------
