@@ -16,8 +16,8 @@ simplicial); that hypothesis is not verified here.
 
 The engine works from the group's generators: G permutes R iff each
 generator does, and D^G lies in the intersection of the fixed subspaces of
-the generators' transposes. An element list given directly is checked for
-closure over all |G|^2 products.
+the generators' transposes. An element list given directly is checked on
+its greedy generators: each has |det| = 1, and their closure stays in it.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class RaySet:
 
 def _matrices(matrices, what: str) -> tuple:
     """Integer copies of a nonempty list of square matrices of one
-    dimension, checked to have |det| = 1."""
+    dimension."""
     out = tuple(tuple(tuple(int(c) for c in row) for row in g)
                 for g in matrices)
     if not out:
@@ -89,9 +89,12 @@ def _matrices(matrices, what: str) -> tuple:
     for g in out:
         if len(g) != n or any(len(row) != n for row in g):
             raise ValueError(f"{what}s must be square of one dimension")
-        if abs(mat_det(g)) != 1:
-            raise ValueError(f"{what} {g} is not unimodular")
     return out
+
+
+def _check_unimodular(g, what: str) -> None:
+    if abs(mat_det(g)) != 1:
+        raise ValueError(f"{what} {g} is not unimodular")
 
 
 def _closure(gens, cap: int) -> set:
@@ -120,7 +123,10 @@ class GroupAction:
 
     generators: the elements outside the span of the ones picked before
     them, in element order. Each pick at least doubles the span, so there
-    are at most log2 |G|, and their closure is the group.
+    are at most log2 |G|, and their closure is the group. The list is
+    checked through them: each pick has |det| = 1 and the closure of the
+    picks must stay in the list; it ends equal to the list, so the list is
+    closed under product, and only the picks need the determinant check.
     """
 
     elements: tuple[tuple[tuple[int, ...], ...], ...]
@@ -134,14 +140,16 @@ class GroupAction:
         identity = identity_matrix(len(elements[0]))
         if identity not in table:
             raise GroupNotClosed("identity element missing")
-        if any(mat_mul(g, h) not in table for g in elements for h in elements):
-            raise GroupNotClosed("element list is not closed under product")
         span = {identity}
         gens = []
         for g in elements:
             if g not in span:
+                _check_unimodular(g, "element")
                 gens.append(g)
                 span = _closure(gens, len(elements))
+                if not span <= table:
+                    raise GroupNotClosed(
+                        "element list is not closed under product")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "generators", tuple(gens))
 
@@ -157,6 +165,8 @@ class GroupAction:
         """Closure of a generator list under product; raises GroupNotClosed
         when the closure exceeds cap."""
         gens = _matrices(generators, "generator")
+        for g in gens:
+            _check_unimodular(g, "generator")
         elements = _closure(gens, cap)
         if len(elements) > cap:
             raise GroupNotClosed(f"closure exceeds cap of {cap} elements")

@@ -13,7 +13,7 @@ from toriclct.database import load_builtin, lookup
 from toriclct.errors import (DegenerateSubdivision, FanNotComplete,
                              GroupDoesNotPreserveFan, GroupNotClosed,
                              NotWellFormed, ParseError)
-from toriclct.geometry import fixed_subspace, identity_matrix, mat_vec
+from toriclct.geometry import fixed_subspace, identity_matrix, mat_mul, mat_vec
 from toriclct.toric import (GroupAction, RaySet, ToricLctReport,
                             bundle_lct_closed_form, check_well_formed,
                             dual_polytope, format_fan, parse_fan, product_fan,
@@ -178,6 +178,22 @@ def test_element_lists_are_accepted_exactly_when_the_oracle_accepts():
                 assert _accepts(elements) == verdict, elements
                 verdicts.append(verdict)
     assert verdicts.count(True) > 30 and verdicts.count(False) > 30
+
+
+def test_element_list_check_costs_fewer_than_8_products_per_element(monkeypatch):
+    # the closure goes through toric.mat_mul, the name the benchmark counts
+    groups = [_signed_permutation_group(n) for n in (2, 3, 4)]
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr("toriclct.toric.mat_mul", counted)
+    for group in groups:
+        calls.clear()
+        assert GroupAction(group.elements) == group
+        assert 0 < len(calls) < 8 * len(group), len(group)
 
 
 def test_element_determinant_is_checked_before_closure():
