@@ -1,13 +1,14 @@
 """Shared exact helpers: random polytopes, an independent 2D vertex oracle,
-the brute-force Fraction vertex oracle, the all-products group oracle,
-random unimodular matrices, and group conjugation."""
+the brute-force Fraction vertex oracle, the all-products group oracle, the
+breadth-first closure and greedy-pick oracles, random unimodular matrices, and
+group conjugation."""
 
 import functools
 import random
 from fractions import Fraction
 from math import lcm
 
-from toriclct.errors import EmptyPolytope, Unbounded
+from toriclct.errors import EmptyPolytope, GroupNotClosed, Unbounded
 from toriclct.geometry import (HalfSpace, HPolytope, _integer_rows,
                                _scale_to_integers, dot, identity_matrix,
                                mat_det, mat_mul, mat_rank, mat_vec,
@@ -207,6 +208,48 @@ def oracle_is_group(elements) -> bool:
     if identity_matrix(n) not in table:
         return False
     return all(mat_mul(g, h) in table for g in elements for h in elements)
+
+
+# The group closure that GroupAction replaced, kept as the reference: a
+# breadth-first closure, rebuilt from the identity after every greedy pick.
+
+
+def oracle_closure(gens, cap: int) -> set:
+    """The products of gens, by breadth-first multiplication from the
+    identity; stops as soon as more than cap elements are found."""
+    elements = {identity_matrix(len(gens[0]))}
+    frontier = list(elements)
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for h in gens:
+                prod = mat_mul(g, h)
+                if prod not in elements:
+                    elements.add(prod)
+                    fresh.append(prod)
+                    if len(elements) > cap:
+                        return elements
+        frontier = fresh
+    return elements
+
+
+def oracle_greedy_picks(elements) -> tuple:
+    """The elements outside the closure of the ones picked before them, in
+    element order. Raises ValueError for a pick with |det| != 1 and
+    GroupNotClosed when the closure of the picks leaves the list."""
+    table = set(elements)
+    span = {identity_matrix(len(elements[0]))}
+    gens = []
+    for g in elements:
+        if g not in span:
+            if abs(mat_det(g)) != 1:
+                raise ValueError(f"element {g} is not unimodular")
+            gens.append(g)
+            span = oracle_closure(gens, len(elements))
+            if not span <= table:
+                raise GroupNotClosed(
+                    "element list is not closed under product")
+    return tuple(gens)
 
 
 def random_unimodular(rng: random.Random, n: int):

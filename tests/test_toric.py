@@ -5,9 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import (conjugate_group, inverse_unimodular,
-                      oracle_enumerate_vertices, oracle_is_group,
-                      random_unimodular, transform_rays)
+from conftest import (conjugate_group, inverse_unimodular, oracle_closure,
+                      oracle_enumerate_vertices, oracle_greedy_picks,
+                      oracle_is_group, random_unimodular, transform_rays)
 
 from toriclct.database import load_builtin, lookup
 from toriclct.errors import (DegenerateSubdivision, FanNotComplete,
@@ -180,6 +180,29 @@ def test_element_lists_are_accepted_exactly_when_the_oracle_accepts():
     assert verdicts.count(True) > 30 and verdicts.count(False) > 30
 
 
+def test_generate_matches_the_breadth_first_oracle():
+    rng = random.Random(13)
+    groups = (_signed_permutation_group(3), _signed_permutation_group(4),
+              GroupAction.generate(S4_ON_P3))
+    for full in groups:
+        eye = identity_matrix(full.dim)
+        for _ in range(12):
+            gens = rng.sample(full.elements, rng.randint(1, 3))
+            if rng.random() < 0.5:  # repeated
+                gens.append(rng.choice(gens))
+            if rng.random() < 0.5:  # redundant
+                gens.append(mat_mul(rng.choice(gens), rng.choice(gens)))
+            if rng.random() < 0.5:
+                gens.append(eye)
+            rng.shuffle(gens)
+            group = GroupAction.generate(gens)
+            elements = tuple(sorted(oracle_closure(gens, 10000)))
+            assert group.elements == elements, gens
+            assert group.generators == oracle_greedy_picks(elements), gens
+        trivial = GroupAction.generate([eye, eye])
+        assert trivial.elements == (eye,) and trivial.generators == ()
+
+
 def test_element_list_check_costs_fewer_than_8_products_per_element(monkeypatch):
     # the closure goes through toric.mat_mul, the name the benchmark counts
     groups = [_signed_permutation_group(n) for n in (2, 3, 4)]
@@ -204,6 +227,13 @@ def test_element_determinant_is_checked_before_closure():
 def test_generate_checks_generator_determinants():
     with pytest.raises(ValueError, match="generator"):
         GroupAction.generate([((2, 0), (0, 1))])
+
+
+def test_generate_checks_every_generator_before_any_product():
+    # the shear alone outgrows the cap, but the doubling after it is
+    # reported first
+    with pytest.raises(ValueError, match=r"generator \(\(2, 0\), \(0, 1\)\) is not unimodular"):
+        GroupAction.generate([((1, 1), (0, 1)), ((2, 0), (0, 1))], cap=100)
 
 
 # ---------------------------------------------------------------------------
