@@ -16,12 +16,13 @@ simplicial); that hypothesis is not verified here.
 
 The engine works from the group's generators: G permutes R iff each
 generator does, and D^G lies in the intersection of the fixed subspaces of
-the generators' transposes. An element list given directly is checked on
-its greedy generators: each has |det| = 1, and their closure stays in it.
+the generators' transposes. Each group is spanned once, coset by coset, from
+its greedy generators, a span that also checks a given element list.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,7 +50,7 @@ class RaySet:
     def __post_init__(self):
         rays = []
         for v in self.rays:
-            v = tuple(int(c) for c in v)
+            v = _integers(v, "ray")
             if all(c == 0 for c in v):
                 raise ValueError("zero vector is not a ray")
             w = primitive_vector(v)
@@ -78,10 +79,19 @@ class RaySet:
         return len(self.rays)
 
 
+def _integers(v, what: str) -> tuple[int, ...]:
+    """The entries of v, which must be integers: no floats, no Fractions."""
+    v = tuple(v)
+    try:
+        return tuple(map(operator.index, v))
+    except TypeError:
+        raise ValueError(f"{what} {v} has a non-integer entry") from None
+
+
 def _matrices(matrices, what: str) -> tuple:
     """Integer copies of a nonempty list of square matrices of one
     dimension."""
-    out = tuple(tuple(tuple(int(c) for c in row) for row in g)
+    out = tuple(tuple(_integers(row, f"{what} row") for row in g)
                 for g in matrices)
     if not out:
         raise ValueError(f"need at least one {what}")
@@ -92,28 +102,34 @@ def _matrices(matrices, what: str) -> tuple:
     return out
 
 
-def _check_unimodular(g, what: str) -> None:
-    if abs(mat_det(g)) != 1:
-        raise ValueError(f"{what} {g} is not unimodular")
-
-
-def _closure(gens, cap: int) -> set:
-    """The products of gens, by breadth-first multiplication from the
-    identity; stops as soon as more than cap elements are found."""
-    elements = {identity_matrix(len(gens[0]))}
-    frontier = list(elements)
-    while frontier:
-        fresh = []
-        for g in frontier:
-            for h in gens:
-                prod = mat_mul(g, h)
-                if prod not in elements:
-                    elements.add(prod)
-                    fresh.append(prod)
-                    if len(elements) > cap:
-                        return elements
-        frontier = fresh
-    return elements
+def _spans(candidates, cap: int, what: str):
+    """Yield (picks, span) before the first greedy pick and after each: a
+    candidate outside the span, checked for |det| = 1. The span grows to the
+    closure of the picks coset by coset (Dimino): the old span H is a group,
+    so only the coset representatives x of H x times the picks need a
+    membership test. It stops once it has more than cap elements."""
+    picks, span = (), {identity_matrix(len(candidates[0]))}
+    yield picks, span
+    for g in candidates:
+        if g in span:
+            continue
+        if abs(mat_det(g)) != 1:
+            raise ValueError(f"{what} {g} is not unimodular")
+        picks += (g,)
+        old = tuple(span)
+        span.update(mat_mul(h, g) for h in old)
+        reps = [g]
+        for r in reps:
+            if len(span) > cap:
+                break
+            for s in picks:
+                x = mat_mul(r, s)
+                if x not in span:
+                    reps.append(x)
+                    span.update(mat_mul(h, x) for h in old)
+        yield picks, span
+        if len(span) > cap:
+            return
 
 
 @dataclass(frozen=True)
@@ -123,10 +139,9 @@ class GroupAction:
 
     generators: the elements outside the span of the ones picked before
     them, in element order. Each pick at least doubles the span, so there
-    are at most log2 |G|, and their closure is the group. The list is
-    checked through them: each pick has |det| = 1 and the closure of the
-    picks must stay in the list; it ends equal to the list, so the list is
-    closed under product, and only the picks need the determinant check.
+    are at most log2 |G|. The list is checked as that span grows, coset by
+    coset, once: each pick has |det| = 1 and the span must stay in the
+    list; it ends equal to the list, so the list is a group.
     """
 
     elements: tuple[tuple[tuple[int, ...], ...], ...]
@@ -137,21 +152,13 @@ class GroupAction:
         table = set(elements)
         if len(table) != len(elements):
             raise GroupNotClosed("repeated elements")
-        identity = identity_matrix(len(elements[0]))
-        if identity not in table:
+        if identity_matrix(len(elements[0])) not in table:
             raise GroupNotClosed("identity element missing")
-        span = {identity}
-        gens = []
-        for g in elements:
-            if g not in span:
-                _check_unimodular(g, "element")
-                gens.append(g)
-                span = _closure(gens, len(elements))
-                if not span <= table:
-                    raise GroupNotClosed(
-                        "element list is not closed under product")
+        for gens, span in _spans(elements, len(elements), "element"):
+            if not span <= table:
+                raise GroupNotClosed("element list is not closed under product")
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "generators", gens)
 
     @property
     def dim(self) -> int:
@@ -162,15 +169,17 @@ class GroupAction:
 
     @classmethod
     def generate(cls, generators, cap: int = 10000) -> "GroupAction":
-        """Closure of a generator list under product; raises GroupNotClosed
-        when the closure exceeds cap."""
+        """Closure of a generator list under product, grown coset by coset
+        from its greedy picks. Raises ValueError when a generator has |det| != 1 (all are checked
+        before any product), GroupNotClosed when the closure exceeds cap."""
         gens = _matrices(generators, "generator")
         for g in gens:
-            _check_unimodular(g, "generator")
-        elements = _closure(gens, cap)
-        if len(elements) > cap:
+            if abs(mat_det(g)) != 1:
+                raise ValueError(f"generator {g} is not unimodular")
+        *_, (_, span) = _spans(gens, cap, "generator")
+        if len(span) > cap:
             raise GroupNotClosed(f"closure exceeds cap of {cap} elements")
-        return cls(tuple(sorted(elements)))
+        return cls(tuple(sorted(span)))
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,22 @@ def test_rayset_normalizes_with_warning():
     assert (1, 2) in set(rays)
 
 
+def test_rayset_rejects_non_integer_entries():
+    for bad in (1.9, 2.0, F(3, 2)):
+        with pytest.raises(ValueError, match="non-integer"):
+            RaySet(((bad, 0), (0, 1), (-1, -1)))
+    assert RaySet(((True, 0), (0, 1), (-1, -1))).rays[0] == (1, 0)
+
+
+def test_group_rejects_non_integer_entries():
+    for bad in (1.5, 1.0, F(3, 2)):
+        with pytest.raises(ValueError, match="non-integer"):
+            GroupAction((((bad,),),))
+        with pytest.raises(ValueError, match="non-integer"):
+            GroupAction.generate([((bad, 0), (0, 1))])
+    assert len(GroupAction((((1,),), ((-1,),)))) == 2
+
+
 def test_group_rejects_non_unimodular():
     with pytest.raises(ValueError):
         GroupAction((EYE2, ((2, 0), (0, 1))))
@@ -203,9 +219,10 @@ def test_generate_matches_the_breadth_first_oracle():
         assert trivial.elements == (eye,) and trivial.generators == ()
 
 
-def test_element_list_check_costs_fewer_than_8_products_per_element(monkeypatch):
-    # the closure goes through toric.mat_mul, the name the benchmark counts
-    groups = [_signed_permutation_group(n) for n in (2, 3, 4)]
+def test_group_checks_cost_fewer_than_2_products_per_element_and_generate_4(monkeypatch):
+    # the span goes through toric.mat_mul, the name the benchmark counts
+    named = [_signed_permutation_group(n) for n in (2, 3, 4)]
+    named.append(GroupAction.generate(S4_ON_P3))
     calls = []
 
     def counted(a, b):
@@ -213,10 +230,13 @@ def test_element_list_check_costs_fewer_than_8_products_per_element(monkeypatch)
         return mat_mul(a, b)
 
     monkeypatch.setattr("toriclct.toric.mat_mul", counted)
-    for group in groups:
+    for group in named:
         calls.clear()
         assert GroupAction(group.elements) == group
-        assert 0 < len(calls) < 8 * len(group), len(group)
+        assert 0 < len(calls) < 2 * len(group), len(group)
+        calls.clear()
+        assert GroupAction.generate(group.generators) == group
+        assert 0 < len(calls) < 4 * len(group), len(group)
 
 
 def test_element_determinant_is_checked_before_closure():
