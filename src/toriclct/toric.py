@@ -138,10 +138,9 @@ class GroupAction:
     product and containing the identity.
 
     generators: the elements outside the span of the ones picked before
-    them, in element order. Each pick at least doubles the span, so there
-    are at most log2 |G|. The list is checked as that span grows, coset by
-    coset, once: each pick has |det| = 1 and the span must stay in the
-    list; it ends equal to the list, so the list is a group.
+    them, in element order; each pick at least doubles the span. The list
+    is checked as that span grows, coset by coset, once: each pick has
+    |det| = 1 and the span must stay in the list, ending equal to it.
     """
 
     elements: tuple[tuple[tuple[int, ...], ...], ...]
@@ -170,14 +169,15 @@ class GroupAction:
     @classmethod
     def generate(cls, generators, cap: int = 10000) -> "GroupAction":
         """Closure of a generator list under product, grown coset by coset
-        from its greedy picks. Raises ValueError when a generator has |det| != 1 (all are checked
-        before any product), GroupNotClosed when the closure exceeds cap."""
+        from its greedy picks. Raises ValueError when any generator has
+        |det| != 1, else GroupNotClosed when the closure exceeds cap."""
         gens = _matrices(generators, "generator")
-        for g in gens:
-            if abs(mat_det(g)) != 1:
-                raise ValueError(f"generator {g} is not unimodular")
         *_, (_, span) = _spans(gens, cap, "generator")
         if len(span) > cap:
+            # the span stopped at cap, maybe before a generator with |det| != 1
+            for g in gens:
+                if abs(mat_det(g)) != 1:
+                    raise ValueError(f"generator {g} is not unimodular")
             raise GroupNotClosed(f"closure exceeds cap of {cap} elements")
         return cls(tuple(sorted(span)))
 
