@@ -103,11 +103,11 @@ def _matrices(matrices, what: str) -> tuple:
 
 
 def _spans(candidates, cap: int, what: str):
-    """Yield (picks, span) before the first greedy pick and after each: a
-    candidate outside the span, checked for |det| = 1. The span grows to the
-    closure of the picks coset by coset (Dimino): the old span H is a group,
-    so only the coset representatives x of H x times the picks need a
-    membership test. It stops once it has more than cap elements."""
+    """Yield (picks, span) before the first greedy pick and after each. A
+    pick is a candidate outside the span, with |det| = 1 checked; the span
+    grows to the closure of the picks by right cosets H x of the old span H
+    (Dimino's algorithm), so only coset representatives x times the picks
+    need a membership test. All stops once the span exceeds cap elements."""
     picks, span = (), {identity_matrix(len(candidates[0]))}
     yield picks, span
     for g in candidates:

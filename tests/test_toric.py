@@ -249,7 +249,7 @@ def test_generate_checks_generator_determinants():
         GroupAction.generate([((2, 0), (0, 1))])
 
 
-def test_generate_checks_every_generator_before_any_product():
+def test_generate_reports_a_bad_generator_before_the_cap():
     # the shear alone outgrows the cap, but the doubling after it is
     # reported first
     with pytest.raises(ValueError, match=r"generator \(\(2, 0\), \(0, 1\)\) is not unimodular"):
