@@ -1,7 +1,7 @@
 """Shared exact helpers: random polytopes, an independent 2D vertex oracle,
-the brute-force Fraction vertex oracle, the all-products group oracle, the
-breadth-first closure and greedy-pick oracles, random unimodular matrices, and
-group conjugation."""
+the Fraction Gauss-Jordan oracle, the brute-force Fraction vertex oracle, the
+all-products group oracle, the breadth-first closure and greedy-pick oracles,
+random unimodular matrices, and group conjugation."""
 
 import functools
 import random
@@ -75,6 +75,36 @@ def oracle_vertices_2d(poly) -> set:
             hull.pop()
         hull.append(q)
     return set(hull)
+
+
+# The Gauss-Jordan elimination over Fraction that geometry replaced, kept as
+# the reference.
+
+
+def oracle_echelon(rows, width: int):
+    """Reduced row echelon form over Q, pivoting in the first width columns
+    and carrying later columns along: (the nonzero reduced rows, their pivot
+    columns, the product of the pivots signed by the row swaps)."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    det = Fraction(1)
+    for col in range(width):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        if piv != top:
+            a[top], a[piv] = a[piv], a[top]
+            det = -det
+        p = a[top][col]
+        det *= p
+        a[top] = [x / p for x in a[top]]
+        for r in range(len(a)):
+            if r != top and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[top])]
+        pivots.append(col)
+    return a[:len(pivots)], pivots, det
 
 
 # The brute-force corner kernel that geometry replaced, kept as the

@@ -6,13 +6,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import hpoly, oracle_vertices_2d, random_bounded_poly
+from conftest import (hpoly, oracle_echelon, oracle_vertices_2d,
+                      random_bounded_poly)
 
 from toriclct.errors import EmptyPolytope, Unbounded
-from toriclct.geometry import (HalfSpace, HPolytope, enumerate_vertices,
-                               fixed_subspace, identity_matrix, is_bounded,
-                               mat_det, mat_rank, smith_normal_form,
-                               solve_square_system)
+from toriclct.geometry import (HalfSpace, HPolytope, _scale_to_integers,
+                               enumerate_vertices, fixed_subspace,
+                               identity_matrix, is_bounded, mat_det, mat_rank,
+                               primitive_vector, smith_normal_form,
+                               solve_square_system, transpose)
+from toriclct.toric import GroupAction
 
 F = Fraction
 
@@ -255,3 +258,99 @@ def test_solve_square_system_satisfies_equations():
         else:
             assert [sum(a * c for a, c in zip(row, x)) for row in m] == b
     assert singular > 20
+
+
+# ---------------------------------------------------------------------------
+# the elimination against the Fraction Gauss-Jordan oracle in conftest
+
+
+def _oracle_det(m):
+    _, pivots, det = oracle_echelon(m, len(m))
+    return det if len(pivots) == len(m) else 0
+
+
+def _oracle_solve(matrix, rhs):
+    n = len(matrix)
+    reduced, pivots, _ = oracle_echelon(
+        [(*row, b) for row, b in zip(matrix, rhs)], n)
+    return tuple(row[n] for row in reduced) if len(pivots) == n else None
+
+
+def _oracle_fixed_subspace(gens):
+    n = len(gens[0])
+    rows = [[g[i][j] - (i == j) for j in range(n)] for g in gens for i in range(n)]
+    reduced, pivots, _ = oracle_echelon(rows, n)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        vec = [F(c == free) for c in range(n)]
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[free]
+        basis.append(primitive_vector(_scale_to_integers(vec)[0]))
+    return basis
+
+
+def _fixing_generators(rng, n):
+    """One to three matrices I + M whose M lie in one row space of dimension
+    < n, so that they fix a nonzero subspace."""
+    low = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n - 1))]
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        coefficients = [[rng.randint(-2, 2) for _ in low] for _ in range(n)]
+        gens.append(tuple(tuple(sum(c * r[j] for c, r in zip(cs, low)) + (i == j)
+                                for j in range(n))
+                          for i, cs in enumerate(coefficients)))
+    return gens
+
+
+def _signed_permutation_generators(n):
+    """A transposition, an n-cycle and one sign change: they generate B_n."""
+    eye = [list(row) for row in identity_matrix(n)]
+    return [[eye[1], eye[0]] + eye[2:], eye[1:] + eye[:1],
+            [[-1] + [0] * (n - 1)] + eye[1:]]
+
+
+def _elimination_inputs():
+    """Seeded integer matrices, singular and rank-deficient ones included,
+    and the transposed generators of B3, B4, S3 on P2 and S4 on P3, as
+    (square matrices, further matrices of mixed shape, generator lists)."""
+    rng = random.Random(53)
+    squares, others, gen_lists = [], [], []
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        squares.append(_random_matrix(rng, n, n))
+        others.append(_random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)))
+        gen_lists += [[squares[-1]], _fixing_generators(rng, n)]
+    named = [_signed_permutation_generators(3), _signed_permutation_generators(4),
+             [((0, 1), (1, 0)), ((0, -1), (1, -1))],
+             [((0, 1, 0), (1, 0, 0), (0, 0, 1)), ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+              ((-1, 0, 0), (-1, 1, 0), (-1, 0, 1))]]
+    for gens in named:
+        group = GroupAction.generate(gens)
+        transposed = [transpose(g) for g in group.generators]
+        squares += transposed
+        gen_lists.append(transposed)
+        others.append([row for g in transposed for row in g])
+    return rng, squares, others, gen_lists
+
+
+def test_elimination_matches_the_fraction_oracle():
+    rng, squares, others, gen_lists = _elimination_inputs()
+    singular = deficient = 0
+    for m in squares:
+        det = mat_det(m)
+        assert det == _oracle_det(m)
+        singular += det == 0
+        b = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in m]
+        x = solve_square_system(m, b)
+        assert x == _oracle_solve(m, b)
+        assert x is None or all(type(c) is Fraction for c in x)
+    for rows in squares + others:
+        rank = mat_rank(rows)
+        assert rank == len(oracle_echelon(rows, len(rows[0]))[1])
+        deficient += rank < min(len(rows), len(rows[0]))
+    fixing = 0
+    for gens in gen_lists:
+        basis = fixed_subspace(gens)
+        assert basis == _oracle_fixed_subspace(gens)
+        fixing += bool(basis)
+    assert singular > 30 and deficient > 60 and 300 < fixing < len(gen_lists) - 30
