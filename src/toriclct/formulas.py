@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .errors import OutOfRegime, UnknownKey, UnsupportedDescriptor
+from .geometry import _integers
 from .toric import check_well_formed
 
 CUBIC_SINGULARITY_TYPES = ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6")
@@ -24,7 +25,7 @@ def wps_lct(weights) -> Fraction:
     """lct of the weighted projective space P(a_0 <= ... <= a_n):
     a_0 / (a_0 + ... + a_n). Weights are sorted internally; raises
     NotWellFormed unless every n of them are coprime."""
-    weights = tuple(sorted(int(a) for a in weights))
+    weights = tuple(sorted(_integers(weights, "weights")))
     check_well_formed(weights)
     return Fraction(weights[0], sum(weights))
 
@@ -52,7 +53,7 @@ def double_cover_lct(n: int, d: int) -> Fraction:
 def monomial_cse(exponents) -> Fraction:
     """Complex singularity exponent of the monomial z_1^{m_1} ... z_k^{m_k}
     at the origin: min(1/m_i)."""
-    exponents = tuple(int(m) for m in exponents)
+    exponents = _integers(exponents, "exponents")
     if not exponents or any(m < 1 for m in exponents):
         raise ValueError("exponents must be positive integers")
     return Fraction(1, max(exponents))
@@ -61,7 +62,7 @@ def monomial_cse(exponents) -> Fraction:
 def fermat_cse(exponents) -> Fraction:
     """Complex singularity exponent of z_1^{m_1} + ... + z_k^{m_k} at the
     origin: min(1, sum 1/m_i)."""
-    exponents = tuple(int(m) for m in exponents)
+    exponents = _integers(exponents, "exponents")
     if not exponents or any(m < 1 for m in exponents):
         raise ValueError("exponents must be positive integers")
     return min(Fraction(1), sum(Fraction(1, m) for m in exponents))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 from .errors import EmptyPolytope, Unbounded
@@ -36,6 +36,15 @@ def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return sum(map(mul, u, v))
+
+
+def _integers(v, what: str) -> tuple[int, ...]:
+    """The entries of v, which must be integers: no floats, no Fractions."""
+    v = tuple(v)
+    try:
+        return tuple(map(index, v))
+    except TypeError:
+        raise ValueError(f"{what} {v} has a non-integer entry") from None
 
 
 def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
@@ -294,7 +303,7 @@ def smith_normal_form(matrix) -> SmithDecomposition:
     operations are recorded in u (rows) and v (columns).
     """
     n = len(matrix)
-    a = [list(map(int, row)) for row in matrix]
+    a = [list(_integers(row, "matrix row")) for row in matrix]
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
     u = [list(row) for row in identity_matrix(n)]

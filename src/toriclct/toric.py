@@ -22,7 +22,6 @@ its greedy generators, a span that also checks a given element list.
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,10 +30,10 @@ from math import gcd
 from .errors import (DegenerateSubdivision, FanNotComplete,
                      GroupDoesNotPreserveFan, GroupNotClosed, NotWellFormed,
                      ParseError, Unbounded)
-from .geometry import (HalfSpace, HPolytope, _scale_to_integers, dot,
-                       enumerate_vertices, fixed_subspace, identity_matrix,
-                       is_bounded, mat_det, mat_mul, mat_rank, mat_vec,
-                       primitive_vector, smith_normal_form, transpose)
+from .geometry import (HalfSpace, HPolytope, _integers, _scale_to_integers,
+                       dot, enumerate_vertices, fixed_subspace,
+                       identity_matrix, is_bounded, mat_det, mat_mul, mat_rank,
+                       mat_vec, primitive_vector, smith_normal_form, transpose)
 
 
 @dataclass(frozen=True)
@@ -77,15 +76,6 @@ class RaySet:
 
     def __len__(self):
         return len(self.rays)
-
-
-def _integers(v, what: str) -> tuple[int, ...]:
-    """The entries of v, which must be integers: no floats, no Fractions."""
-    v = tuple(v)
-    try:
-        return tuple(map(operator.index, v))
-    except TypeError:
-        raise ValueError(f"{what} {v} has a non-integer entry") from None
 
 
 def _matrices(matrices, what: str) -> tuple:
@@ -292,7 +282,7 @@ def product_fan(a: RaySet, b: RaySet) -> RaySet:
 
 def _twists(n: int, twists) -> tuple[int, ...]:
     """Checked integer twists of a split bundle over projective n-space."""
-    twists = tuple(int(a) for a in twists)
+    twists = _integers(twists, "twists")
     if n < 1 or not twists:
         raise ValueError("need base dimension >= 1 and at least one twist")
     if any(a < 0 for a in twists):
@@ -331,7 +321,7 @@ def star_subdivide(rays: RaySet, subset) -> RaySet:
     fan. Raises DegenerateSubdivision when the subset is dependent, sums to
     zero, or its primitive sum is already a ray.
     """
-    subset = [tuple(int(c) for c in v) for v in subset]
+    subset = [_integers(v, "ray") for v in subset]
     present = set(rays)
     if not subset:
         raise DegenerateSubdivision("empty subset")
@@ -359,7 +349,7 @@ def wps_fan(weights) -> RaySet:
     Smith normal form, so that sum a_i v_i = 0. Raises NotWellFormed unless
     every n of the weights are coprime.
     """
-    weights = tuple(int(a) for a in weights)
+    weights = _integers(weights, "weights")
     check_well_formed(weights)
     n = len(weights) - 1
     # square matrix with the weights in column 0; its Smith u sends the
@@ -381,7 +371,7 @@ def wps_fan(weights) -> RaySet:
 def check_well_formed(weights) -> None:
     """Raise NotWellFormed unless every n-element sub-multiset of the n+1
     positive weights has gcd 1."""
-    weights = tuple(int(a) for a in weights)
+    weights = _integers(weights, "weights")
     if len(weights) < 2:
         raise ValueError("need at least two weights")
     if any(a < 1 for a in weights):

@@ -42,6 +42,13 @@ def test_wps_rejects_bad_weights():
         wps_lct((1,))
 
 
+def test_wps_rejects_non_integer_weights():
+    for bad in (2.7, 2.0, F(3, 2)):
+        with pytest.raises(ValueError, match="non-integer"):
+            wps_lct((1, 1, bad))
+    assert wps_lct((1, 1, 2)) == F(1, 4)
+
+
 def test_wps_matches_engine():
     for weights in ((1, 1), (1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 1, 2, 3)):
         assert wps_lct(weights) == toric_lct(wps_fan(weights)).lct
@@ -100,6 +107,14 @@ def test_monomial_cse_rejects_bad_input():
         monomial_cse((1, 0))
     with pytest.raises(ValueError):
         monomial_cse((1, -2))
+
+
+def test_cse_rejects_non_integer_exponents():
+    for cse in (monomial_cse, fermat_cse):
+        for bad in (2.5, 2.0, F(3, 2)):
+            with pytest.raises(ValueError, match="non-integer"):
+                cse((2, bad))
+    assert (monomial_cse((2, 3)), fermat_cse((2, 3))) == (F(1, 3), F(5, 6))
 
 
 def test_fermat_cse():

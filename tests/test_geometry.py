@@ -155,6 +155,12 @@ def test_snf_random_reconstruction():
             assert b == 0 if a == 0 else b % a == 0
 
 
+def test_snf_rejects_non_integer_entries():
+    for bad in (1.5, 1.0, F(3, 2)):
+        with pytest.raises(ValueError, match="non-integer"):
+            smith_normal_form(((bad, 0), (0, 2)))
+
+
 def test_fixed_subspace_identity():
     assert fixed_subspace([((1, 0), (0, 1))]) == [(1, 0), (0, 1)]
 

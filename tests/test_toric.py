@@ -522,6 +522,15 @@ def test_bundle_closed_form():
         bundle_lct_closed_form(2, (-1,))
 
 
+def test_bundle_rejects_non_integer_twists():
+    for bad in (1.5, 1.0, F(3, 2)):
+        with pytest.raises(ValueError, match="non-integer"):
+            bundle_lct_closed_form(1, (bad,))
+        with pytest.raises(ValueError, match="non-integer"):
+            projectivized_bundle_fan(1, (bad,))
+    assert bundle_lct_closed_form(1, (1,)) == F(1, 3)
+
+
 def test_bundle_holds_outside_fano_range():
     # P(O + O(-3)) over P1 is not Fano, yet the formula still matches
     fan = projectivized_bundle_fan(1, (3,))
@@ -552,6 +561,12 @@ def test_star_subdivide_degenerate_cases():
         star_subdivide(f1, [(1, 0), (0, 1)])
 
 
+def test_star_subdivide_rejects_non_integer_rays():
+    for bad in (1.5, 1.0, F(3, 2)):
+        with pytest.raises(ValueError, match="non-integer"):
+            star_subdivide(P2, [(bad, 0), (0, 1)])
+
+
 def test_wps_fan_values():
     assert toric_lct(wps_fan((1, 1, 1))).lct == F(1, 3)
     assert toric_lct(wps_fan((1, 1, 2))).lct == F(1, 4)
@@ -564,6 +579,14 @@ def test_wps_fan_relation():
         n = len(weights) - 1
         for i in range(n):
             assert sum(w * v[i] for w, v in zip(weights, rays)) == 0
+
+
+def test_wps_fan_rejects_non_integer_weights():
+    for bad in (2.7, 2.0, F(3, 2)):
+        with pytest.raises(ValueError, match="non-integer"):
+            wps_fan((1, 1, bad))
+        with pytest.raises(ValueError, match="non-integer"):
+            check_well_formed((1, 1, bad))
 
 
 def test_well_formedness():
