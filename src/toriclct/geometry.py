@@ -3,9 +3,9 @@
 Boundedness and vertices come from one double description routine: the
 extreme rays of a pointed cone, as primitive integer vectors, each with the
 rows it is tight at as an int bitmask; a vertex is a ray (x, t) of the
-homogenised cone, the point x / t. fractions.Fraction holds stored and
-returned values and runs only the Gauss-Jordan routine _echelon. No floats,
-no epsilon.
+homogenised cone, the point x / t. Eliminations run in integers, fraction
+free; fractions.Fraction holds only halfspaces, returned points and
+solutions. No floats, no epsilon.
 
 Vectors are tuples, matrices are tuples of row tuples. An H-polytope is a
 finite intersection of closed halfspaces {w : <normal, w> >= offset}.
@@ -75,29 +75,29 @@ def mat_mul(a, b):
 
 
 def _echelon(rows, width: int):
-    """Reduced row echelon form over Q, pivoting in the first width columns
-    and carrying later columns along: (the nonzero reduced rows, their pivot
-    columns, the product of the pivots signed by the row swaps)."""
-    a = [[Fraction(x) for x in row] for row in rows]
+    """Fraction-free Gauss-Jordan over Z (Bareiss 1968; divisions are exact),
+    pivoting in the first width columns, carrying later ones: (the nonzero
+    rows, their pivot columns, d). Each row is d at its own pivot column and 0
+    at the others, so row / d is the reduced row echelon form over Q; a swap
+    negates the row it moves down, so d is det of a full-rank square matrix."""
+    a = [_integers(row, "matrix row") for row in rows]
     pivots: list[int] = []
-    det = Fraction(1)
+    d = 1
     for col in range(width):
         top = len(pivots)
         piv = next((r for r in range(top, len(a)) if a[r][col]), None)
         if piv is None:
             continue
         if piv != top:
-            a[top], a[piv] = a[piv], a[top]
-            det = -det
+            a[top], a[piv] = a[piv], [-x for x in a[top]]
         p = a[top][col]
-        det *= p
-        a[top] = [x / p for x in a[top]]
         for r in range(len(a)):
-            if r != top and a[r][col]:
+            if r != top:
                 f = a[r][col]
-                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[top])]
+                a[r] = [(p * x - f * y) // d for x, y in zip(a[r], a[top])]
+        d = p
         pivots.append(col)
-    return a[:len(pivots)], pivots, det
+    return a[:len(pivots)], pivots, d
 
 
 def _scale_to_integers(values) -> tuple[tuple[int, ...], int]:
@@ -106,17 +106,17 @@ def _scale_to_integers(values) -> tuple[tuple[int, ...], int]:
     return tuple(c.numerator * (den // c.denominator) for c in values), den
 
 
-def mat_det(m) -> Fraction:
-    """Exact determinant by fraction elimination (matrices here are tiny)."""
+def mat_det(m) -> int:
+    """Exact determinant of a square integer matrix."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
     _, pivots, det = _echelon(m, n)
-    return det if len(pivots) == n else Fraction(0)
+    return det if len(pivots) == n else 0
 
 
 def mat_rank(rows: Iterable[Sequence]) -> int:
-    """Rank over Q of a list of row vectors."""
+    """Rank over Q of a list of integer row vectors."""
     rows = list(rows)
     return len(_echelon(rows, len(rows[0]))[1]) if rows else 0
 
@@ -182,22 +182,22 @@ def _extreme_rays(rows, d: int):
     Fukuda and Prodon 1996); None when the integer rows have rank < d.
 
     Each ray is a pair (primitive integer tuple, int bitmask of the rows it
-    is tight at). The first cone is cut by the first d independent rows in
-    input order; its rays are the columns of their inverse. Every other row
-    is then inserted in turn: a ray on its positive side and one on its
+    is tight at). The first cone is cut by the first d independent rows B in
+    input order: one elimination of the transposed rows beside the identity
+    picks B and gives det(B) B^-T, whose rows times det(B) are its rays. Every
+    other row is inserted in turn: a ray on its positive side and one on its
     negative side combine into a ray on its hyperplane iff they are adjacent,
-    that is, their common tight rows Z number at least d - 2 and no third
-    ray is tight at all of Z. The test is combinatorial, so it stays exact
-    on degenerate cones.
+    that is, their common tight rows Z number at least d - 2 and no third ray
+    is tight at all of Z. The test is combinatorial, so it stays exact on
+    degenerate cones.
     """
-    _, basis, _ = _echelon(transpose(rows), len(rows))
+    eliminated, basis, det = _echelon(
+        [(*col, *e) for col, e in zip(transpose(rows), identity_matrix(d))], len(rows))
     if len(basis) < d:
         return None
-    square = [(*rows[i], *e) for i, e in zip(basis, identity_matrix(d))]
-    inverse = _echelon(square, d)[0]
     tight = sum(1 << i for i in basis)
-    rays = [(primitive_vector(_scale_to_integers([r[d + j] for r in inverse])[0]),
-             tight ^ (1 << i)) for j, i in enumerate(basis)]
+    rays = [(primitive_vector([det * x for x in row[-d:]]), tight ^ (1 << i))
+            for row, i in zip(eliminated, basis)]
     for k, row in enumerate(rows):
         if k in basis:
             continue
@@ -264,17 +264,18 @@ def enumerate_vertices(poly: HPolytope) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def solve_square_system(matrix, rhs) -> tuple[Fraction, ...] | None:
-    """Solve A x = b exactly; None when A is singular.
+    """Solve A x = b exactly for rational A and b; None when A is singular.
 
     Raises ValueError on dimension mismatch.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("dimension mismatch")
-    reduced, pivots, _ = _echelon([(*row, b) for row, b in zip(matrix, rhs)], n)
+    reduced, pivots, d = _echelon(
+        [_scale_to_integers((*row, b))[0] for row, b in zip(matrix, rhs)], n)
     if len(pivots) < n:
         return None
-    return tuple(row[n] for row in reduced)
+    return tuple(Fraction(row[n], d) for row in reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +373,8 @@ def fixed_subspace(gens) -> list[tuple[int, ...]]:
     """Basis of the common fixed subspace {w : g w = w for every g}.
 
     Computed as the kernel over Q of the stacked matrices g - I; basis
-    vectors are returned as primitive integer vectors, one per free column
-    of the reduced system, in ascending column order. The identity yields
+    vectors are primitive integer vectors, one per free column of the reduced
+    system and positive there, in ascending column order. The identity yields
     the standard basis; an empty list means the fixed subspace is {0}.
     """
     gens = list(gens)
@@ -385,11 +386,11 @@ def fixed_subspace(gens) -> list[tuple[int, ...]]:
         if len(g) != n or any(len(row) != n for row in g):
             raise ValueError("matrices must be square of one dimension")
         rows += ([g[i][j] - (i == j) for j in range(n)] for i in range(n))
-    reduced, pivots, _ = _echelon(rows, n)
+    reduced, pivots, d = _echelon(rows, n)
     basis = []
     for free in (c for c in range(n) if c not in pivots):
-        vec = [Fraction(c == free) for c in range(n)]
+        vec = [d * d * (c == free) for c in range(n)]
         for row, pc in zip(reduced, pivots):
-            vec[pc] = -row[free]
-        basis.append(primitive_vector(_scale_to_integers(vec)[0]))
+            vec[pc] = -d * row[free]
+        basis.append(primitive_vector(vec))
     return basis

@@ -10,11 +10,12 @@ from conftest import (hpoly, oracle_echelon, oracle_vertices_2d,
                       random_bounded_poly)
 
 from toriclct.errors import EmptyPolytope, Unbounded
-from toriclct.geometry import (HalfSpace, HPolytope, _scale_to_integers,
-                               enumerate_vertices, fixed_subspace,
-                               identity_matrix, is_bounded, mat_det, mat_rank,
-                               primitive_vector, smith_normal_form,
-                               solve_square_system, transpose)
+from toriclct.geometry import (HalfSpace, HPolytope, _echelon,
+                               _scale_to_integers, enumerate_vertices,
+                               fixed_subspace, identity_matrix, is_bounded,
+                               mat_det, mat_rank, primitive_vector,
+                               smith_normal_form, solve_square_system,
+                               transpose)
 from toriclct.toric import GroupAction
 
 F = Fraction
@@ -339,6 +340,18 @@ def _elimination_inputs():
     return rng, squares, others, gen_lists
 
 
+def test_elimination_rejects_non_integer_entries():
+    for bad in (1.5, 1.0, F(3, 2)):
+        with pytest.raises(ValueError, match="non-integer"):
+            mat_det(((bad, 0), (0, 1)))
+        with pytest.raises(ValueError, match="non-integer"):
+            mat_rank([(1, bad)])
+        with pytest.raises(ValueError, match="non-integer"):
+            fixed_subspace([((bad, 0), (0, 1))])
+    # solve_square_system takes rationals
+    assert solve_square_system(((F(1, 2), 0), (0, 1)), (1, F(1, 3))) == (2, F(1, 3))
+
+
 def test_elimination_matches_the_fraction_oracle():
     rng, squares, others, gen_lists = _elimination_inputs()
     singular = deficient = 0
@@ -354,6 +367,16 @@ def test_elimination_matches_the_fraction_oracle():
         rank = mat_rank(rows)
         assert rank == len(oracle_echelon(rows, len(rows[0]))[1])
         deficient += rank < min(len(rows), len(rows[0]))
+        # the integer rows over d are the oracle's reduced rows, with the
+        # columns past width carried along
+        width = rng.randint(1, len(rows[0]))
+        got, pivots, d = _echelon(rows, width)
+        reduced, oracle_pivots, det = oracle_echelon(rows, width)
+        assert pivots == oracle_pivots
+        assert [[F(x, d) for x in row] for row in got] == reduced
+        assert all(type(x) is int for row in got for x in row)
+        if len(rows) == width == len(pivots):
+            assert d == det
     fixing = 0
     for gens in gen_lists:
         basis = fixed_subspace(gens)

@@ -2,7 +2,8 @@
 equal boundedness and equal vertex tuples, order and types included, on
 stored and product fans in seeded bases, rational and non-simple polytopes,
 shuffled halfspace orders, fans missing one ray, repeated rows, 1-D
-polytopes, and unbounded and empty inputs."""
+polytopes, and unbounded and empty inputs; one elimination per double
+description."""
 
 import itertools
 import random
@@ -13,11 +14,13 @@ import pytest
 from conftest import (hpoly, oracle_enumerate_vertices, oracle_is_bounded,
                       random_unimodular, transform_rays)
 
+import toriclct.geometry
 from toriclct.database import load_builtin
 from toriclct.errors import EmptyPolytope, ToolkitError, Unbounded
 from toriclct.geometry import (HalfSpace, HPolytope, _extreme_rays, dot,
                                enumerate_vertices, is_bounded)
-from toriclct.toric import RaySet, dual_polytope, product_fan
+from toriclct.toric import (RaySet, dual_polytope, product_fan,
+                            projective_space_fan)
 
 F = Fraction
 
@@ -199,3 +202,22 @@ def test_extreme_ray_masks_are_the_tight_rows():
             # a vertex of a 3-D polytope lies on at least three facets
             assert mask.bit_count() >= n
     assert _extreme_rays([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3) is None
+
+
+def test_double_description_starts_from_one_elimination(monkeypatch):
+    # the first cone's rows are picked and inverted by the same _echelon call
+    calls = []
+    echelon = toriclct.geometry._echelon
+
+    def counted(rows, width):
+        calls.append(width)
+        return echelon(rows, width)
+
+    monkeypatch.setattr(toriclct.geometry, "_echelon", counted)
+    p3 = projective_space_fan(3)
+    poly = dual_polytope(product_fan(p3, p3))
+    assert len(enumerate_vertices(poly)) == 16
+    assert calls == [len(poly.halfspaces) + 1]
+    calls.clear()
+    assert is_bounded(poly)
+    assert calls == [len(poly.halfspaces)]
