@@ -33,7 +33,7 @@ class FamilyId:
     @classmethod
     def parse(cls, text: str) -> "FamilyId":
         parts = str(text).strip().split(".")
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
             raise InvalidId(f"{text!r} is not of the form rank.index")
         return cls(int(parts[0]), int(parts[1]))
 
@@ -412,7 +412,8 @@ def import_table(text: str) -> Database:
                 fid = FamilyId.parse(id_text)
             except InvalidId as exc:
                 raise ParseError(lineno, str(exc))
-            if not rank_text.isdigit() or int(rank_text) != fid.rank:
+            if not (rank_text.isascii() and rank_text.isdigit()) \
+                    or int(rank_text) != fid.rank:
                 raise ParseError(lineno, f"rank {rank_text!r} does not match id {fid}")
             if fid in entries:
                 raise ParseError(lineno, f"duplicate record for {fid}")

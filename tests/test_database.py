@@ -39,6 +39,13 @@ def test_family_id_rejects_garbage():
             FamilyId.parse(text)
 
 
+def test_family_id_rejects_non_ascii_digits():
+    # str.isdigit accepts both; int() rejects the first and reads the second
+    for text in ("1.\u00b2", "1.\u0661", "\u0661.1"):
+        with pytest.raises(InvalidId, match="rank.index"):
+            FamilyId.parse(text)
+
+
 def test_status_validation():
     with pytest.raises(ValueError):
         LctStatus("exact_all", None)
@@ -214,6 +221,16 @@ def test_import_errors_carry_line_numbers():
     for text, fragment in cases:
         with pytest.raises(ParseError, match=fragment):
             import_table(text)
+
+
+def test_import_rejects_non_ascii_digits():
+    lines = export_table(DB).splitlines()
+    fid, rank, rest = lines[0].split("|", 2)
+    assert len(import_table("\n".join(lines)).records) == len(DB.records)
+    for first in (f"1.\u00b2|{rank}|{rest}", f"1.\u0661|{rank}|{rest}",
+                  f"{fid}|\u00b2|{rest}", f"{fid}|\u0661|{rest}"):
+        with pytest.raises(ParseError, match="^line 1: "):
+            import_table("\n".join([first] + lines[1:]))
 
 
 def test_import_detects_duplicate_record():
