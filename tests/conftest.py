@@ -1,6 +1,6 @@
 """Shared exact helpers: random polytopes, an independent 2D vertex oracle,
 the Fraction Gauss-Jordan oracle, the brute-force Fraction vertex oracle, the
-all-products group oracle, the breadth-first closure and greedy-pick oracles,
+Fraction vertex-pairing threshold oracle, the all-products group oracle, the breadth-first closure and greedy-pick oracles,
 random unimodular matrices, and group conjugation."""
 
 import functools
@@ -8,12 +8,16 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from toriclct.errors import EmptyPolytope, GroupNotClosed, Unbounded
+from toriclct.errors import (EmptyPolytope, FanNotComplete,
+                             GroupDoesNotPreserveFan, GroupNotClosed,
+                             Unbounded)
 from toriclct.geometry import (HalfSpace, HPolytope, _integer_rows,
-                               _scale_to_integers, dot, identity_matrix,
+                               _scale_to_integers, dot, enumerate_vertices,
+                               fixed_subspace, identity_matrix, is_bounded,
                                mat_det, mat_mul, mat_rank, mat_vec,
-                               primitive_vector, solve_square_system)
-from toriclct.toric import GroupAction, RaySet
+                               primitive_vector, solve_square_system,
+                               transpose)
+from toriclct.toric import GroupAction, RaySet, ToricLctReport, dual_polytope
 
 
 def hpoly(rows):
@@ -238,6 +242,67 @@ def oracle_is_group(elements) -> bool:
     if identity_matrix(n) not in table:
         return False
     return all(mat_mul(g, h) in table for g in elements for h in elements)
+
+
+# The threshold computation that toric replaced, kept as the reference: the
+# dual polytope as Fraction halfspaces, its vertices as sorted Fraction tuples
+# (lifted from the fixed subspace over Q on the equivariant path), each vertex
+# scaled back to integers over its lcm and paired with every sorted ray.
+
+
+def _oracle_restrict(poly: HPolytope, basis) -> HPolytope:
+    # coordinates t on span(basis): w = sum t_i b_i turns <a, w> >= c into
+    # <B^T a, t> >= c; constraints vanishing on the span drop out (offsets
+    # here are negative, so they hold identically)
+    kept = []
+    for h in poly.halfspaces:
+        normal = tuple(dot(h.normal, b) for b in basis)
+        if all(c == 0 for c in normal):
+            continue
+        kept.append(HalfSpace(normal, h.offset))
+    return HPolytope(tuple(kept))
+
+
+def oracle_toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
+    """toric_lct by the Fraction vertex round trip: the first strict maximum
+    over sorted vertices times sorted rays."""
+    poly = dual_polytope(rays)
+    if group is None:
+        try:
+            vertices = enumerate_vertices(poly)
+        except Unbounded:
+            raise FanNotComplete("rays do not positively span the lattice") from None
+    else:
+        if not is_bounded(poly):
+            raise FanNotComplete("rays do not positively span the lattice")
+        if group.dim != rays.dim:
+            raise ValueError("group dimension does not match rays")
+        gens = group.generators or group.elements
+        ray_set = set(rays)
+        for g in gens:
+            if {mat_vec(g, v) for v in rays} != ray_set:
+                raise GroupDoesNotPreserveFan(
+                    f"generator {g} does not permute the rays")
+        basis = fixed_subspace([transpose(g) for g in gens])
+        if not basis:
+            vertices = (tuple(Fraction(0) for _ in range(rays.dim)),)
+        else:
+            restricted = _oracle_restrict(poly, basis)
+            lift = transpose(basis)
+            vertices = tuple(sorted(mat_vec(lift, point)
+                                    for point in enumerate_vertices(restricted)))
+    ordered = sorted(rays)
+    best = None
+    for w in vertices:
+        nums, den = _scale_to_integers(w)
+        for v in ordered:
+            p = dot(nums, v)
+            if best is None or p * best[1] > best[0] * den:
+                best = (p, den, w, v)
+    num, den, wv, wr = best
+    m = Fraction(num, den)
+    return ToricLctReport(lct=1 / (1 + m), max_pairing=m,
+                          witness_vertex=wv, witness_ray=wr)
 
 
 # The group closure that GroupAction replaced, kept as the reference: a

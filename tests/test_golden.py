@@ -2,16 +2,21 @@
 witness_ray) of every stored fan and of every equivariant setup that the
 acceptance criteria and the engine tests use, recorded as literal data.
 A change to the engine that moves any threshold or any witness pair fails
-here, even where the other tests only look at the threshold."""
+here, even where the other tests only look at the threshold. The same
+setups, conjugated, and seeded products of the stored fans are also checked
+report for report against the Fraction vertex-pairing oracle."""
 
 import random
+from fractions import Fraction
 
-from conftest import (conjugate_group, inverse_unimodular, random_unimodular,
-                      transform_rays)
+import pytest
+from conftest import (conjugate_group, inverse_unimodular, oracle_toric_lct,
+                      random_unimodular, transform_rays)
 
-from toriclct.database import load_builtin
-from toriclct.toric import (GroupAction, product_fan, projective_space_fan,
-                            toric_lct, wps_fan)
+from toriclct.database import load_builtin, lookup
+from toriclct.errors import FanNotComplete
+from toriclct.toric import (GroupAction, RaySet, product_fan,
+                            projective_space_fan, toric_lct, wps_fan)
 
 P1 = projective_space_fan(1)
 P2 = projective_space_fan(2)
@@ -264,3 +269,41 @@ def test_golden_witnesses():
     for key, rays, group in _cases():
         seen[key] = _row(toric_lct(rays, group))
     assert seen == GOLDEN
+
+
+def _differential_cases():
+    rng = random.Random(1010)
+    db = load_builtin()
+    stored = [rec.fan for rec in db.records if rec.fan is not None]
+    cases = [(fan, None) for fan in stored]
+    for _ in range(20):
+        fan = product_fan(*rng.sample(stored, 2))
+        cases.append((transform_rays(random_unimodular(rng, fan.dim), fan), None))
+    # the tie-heavy fans of the brute-force tie-break test
+    ties = [P2, product_fan(product_fan(P1, P1), P1),
+            product_fan(lookup(db, "5.2").fan, lookup(db, "5.3").fan)]
+    ties += [transform_rays(random_unimodular(rng, fan.dim), fan) for fan in ties]
+    cases += [(fan, None) for fan in ties]
+    for _, rays, group in _cases():
+        if group is not None:
+            u = random_unimodular(rng, rays.dim)
+            cases.append((transform_rays(u, rays),
+                          conjugate_group(u, inverse_unimodular(u), group)))
+    return cases
+
+
+def test_reports_match_the_fraction_oracle():
+    for rays, group in _differential_cases():
+        got, want = toric_lct(rays, group), oracle_toric_lct(rays, group)
+        assert got == want, (rays, group)
+        assert type(got.lct) is Fraction and type(got.max_pairing) is Fraction
+        assert all(type(c) is Fraction for c in got.witness_vertex)
+        assert all(type(c) is int for c in got.witness_ray)
+
+
+def test_incomplete_fan_is_rejected_like_the_oracle():
+    half_plane = RaySet(((1, 0), (0, 1), (-1, 0)))
+    for group in (None, GroupAction((EYE2, ((-1, 0), (0, 1))))):
+        for lct in (toric_lct, oracle_toric_lct):
+            with pytest.raises(FanNotComplete):
+                lct(half_plane, group)
