@@ -238,28 +238,33 @@ def is_bounded(poly: HPolytope) -> bool:
     return _extreme_rays(normals, poly.dim) == []
 
 
-def enumerate_vertices(poly: HPolytope) -> tuple[tuple[Fraction, ...], ...]:
-    """All vertices of a bounded H-polytope, sorted lexicographically.
-
-    The vertices are the extreme rays (x, t) with t > 0 of the homogenised
-    cone {(x, t) : t >= 0, <a, x> - b t >= 0}, found by double description
-    with the row t >= 0 inserted first; each is the point x / t.
+def _vertex_rays(rows, n: int) -> list[tuple[int, ...]]:
+    """The vertices of {w in Q^n : <a, w> >= b for every integer row (a, b)},
+    unsorted: the primitive extreme rays (x, t), t > 0, each the point x / t,
+    of the cone {(x, t) : t >= 0, <a, x> - b t >= 0}, by double description
+    with the row t >= 0 inserted first.
 
     Raises Unbounded when the polytope has a recession direction (the rows
-    have rank < dim + 1, or some extreme ray has t = 0) and EmptyPolytope
-    when no point satisfies all halfspaces (no extreme ray at all).
+    have rank < n + 1, or some extreme ray has t = 0) and EmptyPolytope when
+    no point satisfies all rows (no extreme ray at all).
     """
-    n = poly.dim
-    rows = [(0,) * n + (1,)] + [(*row[:n], -row[n]) for row in _integer_rows(poly)]
+    rows = [(0,) * n + (1,)] + [(*row[:n], -row[n]) for row in rows]
     rays = _extreme_rays(rows, n + 1)
     if rays is None or any(y[n] == 0 for y, _ in rays):
         raise Unbounded("polytope has a recession direction")
     if not rays:
         raise EmptyPolytope("no feasible point")
+    return [y for y, _ in rays]
+
+
+def enumerate_vertices(poly: HPolytope) -> tuple[tuple[Fraction, ...], ...]:
+    """All vertices of a bounded H-polytope, sorted lexicographically, from
+    _vertex_rays. Raises Unbounded or EmptyPolytope as that does."""
+    n = poly.dim
+    rays = _vertex_rays(_integer_rows(poly), n)
     # integer keys over the common denominator sort faster than Fractions
-    den = lcm(*(y[n] for y, _ in rays))
-    points = sorted((y for y, _ in rays),
-                    key=lambda y: [x * (den // y[n]) for x in y[:n]])
+    den = lcm(*(y[n] for y in rays))
+    points = sorted(rays, key=lambda y: [x * (den // y[n]) for x in y[:n]])
     return tuple(tuple(Fraction(x, y[n]) for x in y[:n]) for y in points)
 
 

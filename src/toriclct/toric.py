@@ -26,14 +26,16 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import (DegenerateSubdivision, FanNotComplete,
                      GroupDoesNotPreserveFan, GroupNotClosed, NotWellFormed,
                      ParseError, Unbounded)
-from .geometry import (HalfSpace, HPolytope, _integers, _scale_to_integers,
-                       dot, enumerate_vertices, fixed_subspace,
-                       identity_matrix, is_bounded, mat_det, mat_mul, mat_rank,
-                       mat_vec, primitive_vector, smith_normal_form, transpose)
+# enumerate_vertices is unused here; the benchmark's traced run rebinds it
+from .geometry import (HalfSpace, HPolytope, _integers, _vertex_rays, dot,
+                       enumerate_vertices, fixed_subspace, identity_matrix,
+                       is_bounded, mat_det, mat_mul, mat_rank, mat_vec,
+                       primitive_vector, smith_normal_form, transpose)
 
 
 @dataclass(frozen=True)
@@ -194,19 +196,6 @@ def dual_polytope(rays: RaySet) -> HPolytope:
     return HPolytope(tuple(HalfSpace(v, Fraction(-1)) for v in rays))
 
 
-def _restrict(poly: HPolytope, basis) -> HPolytope:
-    # coordinates t on span(basis): w = sum t_i b_i turns <a, w> >= c into
-    # <B^T a, t> >= c; constraints vanishing on the span drop out (offsets
-    # here are negative, so they hold identically)
-    kept = []
-    for h in poly.halfspaces:
-        normal = tuple(dot(h.normal, b) for b in basis)
-        if all(c == 0 for c in normal):
-            continue
-        kept.append(HalfSpace(normal, h.offset))
-    return HPolytope(tuple(kept))
-
-
 def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
     """Global lct of the complete toric variety with the given rays,
     equivariant under an optional finite group of lattice automorphisms.
@@ -214,17 +203,21 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
     The dual polytope must be bounded (fan complete), else FanNotComplete.
     With a group, every generator must permute the rays, else
     GroupDoesNotPreserveFan; the pairing maximum is then taken over the
-    G-fixed part of the dual polytope, computed by enumerating vertices in
-    coordinates on the common fixed subspace of the generators' transposes.
+    G-fixed part of the dual polytope, in coordinates s on the common fixed
+    subspace of the generators' transposes, w = B s for its basis B.
+
+    The vertices are the integer rays (x, t), the points x / t, of
+    geometry._vertex_rays, paired with the rays in integers; Fractions are
+    built only for the reported values. The witness is the smallest maximal
+    pair (w, v): the smallest maximal vertex, then its first maximal ray.
     """
-    poly = dual_polytope(rays)
     if group is None:
         try:
-            vertices = enumerate_vertices(poly)
+            vertices = _vertex_rays([(*v, -1) for v in rays], rays.dim)
         except Unbounded:
             raise FanNotComplete("rays do not positively span the lattice") from None
     else:
-        if not is_bounded(poly):
+        if not is_bounded(dual_polytope(rays)):
             raise FanNotComplete("rays do not positively span the lattice")
         if group.dim != rays.dim:
             raise ValueError("group dimension does not match rays")
@@ -237,26 +230,31 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
                     f"generator {g} does not permute the rays")
         basis = fixed_subspace([transpose(g) for g in gens])
         if not basis:
-            vertices = (tuple(Fraction(0) for _ in range(rays.dim)),)
+            vertices = [(0,) * rays.dim + (1,)]
         else:
-            restricted = _restrict(poly, basis)
+            # <v, B s> >= -1 is <B^T v, s> >= -1; rows vanishing on the
+            # span hold identically and drop out
+            normals = [tuple(dot(v, b) for b in basis) for v in rays]
+            restricted = [(*a, -1) for a in normals if any(a)]
             lift = transpose(basis)
-            vertices = tuple(sorted(mat_vec(lift, point)
-                                    for point in enumerate_vertices(restricted)))
-    # vertices and rays in sorted order, so the first strict maximum is the
-    # smallest maximal (w, v); each vertex is paired as integers over its lcm
+            vertices = [(*mat_vec(lift, y[:-1]), y[-1])
+                        for y in _vertex_rays(restricted, len(basis))]
+    # the largest x / t first, then the smallest x / t lexicographically;
+    # map stops at the ray's length, so t is never paired
     ordered = sorted(rays)
     best = None
-    for w in vertices:
-        nums, den = _scale_to_integers(w)
-        for v in ordered:
-            p = dot(nums, v)
-            if best is None or p * best[1] > best[0] * den:
-                best = (p, den, w, v)
-    num, den, wv, wr = best
-    m = Fraction(num, den)
+    for y in vertices:
+        pairings = [sum(map(mul, y, v)) for v in ordered]
+        p, t, x = max(pairings), y[-1], y[:-1]
+        if best is None or p * best[1] > best[0] * t or (
+                p * best[1] == best[0] * t
+                and [c * best[1] for c in x] < [c * t for c in best[2]]):
+            best = (p, t, x, ordered[pairings.index(p)])
+    num, t, x, v = best
+    m = Fraction(num, t)
     return ToricLctReport(lct=1 / (1 + m), max_pairing=m,
-                          witness_vertex=wv, witness_ray=wr)
+                          witness_vertex=tuple(Fraction(c, t) for c in x),
+                          witness_ray=v)
 
 
 # ---------------------------------------------------------------------------

@@ -463,6 +463,24 @@ def test_tie_break_and_types_match_brute_force():
         assert all(type(c) is int for c in report.witness_ray)
 
 
+def test_toric_lct_builds_fractions_only_for_the_report(monkeypatch):
+    # the threshold and the witness entries, none per vertex or halfspace
+    db = load_builtin()
+    fan = product_fan(lookup(db, "2.33").fan, lookup(db, "3.26").fan)
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    for module in ("toriclct.toric", "toriclct.geometry"):
+        monkeypatch.setattr(f"{module}.Fraction", Counted)
+    report = toric_lct(fan)
+    assert fan.dim == 6 and report.lct == F(1, 4)
+    assert len(made) <= fan.dim + 1, len(made)
+
+
 # ---------------------------------------------------------------------------
 # fan constructors
 
