@@ -269,7 +269,8 @@ def enumerate_vertices(poly: HPolytope) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def solve_square_system(matrix, rhs) -> tuple[Fraction, ...] | None:
-    """Solve A x = b exactly for rational A and b; None when A is singular.
+    """Solve A x = b exactly for rational A and b, each entry converted
+    exactly through Fraction; None when A is singular.
 
     Raises ValueError on dimension mismatch.
     """
@@ -277,7 +278,8 @@ def solve_square_system(matrix, rhs) -> tuple[Fraction, ...] | None:
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("dimension mismatch")
     reduced, pivots, d = _echelon(
-        [_scale_to_integers((*row, b))[0] for row, b in zip(matrix, rhs)], n)
+        [_scale_to_integers([Fraction(c) for c in (*row, b)])[0]
+         for row, b in zip(matrix, rhs)], n)
     if len(pivots) < n:
         return None
     return tuple(Fraction(row[n], d) for row in reduced)

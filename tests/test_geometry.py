@@ -39,6 +39,11 @@ def test_solve_2x2():
     assert (2 * x[0] + x[1], x[0] + 3 * x[1]) == (1, 0)
 
 
+def test_solve_converts_float_entries_exactly():
+    assert solve_square_system(((1.5, 0), (0, 1)), (1, 1)) == (F(2, 3), 1)
+    assert solve_square_system(((F(1, 3), 0), (0, 0.25)), (1, 0.5)) == (3, 2)
+
+
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
         solve_square_system(((1, 0), (0, 1)), (1, 2, 3))
