@@ -42,7 +42,8 @@ def _integers(v, what: str) -> tuple[int, ...]:
     """The entries of v, which must be integers: no floats, no Fractions."""
     v = tuple(v)
     try:
-        return tuple(map(index, v))
+        # sized exactly: tuple(map(...)) resizes, filling the tuple free lists
+        return tuple([index(c) for c in v])
     except TypeError:
         raise ValueError(f"{what} {v} has a non-integer entry") from None
 
