@@ -3,9 +3,9 @@
 Boundedness and vertices come from one double description routine: the
 extreme rays of a pointed cone, as primitive integer vectors, each with the
 rows it is tight at as an int bitmask; a vertex is a ray (x, t) of the
-homogenised cone, the point x / t. Eliminations run in integers, fraction
-free; fractions.Fraction holds only halfspaces, returned points and
-solutions. No floats, no epsilon.
+homogenised cone, the point x / t, which toric_lct pairs in integers.
+Eliminations run in integers, fraction free; Fraction holds only halfspaces,
+returned points and solutions. No floats, no epsilon.
 
 Vectors are tuples, matrices are tuples of row tuples. An H-polytope is a
 finite intersection of closed halfspaces {w : <normal, w> >= offset}.

@@ -14,10 +14,12 @@ transposes, so D^G = {w in D : <w, g v> = <w, v> for every g in G and v in
 R}: the G-invariant divisors. The variety is assumed Q-factorial (fan
 simplicial); that hypothesis is not verified here.
 
-The engine works from the group's generators: G permutes R iff each
-generator does, and D^G lies in the intersection of the fixed subspaces of
-the generators' transposes. Each group is spanned once, coset by coset, from
-its greedy generators, a span that also checks a given element list.
+The maximum is attained at a vertex of D^G. Vertices come from the geometry
+kernel as integer rays (x, t), the points x / t, and are paired with R in
+integers. The engine works from the group's generators: G permutes R iff
+each generator does, and D^G lies in the intersection of the fixed subspaces
+of the generators' transposes. Each group is spanned once, coset by coset,
+from its greedy generators, a span that also checks a given element list.
 """
 
 from __future__ import annotations
@@ -206,10 +208,9 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
     G-fixed part of the dual polytope, in coordinates s on the common fixed
     subspace of the generators' transposes, w = B s for its basis B.
 
-    The vertices are the integer rays (x, t), the points x / t, of
-    geometry._vertex_rays, paired with the rays in integers; Fractions are
-    built only for the reported values. The witness is the smallest maximal
-    pair (w, v): the smallest maximal vertex, then its first maximal ray.
+    Vertices are the integer rays (x, t) of geometry._vertex_rays, paired in
+    integers; Fractions are made only for the report. The witness is the
+    smallest maximal vertex x / t, then its first maximal ray in sorted order.
     """
     if group is None:
         try:
@@ -232,14 +233,12 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
         if not basis:
             vertices = [(0,) * rays.dim + (1,)]
         else:
-            # <v, B s> >= -1 is <B^T v, s> >= -1; rows vanishing on the
-            # span hold identically and drop out
+            # <v, B s> >= -1 is <B^T v, s> >= -1; rows zero on B always hold
             normals = [tuple(dot(v, b) for b in basis) for v in rays]
             restricted = [(*a, -1) for a in normals if any(a)]
             lift = transpose(basis)
             vertices = [(*mat_vec(lift, y[:-1]), y[-1])
                         for y in _vertex_rays(restricted, len(basis))]
-    # the largest x / t first, then the smallest x / t lexicographically;
     # map stops at the ray's length, so t is never paired
     ordered = sorted(rays)
     best = None
