@@ -234,7 +234,7 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
             vertices = [(0,) * rays.dim + (1,)]
         else:
             # <v, B s> >= -1 is <B^T v, s> >= -1; rows zero on B always hold
-            normals = [tuple(dot(v, b) for b in basis) for v in rays]
+            normals = [[dot(v, b) for b in basis] for v in rays]
             restricted = [(*a, -1) for a in normals if any(a)]
             lift = transpose(basis)
             vertices = [(*mat_vec(lift, y[:-1]), y[-1])
