@@ -55,7 +55,7 @@ def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
         g = gcd(g, c)
     if g == 0:
         raise ValueError("zero vector has no primitive part")
-    return tuple(c // g for c in v)
+    return tuple([c // g for c in v])
 
 
 def identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
@@ -71,8 +71,12 @@ def mat_vec(m, v):
 
 
 def mat_mul(a, b):
+    n = len(b)
+    for row in a:
+        if len(row) != n:
+            raise ValueError(f"dimension mismatch: {len(row)} vs {n}")
     bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
 def _echelon(rows, width: int):

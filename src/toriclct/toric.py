@@ -19,21 +19,25 @@ kernel as integer rays (x, t), the points x / t, and are paired with R in
 integers. The engine works from the group's generators: G permutes R iff
 each generator does, and D^G lies in the intersection of the fixed subspaces
 of the generators' transposes. Each group is spanned once, coset by coset,
-from its greedy generators, a span that also checks a given element list.
+from its greedy picks: generate spans its generator list, and an element
+list is checked by the span of its own picks. The engine reads the picks of
+whichever span built the group.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import mul
 
 from .errors import (DegenerateSubdivision, FanNotComplete,
                      GroupDoesNotPreserveFan, GroupNotClosed, NotWellFormed,
                      ParseError, Unbounded)
-# enumerate_vertices is unused here; the benchmark's traced run rebinds it
+# the benchmark's traced run rebinds is_bounded, mat_mul and
+# enumerate_vertices in this module; enumerate_vertices is unused here
 from .geometry import (HalfSpace, HPolytope, _integers, _vertex_rays, dot,
                        enumerate_vertices, fixed_subspace, identity_matrix,
                        is_bounded, mat_det, mat_mul, mat_rank, mat_vec,
@@ -135,10 +139,11 @@ class GroupAction:
     them, in element order; each pick at least doubles the span. The list
     is checked as that span grows, coset by coset, once: each pick has
     |det| = 1 and the span must stay in the list, ending equal to it.
+    A group built by generate skips that check, since it is its own span;
+    its generators are computed on first access.
     """
 
     elements: tuple[tuple[tuple[int, ...], ...], ...]
-    generators: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         elements = _matrices(self.elements, "element")
@@ -152,6 +157,12 @@ class GroupAction:
                 raise GroupNotClosed("element list is not closed under product")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "_picks", gens)
+
+    @cached_property
+    def generators(self) -> tuple:
+        *_, (picks, _) = _spans(self.elements, len(self), "element")
+        return picks
 
     @property
     def dim(self) -> int:
@@ -166,14 +177,19 @@ class GroupAction:
         from its greedy picks. Raises ValueError when any generator has
         |det| != 1, else GroupNotClosed when the closure exceeds cap."""
         gens = _matrices(generators, "generator")
-        *_, (_, span) = _spans(gens, cap, "generator")
+        *_, (picks, span) = _spans(gens, cap, "generator")
         if len(span) > cap:
             # the span stopped at cap, maybe before a generator with |det| != 1
             for g in gens:
                 if abs(mat_det(g)) != 1:
                     raise ValueError(f"generator {g} is not unimodular")
             raise GroupNotClosed(f"closure exceeds cap of {cap} elements")
-        return cls(tuple(sorted(span)))
+        # no __post_init__: the span is the closure of picks with |det| = 1,
+        # a group as it stands
+        group = object.__new__(cls)
+        object.__setattr__(group, "elements", tuple(sorted(span)))
+        object.__setattr__(group, "_picks", picks)
+        return group
 
 
 @dataclass(frozen=True)
@@ -204,9 +220,10 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
 
     The dual polytope must be bounded (fan complete), else FanNotComplete.
     With a group, every generator must permute the rays, else
-    GroupDoesNotPreserveFan; the pairing maximum is then taken over the
-    G-fixed part of the dual polytope, in coordinates s on the common fixed
-    subspace of the generators' transposes, w = B s for its basis B.
+    GroupDoesNotPreserveFan naming the first of group.generators that does
+    not; the pairing maximum is then taken over the G-fixed part of the dual
+    polytope, in coordinates s on the common fixed subspace of the transposes
+    of the picks that spanned the group, w = B s for its basis B.
 
     Vertices are the integer rays (x, t) of geometry._vertex_rays, paired in
     integers; Fractions are made only for the report. The witness is the
@@ -222,13 +239,18 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
             raise FanNotComplete("rays do not positively span the lattice")
         if group.dim != rays.dim:
             raise ValueError("group dimension does not match rays")
-        # the trivial group has no generators
-        gens = group.generators or group.elements
+        # the trivial group has no picks
+        gens = group._picks or group.elements
         ray_set = set(rays)
-        for g in gens:
-            if {mat_vec(g, v) for v in rays} != ray_set:
-                raise GroupDoesNotPreserveFan(
-                    f"generator {g} does not permute the rays")
+
+        def permutes(g):
+            return {mat_vec(g, v) for v in rays} == ray_set
+
+        if not all(map(permutes, gens)):
+            # any generating set decides; the message names the same one
+            bad = next(g for g in group.generators if not permutes(g))
+            raise GroupDoesNotPreserveFan(
+                f"generator {bad} does not permute the rays")
         basis = fixed_subspace([transpose(g) for g in gens])
         if not basis:
             vertices = [(0,) * rays.dim + (1,)]

@@ -13,7 +13,7 @@ from toriclct.errors import EmptyPolytope, Unbounded
 from toriclct.geometry import (HalfSpace, HPolytope, _echelon,
                                _scale_to_integers, enumerate_vertices,
                                fixed_subspace, identity_matrix, is_bounded,
-                               mat_det, mat_rank, primitive_vector,
+                               mat_det, mat_mul, mat_rank, primitive_vector,
                                smith_normal_form, solve_square_system,
                                transpose)
 from toriclct.toric import GroupAction
@@ -254,6 +254,26 @@ def test_mat_rank_matches_minors():
         deficient += expected < min(n_rows, n_cols)
     assert deficient > 20
     assert mat_rank([]) == 0
+
+
+def test_mat_mul_matches_entrywise_sums_and_checks_shapes():
+    rng = random.Random(53)
+    for _ in range(200):
+        n_rows, n_inner, n_cols = (rng.randint(1, 4) for _ in range(3))
+        a = _random_matrix(rng, n_rows, n_inner)
+        b = _random_matrix(rng, n_inner, n_cols)
+        assert mat_mul(a, b) == tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(n_inner))
+                  for j in range(n_cols)) for i in range(n_rows))
+        wider = [row + [1] for row in a]
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            mat_mul(wider, b)
+        if n_inner > 1:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                mat_mul(a, b[1:])
+    # one short row among full ones is found too
+    with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
+        mat_mul(((1, 0), (1,)), ((1, 0), (0, 1)))
 
 
 def test_solve_square_system_satisfies_equations():

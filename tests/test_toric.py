@@ -239,6 +239,55 @@ def test_group_checks_cost_fewer_than_2_products_per_element_and_generate_4(monk
         assert 0 < len(calls) < 4 * len(group), len(group)
 
 
+def test_generate_spans_once_without_the_element_list_check(monkeypatch):
+    named = {f"B{n}": _signed_permutation_group(n) for n in (2, 3, 4)}
+    named["S4 on P3"] = GroupAction.generate(S4_ON_P3)
+    from_lists = {name: GroupAction(g.elements) for name, g in named.items()}
+
+    def refuse(self):
+        raise AssertionError("generate ran the element-list check")
+
+    monkeypatch.setattr(GroupAction, "__post_init__", refuse)
+    regenerated = {f"B{n}": _signed_permutation_group(n) for n in (2, 3, 4)}
+    regenerated["S4 on P3"] = GroupAction.generate(S4_ON_P3)
+    for name, group in regenerated.items():
+        assert group == from_lists[name], name
+        assert group.generators == from_lists[name].generators, name
+
+
+def test_generate_costs_fewer_than_2_products_per_element(monkeypatch):
+    # one span: Dimino's cosets plus the representatives' membership tests
+    named = [_signed_permutation_group(n) for n in (2, 3, 4)]
+    named.append(GroupAction.generate(S4_ON_P3))
+    gen_lists = [group.generators for group in named]
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr("toriclct.toric.mat_mul", counted)
+    for gens in gen_lists:
+        calls.clear()
+        group = GroupAction.generate(gens)
+        assert 0 < len(calls) < 2 * len(group), len(group)
+
+
+def test_generate_matches_the_element_list_group():
+    rng = random.Random(17)
+    groups = (_signed_permutation_group(3), _signed_permutation_group(4),
+              GroupAction.generate(S4_ON_P3))
+    for full in groups:
+        for _ in range(12):
+            gens = rng.sample(full.elements, rng.randint(1, 3))
+            group = GroupAction.generate(gens)
+            listed = GroupAction(group.elements)
+            assert group == listed and hash(group) == hash(listed), gens
+            assert repr(group) == repr(listed), gens
+            assert group.generators == listed.generators, gens
+            assert group.generators == oracle_greedy_picks(group.elements), gens
+
+
 def test_element_determinant_is_checked_before_closure():
     with pytest.raises(ValueError, match="element .* is not unimodular"):
         GroupAction((EYE2, NEG2, ((2, 0), (0, 1))))
@@ -339,6 +388,21 @@ def test_group_must_preserve_rays_at_a_later_generator():
             for v in rays} == set(rays)
     with pytest.raises(GroupDoesNotPreserveFan):
         toric_lct(rays, group)
+
+
+def test_fan_error_names_the_same_generator_however_the_group_was_built():
+    # generate picks the swap first, which moves (1, 2); the sorted element
+    # list picks -I, which keeps the fan, and then the anti-diagonal swap
+    rays = RaySet(((1, 0), (-1, 0), (1, 2), (-1, -2)))
+    built = GroupAction.generate([SWAP2, NEG2])
+    listed = GroupAction(built.elements)
+    messages = []
+    for group in (built, listed):
+        with pytest.raises(GroupDoesNotPreserveFan) as caught:
+            toric_lct(rays, group)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert messages[0] == "generator ((0, -1), (-1, 0)) does not permute the rays"
 
 
 def test_group_dimension_mismatch():
