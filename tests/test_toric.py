@@ -7,13 +7,15 @@ from fractions import Fraction
 import pytest
 from conftest import (conjugate_group, inverse_unimodular, oracle_closure,
                       oracle_enumerate_vertices, oracle_greedy_picks,
-                      oracle_is_group, random_unimodular, transform_rays)
+                      oracle_is_bounded, oracle_is_group, oracle_toric_lct,
+                      random_unimodular, transform_rays)
 
 from toriclct.database import load_builtin, lookup
 from toriclct.errors import (DegenerateSubdivision, FanNotComplete,
                              GroupDoesNotPreserveFan, GroupNotClosed,
-                             NotWellFormed, ParseError)
-from toriclct.geometry import fixed_subspace, identity_matrix, mat_mul, mat_vec
+                             NotWellFormed, ParseError, ToolkitError)
+from toriclct.geometry import (fixed_subspace, identity_matrix, mat_mul,
+                               mat_rank, mat_vec, primitive_vector)
 from toriclct.toric import (GroupAction, RaySet, ToricLctReport,
                             bundle_lct_closed_form, check_well_formed,
                             dual_polytope, format_fan, parse_fan, product_fan,
@@ -500,6 +502,73 @@ def test_conjugated_subgroup_invariance():
         conj = conjugate_group(u, inverse_unimodular(u), group)
         assert toric_lct(transform_rays(u, rays), conj).lct == \
             CLASS_LCT[_cycle_type(g, rays)], g
+
+
+def _signed_permutation(rng, n):
+    perm = rng.sample(range(n), n)
+    signs = [rng.choice((-1, 1)) for _ in range(n)]
+    return tuple(tuple(signs[i] * (j == perm[i]) for j in range(n))
+                 for i in range(n))
+
+
+def _orbit_fans(rng, count):
+    """count (rays, group) pairs, each also conjugated by a random unimodular
+    matrix: a subgroup of B_n, n = 2..4, generated by one or two random
+    signed permutations, and the union of the orbits of one to three random
+    primitive vectors, at most 16 rays. Few or small orbits leave the fan
+    incomplete."""
+    made = 0
+    while made < count:
+        n = rng.randint(2, 4)
+        group = GroupAction.generate(
+            [_signed_permutation(rng, n) for _ in range(rng.randint(1, 2))])
+        rays = set()
+        for _ in range(rng.randint(1, 3)):
+            v = tuple(rng.randint(-2, 2) for _ in range(n))
+            if any(v):
+                rays |= {mat_vec(g, primitive_vector(v)) for g in group.elements}
+        if not rays or len(rays) > 16:
+            continue
+        rays = RaySet(tuple(sorted(rays)))
+        u = random_unimodular(rng, n)
+        yield rays, group
+        yield transform_rays(u, rays), conjugate_group(u, inverse_unimodular(u), group)
+        made += 1
+
+
+def _outcome(lct, rays, group):
+    try:
+        return lct(rays, group)
+    except ToolkitError as exc:
+        return type(exc)
+
+
+def test_orbit_fans_match_the_fraction_oracle():
+    # the oracle decides completeness on the whole dual polytope, and the
+    # brute-force boundedness oracle decides it once more without the DD
+    seen = {"complete": 0, "incomplete": 0, "rank deficient": 0}
+    for rays, group in _orbit_fans(random.Random(1212), 150):
+        complete = oracle_is_bounded(dual_polytope(rays))
+        for g in (None, group):
+            got = _outcome(toric_lct, rays, g)
+            assert got == _outcome(oracle_toric_lct, rays, g), (rays, g)
+            assert (got is FanNotComplete) == (not complete), (rays, g)
+        seen["complete" if complete else "incomplete"] += 1
+        seen["rank deficient"] += mat_rank(rays.rays) < rays.dim
+    assert min(seen.values()) >= 20, seen
+
+
+def test_rank_deficient_fan_is_incomplete_under_minus_identity():
+    # -I fixes only 0 in the dual, so D^G = {0} is bounded: only the rank of
+    # the rays shows that they do not span
+    for rays in (RaySet(((1, 0), (-1, 0))),
+                 RaySet(((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)))):
+        n = rays.dim
+        minus = tuple(tuple(-row[j] for j in range(n)) for row in identity_matrix(n))
+        group = GroupAction((identity_matrix(n), minus))
+        assert fixed_subspace(group.elements) == []
+        with pytest.raises(FanNotComplete):
+            toric_lct(rays, group)
 
 
 def _brute_force_maximum(rays):
