@@ -51,6 +51,15 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
+def _fraction(text: str) -> Fraction:
+    # argparse turns only TypeError and ValueError into usage errors
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"invalid Fraction value: {text!r}") from None
+
+
 def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -306,10 +315,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="d for a branch divisor of degree 2d")
 
     p = add("product", _cmd_product, "threshold of a product from the two factor thresholds")
-    p.add_argument("values", nargs=2, type=Fraction)
+    p.add_argument("values", nargs=2, type=_fraction)
 
     p = add("p1-product", _cmd_p1_product, "threshold of P1 x X from the threshold of X")
-    p.add_argument("value", type=Fraction)
+    p.add_argument("value", type=_fraction)
 
     p = add("dp", _cmd_dp, "threshold of a del Pezzo surface")
     p.add_argument("--degree", type=int, required=True)
@@ -332,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true")
     p.add_argument("--rank", type=int)
     p.add_argument("--status", choices=STATUS_KINDS)
-    p.add_argument("--value", type=Fraction)
+    p.add_argument("--value", type=_fraction)
 
     p = add("db", _cmd_db, "database summary, cross-check, export, import")
     mode = p.add_mutually_exclusive_group()

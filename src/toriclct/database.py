@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import InvalidId, ParseError
+from .geometry import _integers
 from .toric import (RaySet, _blocks, _int_rows, format_fan, product_fan,
                     projective_space_fan, projectivized_bundle_fan,
                     star_subdivide, toric_lct)
@@ -27,8 +28,14 @@ class FamilyId:
     index: int
 
     def __post_init__(self):
-        if self.rank not in RANK_SIZES or not 1 <= self.index <= RANK_SIZES[self.rank]:
+        try:
+            rank, index = _integers((self.rank, self.index), "family id")
+        except ValueError:
+            raise InvalidId(f"{self.rank}.{self.index} is not a family id") from None
+        if rank not in RANK_SIZES or not 1 <= index <= RANK_SIZES[rank]:
             raise InvalidId(f"{self.rank}.{self.index} is not a family id")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "index", index)
 
     @classmethod
     def parse(cls, text: str) -> "FamilyId":

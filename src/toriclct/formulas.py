@@ -33,6 +33,7 @@ def wps_lct(weights) -> Fraction:
 def hypersurface_lct(n: int, m: int) -> Fraction:
     """lct of a smooth hypersurface of degree m < n in projective n-space:
     1/(n + 1 - m). Raises OutOfRegime when m >= n."""
+    n, m = _integers((n, m), "dimension and degree")
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
     if m >= n:
@@ -43,6 +44,7 @@ def hypersurface_lct(n: int, m: int) -> Fraction:
 def double_cover_lct(n: int, d: int) -> Fraction:
     """lct of a smooth double cover of projective n-space branched in degree
     2d, for 2 <= d <= n - 1: 1/(n + 1 - d)."""
+    n, d = _integers((n, d), "dimension and half-degree")
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 and d >= 1")
     if not 2 <= d <= n - 1:

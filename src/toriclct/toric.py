@@ -12,16 +12,18 @@ G-equivariant global log canonical threshold of the toric variety is
 where D^G is the G-fixed part of D. G acts on the dual lattice by inverse
 transposes, so D^G = {w in D : <w, g v> = <w, v> for every g in G and v in
 R}: the G-invariant divisors. The variety is assumed Q-factorial (fan
-simplicial); that hypothesis is not verified here.
+simplicial); that hypothesis is not verified here. The fan is complete iff
+D is bounded, iff R has rank n and D^G is bounded: a recession direction of
+D averages over G to a fixed one, which is 0 only if it is orthogonal to R.
 
-The maximum is attained at a vertex of D^G. Vertices come from the geometry
-kernel as integer rays (x, t), the points x / t, and are paired with R in
-integers. The engine works from the group's generators: G permutes R iff
-each generator does, and D^G lies in the intersection of the fixed subspaces
-of the generators' transposes. Each group is spanned once, coset by coset,
-from its greedy picks: generate spans its generator list, and an element
-list is checked by the span of its own picks. The engine reads the picks of
-whichever span built the group.
+The maximum is attained at a vertex of D^G. One double description decides
+completeness and gives those vertices as integer rays (x, t), the points
+x / t, paired with R in integers. The engine works from generators: G permutes
+R iff each generator does, and D^G lies in the intersection of the fixed
+subspaces of the generators' transposes. Each group is spanned once, coset by
+coset, from its greedy picks: generate spans its generator list, and an
+element list is checked by the span of its own picks. The engine reads the
+picks of whichever span built the group.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from operator import mul
 from .errors import (DegenerateSubdivision, FanNotComplete,
                      GroupDoesNotPreserveFan, GroupNotClosed, NotWellFormed,
                      ParseError, Unbounded)
-# the benchmark's traced run rebinds is_bounded, mat_mul and
-# enumerate_vertices in this module; enumerate_vertices is unused here
+# bench/layers.py rebinds is_bounded, enumerate_vertices (unused here), mat_mul
 from .geometry import (HalfSpace, HPolytope, _integers, _vertex_rays, dot,
                        enumerate_vertices, fixed_subspace, identity_matrix,
                        is_bounded, mat_det, mat_mul, mat_rank, mat_vec,
@@ -218,25 +219,20 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
     """Global lct of the complete toric variety with the given rays,
     equivariant under an optional finite group of lattice automorphisms.
 
-    The dual polytope must be bounded (fan complete), else FanNotComplete.
-    With a group, every generator must permute the rays, else
-    GroupDoesNotPreserveFan naming the first of group.generators that does
-    not; the pairing maximum is then taken over the G-fixed part of the dual
-    polytope, in coordinates s on the common fixed subspace of the transposes
-    of the picks that spanned the group, w = B s for its basis B.
+    With a group, its dimension must match the rays' (else ValueError) and
+    every generator must permute the rays, else GroupDoesNotPreserveFan
+    naming the first of group.generators that does not; the pairing maximum
+    is then taken over D^G, in coordinates s on the common fixed subspace of
+    the transposes of the picks that spanned the group, w = B s for its basis
+    B. Then the fan must be complete, else FanNotComplete: D bounded, or with
+    a group, rays of rank n and D^G bounded, decided by one double description.
 
     Vertices are the integer rays (x, t) of geometry._vertex_rays, paired in
     integers; Fractions are made only for the report. The witness is the
     smallest maximal vertex x / t, then its first maximal ray in sorted order.
     """
-    if group is None:
-        try:
-            vertices = _vertex_rays([(*v, -1) for v in rays], rays.dim)
-        except Unbounded:
-            raise FanNotComplete("rays do not positively span the lattice") from None
-    else:
-        if not is_bounded(dual_polytope(rays)):
-            raise FanNotComplete("rays do not positively span the lattice")
+    rows, d = [(*v, -1) for v in rays], rays.dim
+    if group is not None:
         if group.dim != rays.dim:
             raise ValueError("group dimension does not match rays")
         # the trivial group has no picks
@@ -251,16 +247,20 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
             bad = next(g for g in group.generators if not permutes(g))
             raise GroupDoesNotPreserveFan(
                 f"generator {bad} does not permute the rays")
+        if mat_rank(rays) < rays.dim:
+            raise FanNotComplete("rays do not positively span the lattice")
         basis = fixed_subspace([transpose(g) for g in gens])
-        if not basis:
-            vertices = [(0,) * rays.dim + (1,)]
-        else:
-            # <v, B s> >= -1 is <B^T v, s> >= -1; rows zero on B always hold
-            normals = [[dot(v, b) for b in basis] for v in rays]
-            restricted = [(*a, -1) for a in normals if any(a)]
-            lift = transpose(basis)
-            vertices = [(*mat_vec(lift, y[:-1]), y[-1])
-                        for y in _vertex_rays(restricted, len(basis))]
+        # <v, B s> >= -1 is <B^T v, s> >= -1; rows zero on B always hold
+        normals = [[dot(v, b) for b in basis] for v in rays]
+        rows, d = [(*a, -1) for a in normals if any(a)], len(basis)
+    try:
+        vertices = _vertex_rays(rows, d)
+    except Unbounded:
+        raise FanNotComplete("rays do not positively span the lattice") from None
+    if group is not None:
+        # one row per coordinate, empty ones when D^G = {0}: it lifts to 0
+        lift = [[b[i] for b in basis] for i in range(rays.dim)]
+        vertices = [(*mat_vec(lift, y[:-1]), y[-1]) for y in vertices]
     # map stops at the ray's length, so t is never paired
     ordered = sorted(rays)
     best = None

@@ -200,6 +200,19 @@ def test_p1_product():
     assert code == 0 and out == "lct=1/2\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("product", "1/0", "1/2"),
+    ("p1-product", "2/0"),
+    ("family", "--list", "--value", "1/0"),
+    ("product", "1/x", "1/2"),
+])
+def test_bad_fraction_is_a_usage_error(argv):
+    bad = next(arg for arg in argv if "/" in arg and arg != "1/2")
+    code, out, err = invoke(*argv)
+    assert code == 2 and out == ""
+    assert f"invalid Fraction value: {bad!r}" in err
+
+
 def test_dp_smooth():
     code, out, _ = invoke("dp", "--degree", "5", "--machine")
     assert code == 0 and out == "lct=1/2\n"

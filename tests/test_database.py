@@ -39,6 +39,15 @@ def test_family_id_rejects_garbage():
             FamilyId.parse(text)
 
 
+def test_family_id_takes_integers_only():
+    for rank, index in ((3.0, 27), (3, 27.0), (F(3), 27), ("3", 27), (None, 1)):
+        with pytest.raises(InvalidId):
+            FamilyId(rank, index)
+    fid = FamilyId(True, 1)
+    assert str(fid) == "1.1" and type(fid.rank) is int
+    assert fid == FamilyId.parse("1.1")
+
+
 def test_family_id_rejects_non_ascii_digits():
     # str.isdigit accepts both; int() rejects the first and reads the second
     for text in ("1.\u00b2", "1.\u0661", "\u0661.1"):

@@ -75,6 +75,13 @@ def test_hypersurface_regime():
         hypersurface_lct(3, 0)
 
 
+def test_hypersurface_and_double_cover_reject_non_integers():
+    for lct in (hypersurface_lct, double_cover_lct):
+        for n, m in ((4.0, 2), (4, 2.0), (F(4), 2), (4, 2.5)):
+            with pytest.raises(ValueError, match="non-integer"):
+                lct(n, m)
+
+
 def test_double_cover_values():
     assert double_cover_lct(4, 3) == F(1, 2)
     assert double_cover_lct(5, 2) == F(1, 4)

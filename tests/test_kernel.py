@@ -19,8 +19,8 @@ from toriclct.database import load_builtin
 from toriclct.errors import EmptyPolytope, ToolkitError, Unbounded
 from toriclct.geometry import (HalfSpace, HPolytope, _extreme_rays, dot,
                                enumerate_vertices, is_bounded)
-from toriclct.toric import (RaySet, dual_polytope, product_fan,
-                            projective_space_fan)
+from toriclct.toric import (GroupAction, RaySet, dual_polytope, product_fan,
+                            projective_space_fan, toric_lct)
 
 F = Fraction
 
@@ -221,3 +221,27 @@ def test_double_description_starts_from_one_elimination(monkeypatch):
     calls.clear()
     assert is_bounded(poly)
     assert calls == [len(poly.halfspaces)]
+
+
+def test_toric_lct_runs_one_double_description(monkeypatch):
+    # the DD on D^G decides completeness and finds the vertices; its cone
+    # has the dimension of the fixed subspace plus one
+    calls = []
+    extreme_rays = toriclct.geometry._extreme_rays
+
+    def counted(rows, d):
+        calls.append(d)
+        return extreme_rays(rows, d)
+
+    monkeypatch.setattr(toriclct.geometry, "_extreme_rays", counted)
+    p3 = projective_space_fan(3)
+    swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    cycle = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+    s4 = [swap, cycle, ((-1, 0, 0), (-1, 1, 0), (-1, 0, 1))]
+    for group, lct, d in ((None, Fraction(1, 4), 4),
+                          (GroupAction.generate([swap]), Fraction(1, 4), 3),
+                          (GroupAction.generate([cycle]), Fraction(1, 4), 2),
+                          (GroupAction.generate(s4), 1, 1)):
+        calls.clear()
+        assert toric_lct(p3, group).lct == lct
+        assert calls == [d], group

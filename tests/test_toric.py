@@ -412,6 +412,14 @@ def test_group_dimension_mismatch():
         toric_lct(P3, GroupAction((EYE2,)))
 
 
+def test_group_faults_are_reported_before_an_incomplete_fan():
+    half_plane = RaySet(((1, 0), (0, 1), (-1, 0)))
+    with pytest.raises(ValueError, match="group dimension"):
+        toric_lct(half_plane, GroupAction((identity_matrix(3),)))
+    with pytest.raises(GroupDoesNotPreserveFan):
+        toric_lct(half_plane, GroupAction((EYE2, SWAP2)))
+
+
 def test_report_consistency_enforced():
     with pytest.raises(ValueError):
         ToricLctReport(lct=F(1, 2), max_pairing=F(2),
