@@ -207,10 +207,8 @@ def test_p1_product():
     ("product", "1/x", "1/2"),
 ])
 def test_bad_fraction_is_a_usage_error(argv):
-    bad = next(arg for arg in argv if "/" in arg and arg != "1/2")
     code, out, err = invoke(*argv)
-    assert code == 2 and out == ""
-    assert f"invalid Fraction value: {bad!r}" in err
+    assert code == 2 and out == "" and "invalid Fraction value" in err
 
 
 def test_dp_smooth():

@@ -572,7 +572,7 @@ def test_rank_deficient_fan_is_incomplete_under_minus_identity():
     for rays in (RaySet(((1, 0), (-1, 0))),
                  RaySet(((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)))):
         n = rays.dim
-        minus = tuple(tuple(-row[j] for j in range(n)) for row in identity_matrix(n))
+        minus = tuple(tuple(-c for c in row) for row in identity_matrix(n))
         group = GroupAction((identity_matrix(n), minus))
         assert fixed_subspace(group.elements) == []
         with pytest.raises(FanNotComplete):
