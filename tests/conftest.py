@@ -1,7 +1,8 @@
 """Shared exact helpers: random polytopes, an independent 2D vertex oracle,
 the Fraction Gauss-Jordan oracle, the brute-force Fraction vertex oracle, the
-Fraction vertex-pairing threshold oracle, the all-products group oracle, the breadth-first closure and greedy-pick oracles,
-random unimodular matrices, and group conjugation."""
+double description with its full adjacency scan, the Fraction vertex-pairing
+threshold oracle, the all-products group oracle, the breadth-first closure and
+greedy-pick oracles, random unimodular matrices, and group conjugation."""
 
 import functools
 import random
@@ -11,7 +12,7 @@ from math import lcm
 from toriclct.errors import (EmptyPolytope, FanNotComplete,
                              GroupDoesNotPreserveFan, GroupNotClosed,
                              Unbounded)
-from toriclct.geometry import (HalfSpace, HPolytope, _integer_rows,
+from toriclct.geometry import (HalfSpace, HPolytope, _echelon, _integer_rows,
                                _scale_to_integers, dot, enumerate_vertices,
                                fixed_subspace, identity_matrix, is_bounded,
                                mat_det, mat_mul, mat_rank, mat_vec,
@@ -222,6 +223,60 @@ def oracle_enumerate_vertices(poly: HPolytope) -> tuple[tuple[Fraction, ...], ..
     return tuple(vertices)
 
 
+# The double description that geometry sped up, kept as the reference: every
+# (+, -) pair with d - 2 common tight rows scans all the cone's masks.
+
+
+def oracle_extreme_rays(rows, d: int):
+    """The extreme rays of the pointed cone {y : <row, y> >= 0 for every
+    row}, by double description (Motzkin, Raiffa, Thompson and Thrall 1953;
+    Fukuda and Prodon 1996); None when the integer rows have rank < d.
+
+    Each ray is a pair (primitive integer tuple, int bitmask of the rows it
+    is tight at). The first cone is cut by the first d independent rows B in
+    input order: one elimination of the transposed rows beside the identity
+    picks B and gives det(B) B^-T, whose rows times det(B) are its rays. Every
+    other row is inserted in turn: a ray on its positive side and one on its
+    negative side combine into a ray on its hyperplane iff they are adjacent,
+    that is, their common tight rows Z number at least d - 2 and no third ray
+    is tight at all of Z. The test is combinatorial, so it stays exact on
+    degenerate cones.
+    """
+    eliminated, basis, det = _echelon(
+        [(*col, *e) for col, e in zip(transpose(rows), identity_matrix(d))], len(rows))
+    if len(basis) < d:
+        return None
+    tight = sum(1 << i for i in basis)
+    rays = [(primitive_vector([det * x for x in row[-d:]]), tight ^ (1 << i))
+            for row, i in zip(eliminated, basis)]
+    for k, row in enumerate(rows):
+        if k in basis:
+            continue
+        bit = 1 << k
+        pos, neg, kept = [], [], []
+        for y, mask in rays:
+            s = dot(row, y)
+            if s > 0:
+                pos.append((s, y, mask))
+                kept.append((y, mask))
+            elif s < 0:
+                neg.append((s, y, mask))
+            else:
+                kept.append((y, mask | bit))
+        # distinct extreme rays of a pointed cone have distinct tight sets
+        masks = [mask for _, mask in rays]
+        for sp, p, mp in pos:
+            for sn, q, mq in neg:
+                z = mp & mq
+                if z.bit_count() < d - 2 or any(
+                        m & z == z and m != mp and m != mq for m in masks):
+                    continue
+                y = primitive_vector([sp * b - sn * a for a, b in zip(p, q)])
+                kept.append((y, z | bit))
+        rays = kept
+    return rays
+
+
 def oracle_is_group(elements) -> bool:
     """Whether an element list is a group, by the all-products check: every
     element square of one dimension with |det| = 1, no repeats, the
@@ -273,8 +328,7 @@ def oracle_toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLct
         except Unbounded:
             raise FanNotComplete("rays do not positively span the lattice") from None
     else:
-        if not is_bounded(poly):
-            raise FanNotComplete("rays do not positively span the lattice")
+        # the group's faults first, as toric_lct reports them
         if group.dim != rays.dim:
             raise ValueError("group dimension does not match rays")
         gens = group.generators or group.elements
@@ -283,6 +337,8 @@ def oracle_toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLct
             if {mat_vec(g, v) for v in rays} != ray_set:
                 raise GroupDoesNotPreserveFan(
                     f"generator {g} does not permute the rays")
+        if not is_bounded(poly):
+            raise FanNotComplete("rays do not positively span the lattice")
         basis = fixed_subspace([transpose(g) for g in gens])
         if not basis:
             vertices = (tuple(Fraction(0) for _ in range(rays.dim)),)

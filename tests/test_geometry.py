@@ -276,6 +276,28 @@ def test_mat_mul_matches_entrywise_sums_and_checks_shapes():
         mat_mul(((1, 0), (1,)), ((1, 0), (0, 1)))
 
 
+@pytest.mark.parametrize("v, expected", [
+    ((4, -6, 8), (2, -3, 4)),
+    ((-3, -9), (-1, -3)),
+    ((0, 5, 0, -10), (0, 1, 0, -2)),
+    ((0, 0, -7), (0, 0, -1)),
+    ((-12,), (-1,)),
+    ((5,), (1,)),
+    ((3, 0), (1, 0)),
+], ids=["negative", "all_negative", "zeros_between", "one_nonzero",
+        "single_negative", "single_positive", "already_primitive"])
+def test_primitive_vector_divides_by_the_gcd_and_keeps_the_sign(v, expected):
+    assert primitive_vector(v) == primitive_vector(list(v)) == expected
+    assert primitive_vector([-c for c in v]) == tuple(-c for c in expected)
+    assert all(type(c) is int for c in primitive_vector(v))
+
+
+@pytest.mark.parametrize("v", [(0, 0), ()], ids=["zero", "empty"])
+def test_primitive_vector_rejects_the_zero_vector(v):
+    with pytest.raises(ValueError):
+        primitive_vector(v)
+
+
 def test_solve_square_system_satisfies_equations():
     rng = random.Random(47)
     singular = 0

@@ -3,7 +3,8 @@ equal boundedness and equal vertex tuples, order and types included, on
 stored and product fans in seeded bases, rational and non-simple polytopes,
 shuffled halfspace orders, fans missing one ray, repeated rows, 1-D
 polytopes, and unbounded and empty inputs; one elimination per double
-description."""
+description; and the double description against its full-scan oracle, equal
+lists of rays and masks on fans and degenerate cones in seeded bases."""
 
 import itertools
 import random
@@ -11,14 +12,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from conftest import (hpoly, oracle_enumerate_vertices, oracle_is_bounded,
-                      random_unimodular, transform_rays)
+from conftest import (hpoly, oracle_enumerate_vertices, oracle_extreme_rays,
+                      oracle_is_bounded, random_unimodular, transform_rays)
 
 import toriclct.geometry
 from toriclct.database import load_builtin
 from toriclct.errors import EmptyPolytope, ToolkitError, Unbounded
 from toriclct.geometry import (HalfSpace, HPolytope, _extreme_rays, dot,
-                               enumerate_vertices, is_bounded)
+                               enumerate_vertices, is_bounded, mat_vec)
 from toriclct.toric import (GroupAction, RaySet, dual_polytope, product_fan,
                             projective_space_fan, toric_lct)
 
@@ -245,3 +246,88 @@ def test_toric_lct_runs_one_double_description(monkeypatch):
         calls.clear()
         assert toric_lct(p3, group).lct == lct
         assert calls == [d], group
+
+
+# The double description against oracle_extreme_rays, which scans every mask
+# of the cone for each (+, -) pair with d - 2 common tight rows: the same
+# rays, masks and order. Polytopes are rows (a, b) meaning <a, w> >= b, with
+# the origin inside; the degenerate ones have vertices on many more facets
+# than the dimension.
+
+SQUARE = [(1, 0, -1), (-1, 0, -1), (0, 1, -1), (0, -1, -1)]
+HEXAGON = SQUARE + [(1, 1, -1), (-1, -1, -1)]
+
+
+def _cross_polytope(n):
+    return [(*signs, -1) for signs in itertools.product((1, -1), repeat=n)]
+
+
+def _cube(n):
+    return [(*(s * (i == j) for j in range(n)), -1) for i in range(n) for s in (1, -1)]
+
+
+def _pyramid(base):
+    """The base at height 0 and an apex at height 1 over the origin."""
+    return [(*r[:-1], -1, -1) for r in base] + [(0,) * (len(base[0]) - 1) + (1, 0)]
+
+
+def _bipyramid(base):
+    """The base at height 0 and apexes at heights 1 and -1 over the origin."""
+    return [(*r[:-1], s, -1) for r in base for s in (1, -1)]
+
+
+def _fan_rows(fan):
+    return [(*v, -1) for v in fan.rays]
+
+
+def _random_sign_rows(rng):
+    n = rng.randint(3, 5)
+    rows = []
+    while len(rows) < n + rng.randint(1, 8):
+        a = tuple(rng.randint(-1, 1) for _ in range(n))
+        if any(a):
+            rows.append((*a, -1))
+    return rows
+
+
+DD_FAMILIES = {
+    "stored_fans": lambda rng: [_fan_rows(fan) for fan in _stored_fans()],
+    "product_fans": lambda rng: [
+        _fan_rows(product_fan(a, b))
+        for a, b in rng.sample(list(itertools.combinations(_stored_fans(), 2)), 30)],
+    "cross_polytopes": lambda rng: [_cross_polytope(n) for n in (3, 4, 5)],
+    "pyramids": lambda rng: [_pyramid(base) for base in
+                             (SQUARE, HEXAGON, _cross_polytope(3), _cross_polytope(4))],
+    "bipyramids": lambda rng: [_bipyramid(base) for base in
+                               (HEXAGON, _cube(3), _cube(4))],
+    "random_signs": lambda rng: [_random_sign_rows(rng) for _ in range(40)],
+}
+
+
+def _homogenised(rows):
+    """The cone of _vertex_rays: t >= 0 first, then (a, -b) for each (a, b)."""
+    n = len(rows[0]) - 1
+    return [(0,) * n + (1,)] + [(*r[:n], -r[n]) for r in rows]
+
+
+@pytest.mark.parametrize("family", DD_FAMILIES)
+def test_double_description_matches_the_full_scan_oracle(family):
+    rng = random.Random(96)
+    cones = []
+    for rows in DD_FAMILIES[family](rng):
+        n = len(rows[0]) - 1
+        for _ in range(2):
+            u = random_unimodular(rng, n)
+            rows = [(*mat_vec(u, r[:n]), r[n]) for r in rows]
+            rng.shuffle(rows)
+            cones.append((_homogenised(rows), n + 1))
+            # the recession cone of is_bounded
+            cones.append(([r[:n] for r in rows], n))
+    degenerate = 0
+    for rows, d in cones:
+        rays = _extreme_rays(rows, d)
+        assert rays == oracle_extreme_rays(rows, d), (rows, d)
+        degenerate += any(mask.bit_count() >= d for _, mask in rays or ())
+    if family not in ("stored_fans", "product_fans"):
+        # rays tight at more than d - 1 rows are where adjacency needs a scan
+        assert degenerate, family

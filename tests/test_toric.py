@@ -420,6 +420,20 @@ def test_group_faults_are_reported_before_an_incomplete_fan():
         toric_lct(half_plane, GroupAction((EYE2, SWAP2)))
 
 
+@pytest.mark.parametrize("group, error", [
+    (GroupAction((EYE2, SWAP2)), GroupDoesNotPreserveFan),
+    (GroupAction((identity_matrix(3),)), ValueError),
+], ids=["swap", "three_dimensional"])
+def test_oracle_reports_group_faults_before_an_incomplete_fan(group, error):
+    half_plane = RaySet(((1, 0), (0, 1), (-1, 0)))
+    raised = []
+    for lct in (toric_lct, oracle_toric_lct):
+        with pytest.raises(Exception) as caught:
+            lct(half_plane, group)
+        raised.append(type(caught.value))
+    assert raised == [error, error]
+
+
 def test_report_consistency_enforced():
     with pytest.raises(ValueError):
         ToricLctReport(lct=F(1, 2), max_pairing=F(2),
