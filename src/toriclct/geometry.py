@@ -50,9 +50,7 @@ def _integers(v, what: str) -> tuple[int, ...]:
 
 def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
     """The primitive part of a nonzero integer vector: v divided by gcd(v)."""
-    g = 0
-    for c in v:
-        g = gcd(g, c)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive part")
     return tuple([c // g for c in v])
@@ -195,6 +193,14 @@ def _extreme_rays(rows, d: int):
     that is, their common tight rows Z number at least d - 2 and no third ray
     is tight at all of Z. The test is combinatorial, so it stays exact on
     degenerate cones.
+
+    The scan for a third ray is needed only when neither ray is simple, that
+    is, tight at exactly d - 1 rows. An extreme ray's tight rows have rank
+    d - 1, so a simple ray's d - 1 tight rows are independent, and it shares
+    at most d - 2 of them with any other ray. When it shares d - 2, Z is an
+    independent subset of them, so the face cut out by Z spans a 2-D subspace.
+    That face contains p and q, so it is a pointed 2-D cone whose two extreme
+    rays are p and q: the pair is adjacent, and no third ray is tight at Z.
     """
     eliminated, basis, det = _echelon(
         [(*col, *e) for col, e in zip(transpose(rows), identity_matrix(d))], len(rows))
@@ -222,8 +228,9 @@ def _extreme_rays(rows, d: int):
         for sp, p, mp in pos:
             for sn, q, mq in neg:
                 z = mp & mq
-                if z.bit_count() < d - 2 or any(
-                        m & z == z and m != mp and m != mq for m in masks):
+                if z.bit_count() < d - 2 or (
+                        mp.bit_count() >= d and mq.bit_count() >= d and any(
+                            m & z == z and m != mp and m != mq for m in masks)):
                     continue
                 y = primitive_vector([sp * b - sn * a for a, b in zip(p, q)])
                 kept.append((y, z | bit))
