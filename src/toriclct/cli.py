@@ -26,6 +26,7 @@ from .formulas import (DelPezzoDescriptor, KNOWN_EQUIVARIANT,
                        cubic_surface_lct, del_pezzo_lct, double_cover_lct,
                        fermat_cse, hypersurface_lct, known_equivariant_lct,
                        monomial_cse, p1_product_lct, product_lct, wps_lct)
+from .geometry import _rational
 from .toric import (GroupAction, RaySet, _square_matrix, bundle_lct_closed_form,
                     parse_fan, projectivized_bundle_fan, toric_lct, wps_fan)
 
@@ -52,10 +53,10 @@ def _read_text(path: str) -> str:
 
 
 def _fraction(text: str) -> Fraction:
-    # argparse turns only TypeError and ValueError into usage errors
+    # argparse would name this function, not Fraction, in its usage error
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return _rational(text, "value")
+    except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid Fraction value: {text!r}") from None
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import InvalidId, ParseError
-from .geometry import _integers
+from .geometry import _integers, _rational
 from .toric import (RaySet, _blocks, _int_rows, format_fan, product_fan,
                     projective_space_fan, projectivized_bundle_fan,
                     star_subdivide, toric_lct)
@@ -52,7 +52,8 @@ class FamilyId:
 class LctStatus:
     """What is known about a family's threshold: an exact value for every
     smooth member, an exact value for a general member, an upper bound, or
-    nothing sharp."""
+    nothing sharp. The value is read exactly from an int, a Fraction or a
+    string such as '1/2'; a float or a zero denominator raises ValueError."""
 
     kind: str
     value: Fraction | None = None
@@ -64,21 +65,22 @@ class LctStatus:
             if self.value is not None:
                 raise ValueError("unknown status carries no value")
         else:
-            if self.value is None or not 0 < self.value <= 1:
+            value = _rational(self.value, "status value")
+            if not 0 < value <= 1:
                 raise ValueError("status value must lie in (0, 1]")
-            object.__setattr__(self, "value", Fraction(self.value))
+            object.__setattr__(self, "value", value)
 
     @classmethod
     def exact_all(cls, value) -> "LctStatus":
-        return cls("exact_all", Fraction(value))
+        return cls("exact_all", value)
 
     @classmethod
     def exact_general(cls, value) -> "LctStatus":
-        return cls("exact_general", Fraction(value))
+        return cls("exact_general", value)
 
     @classmethod
     def upper_bound(cls, value) -> "LctStatus":
-        return cls("upper_bound", Fraction(value))
+        return cls("upper_bound", value)
 
     @classmethod
     def unknown(cls) -> "LctStatus":
@@ -255,12 +257,12 @@ def load_builtin() -> Database:
     statuses: dict[str, LctStatus] = {}
     for value, ids in _EXACT_ALL.items():
         for key in ids.split():
-            statuses[key] = LctStatus.exact_all(Fraction(value))
+            statuses[key] = LctStatus.exact_all(value)
     for value, ids in _EXACT_GENERAL.items():
         for key in ids.split():
-            statuses[key] = LctStatus.exact_general(Fraction(value))
+            statuses[key] = LctStatus.exact_general(value)
     for key, value in _UPPER_BOUND.items():
-        statuses[key] = LctStatus.upper_bound(Fraction(value))
+        statuses[key] = LctStatus.upper_bound(value)
     for key in _UNKNOWN.split():
         statuses[key] = LctStatus.unknown()
     fans = _builtin_fans()
@@ -430,8 +432,8 @@ def import_table(text: str) -> Database:
                 status = LctStatus.unknown()
             else:
                 try:
-                    status = LctStatus(kind, Fraction(value_text))
-                except (ValueError, ZeroDivisionError) as exc:
+                    status = LctStatus(kind, value_text)
+                except ValueError as exc:
                     raise ParseError(lineno, str(exc))
             entries[fid] = (status, provenance)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .errors import OutOfRegime, UnknownKey, UnsupportedDescriptor
-from .geometry import _integers
+from .geometry import _integers, _rational
 from .toric import check_well_formed
 
 CUBIC_SINGULARITY_TYPES = ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6")
@@ -73,7 +73,7 @@ def fermat_cse(exponents) -> Fraction:
 def product_lct(a, b) -> Fraction:
     """lct of a product with canonical Gorenstein factors: min of the
     factors' thresholds."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = _rational(a, "factor threshold"), _rational(b, "factor threshold")
     if not (0 < a <= 1 and 0 < b <= 1):
         raise ValueError("factor thresholds must lie in (0, 1]")
     return min(a, b)
@@ -82,7 +82,7 @@ def product_lct(a, b) -> Fraction:
 def p1_product_lct(a) -> Fraction:
     """lct of a product of the projective line with a log terminal Fano:
     min(1/2, lct of the second factor)."""
-    a = Fraction(a)
+    a = _rational(a, "factor threshold")
     if not 0 < a <= 1:
         raise ValueError("factor threshold must lie in (0, 1]")
     return min(Fraction(1, 2), a)

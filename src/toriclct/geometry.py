@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational as _Exact
 from operator import index, mul
 from typing import Iterable, Sequence
 
@@ -46,6 +47,18 @@ def _integers(v, what: str) -> tuple[int, ...]:
         return tuple([index(c) for c in v])
     except TypeError:
         raise ValueError(f"{what} {v} has a non-integer entry") from None
+
+
+def _rational(x, what: str) -> Fraction:
+    """x as a Fraction, read exactly from an int, a Fraction or a string such
+    as '3/4' or '0.75'. Floats, other inexact numbers and zero denominators
+    raise ValueError."""
+    if not isinstance(x, (_Exact, str)):
+        raise ValueError(f"{what} {x!r} is not an exact rational")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} {x!r} has a zero denominator") from None
 
 
 def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:

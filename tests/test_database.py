@@ -67,6 +67,22 @@ def test_status_validation():
     assert LctStatus.unknown().value is None
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/0", "abc"],
+                         ids=["float", "float_half", "zero_denominator", "not_a_number"])
+def test_status_takes_only_exact_values(bad):
+    for make in (lambda v: LctStatus("exact_all", v), LctStatus.exact_all,
+                 LctStatus.exact_general, LctStatus.upper_bound):
+        with pytest.raises(ValueError):
+            make(bad)
+
+
+def test_status_reads_ints_fractions_and_strings_exactly():
+    for value in (1, F(1), "1", "1/1", "1.0"):
+        assert LctStatus.exact_all(value).value == 1
+    assert LctStatus("upper_bound", "0.25") == LctStatus.upper_bound(F(1, 4))
+    assert type(LctStatus.exact_general("2/3").value) is Fraction
+
+
 # ---------------------------------------------------------------------------
 # the built-in table
 

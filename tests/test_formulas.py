@@ -166,6 +166,23 @@ def test_p1_product():
     assert p1_product_lct(F(1, 2)) == F(1, 2)
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/0", F(1, 3) + 0.0],
+                         ids=["float", "float_half", "zero_denominator", "float_sum"])
+def test_product_rules_take_only_exact_thresholds(bad):
+    with pytest.raises(ValueError):
+        product_lct(bad, 1)
+    with pytest.raises(ValueError):
+        product_lct(F(1, 2), bad)
+    with pytest.raises(ValueError):
+        p1_product_lct(bad)
+
+
+def test_product_rules_read_ints_fractions_and_strings_exactly():
+    assert product_lct(1, "1/3") == product_lct("0.5", F(1, 3)) == F(1, 3)
+    assert p1_product_lct("1/3") == F(1, 3) and p1_product_lct(1) == F(1, 2)
+    assert type(product_lct(1, 1)) is Fraction
+
+
 # ---------------------------------------------------------------------------
 # del Pezzo surfaces
 
