@@ -3,7 +3,9 @@
 Boundedness and vertices come from one double description routine: the
 extreme rays of a pointed cone, as primitive integer vectors, each with the
 rows it is tight at as an int bitmask; a vertex is a ray (x, t) of the
-homogenised cone, the point x / t, which toric_lct pairs in integers.
+homogenised cone, the point x / t, which toric_lct pairs in integers. Two
+rays are adjacent when they share d - 2 tight rows and, unless one of them is
+simple (tight at exactly d - 1 rows), no third ray is tight at all of those.
 Eliminations run in integers, fraction free; Fraction holds only halfspaces,
 returned points and solutions. No floats, no epsilon.
 
@@ -13,6 +15,7 @@ finite intersection of closed halfspaces {w : <normal, w> >= offset}.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -53,12 +56,10 @@ def _rational(x, what: str) -> Fraction:
     """x as a Fraction, read exactly from an int, a Fraction or a string such
     as '3/4' or '0.75'. Floats, other inexact numbers and zero denominators
     raise ValueError."""
-    if not isinstance(x, (_Exact, str)):
-        raise ValueError(f"{what} {x!r} is not an exact rational")
-    try:
-        return Fraction(x)
-    except ZeroDivisionError:
-        raise ValueError(f"{what} {x!r} has a zero denominator") from None
+    if isinstance(x, (_Exact, str)):
+        with suppress(ZeroDivisionError):
+            return Fraction(x)
+    raise ValueError(f"{what} {x!r} is not an exact rational")
 
 
 def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
@@ -207,13 +208,13 @@ def _extreme_rays(rows, d: int):
     is tight at all of Z. The test is combinatorial, so it stays exact on
     degenerate cones.
 
-    The scan for a third ray is needed only when neither ray is simple, that
-    is, tight at exactly d - 1 rows. An extreme ray's tight rows have rank
-    d - 1, so a simple ray's d - 1 tight rows are independent, and it shares
-    at most d - 2 of them with any other ray. When it shares d - 2, Z is an
-    independent subset of them, so the face cut out by Z spans a 2-D subspace.
-    That face contains p and q, so it is a pointed 2-D cone whose two extreme
-    rays are p and q: the pair is adjacent, and no third ray is tight at Z.
+    The scan for a third ray runs only when neither ray is simple, that is,
+    tight at exactly d - 1 rows. An extreme ray's tight rows have rank d - 1,
+    so a simple ray's d - 1 tight rows are independent; a ray tight at all of
+    them lies on the same line, so any other ray shares at most d - 2 of them.
+    When it shares d - 2, Z is independent, so the face cut out by Z spans a
+    2-D subspace. That face contains both rays, so it is a pointed 2-D cone
+    whose only two extreme rays are these two: the pair is adjacent.
     """
     eliminated, basis, det = _echelon(
         [(*col, *e) for col, e in zip(transpose(rows), identity_matrix(d))], len(rows))
