@@ -282,8 +282,9 @@ def _fan_rows(fan):
 
 def _random_sign_rows(rng):
     n = rng.randint(3, 5)
+    m = n + rng.randint(1, 8)
     rows = []
-    while len(rows) < n + rng.randint(1, 8):
+    while len(rows) < m:
         a = tuple(rng.randint(-1, 1) for _ in range(n))
         if any(a):
             rows.append((*a, -1))
