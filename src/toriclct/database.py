@@ -293,16 +293,20 @@ def lookup(db: Database, family) -> FamilyRecord:
 
 def query(db: Database, rank: int | None = None, status_kind: str | None = None,
           value: Fraction | None = None) -> tuple[FamilyRecord, ...]:
-    """Records matching every given filter, in id order."""
+    """Records matching every given filter, in id order; value is read
+    exactly by geometry._rational, so a float or a zero denominator raises
+    ValueError."""
     if status_kind is not None and status_kind not in STATUS_KINDS:
         raise ValueError(f"unknown status kind {status_kind!r}")
+    if value is not None:
+        value = _rational(value, "value")
     out = []
     for record in db.records:
         if rank is not None and record.id.rank != rank:
             continue
         if status_kind is not None and record.status.kind != status_kind:
             continue
-        if value is not None and record.status.value != Fraction(value):
+        if value is not None and record.status.value != value:
             continue
         out.append(record)
     return tuple(out)

@@ -2,12 +2,16 @@
 
 Boundedness and vertices come from one double description routine: the
 extreme rays of a pointed cone, as primitive integer vectors, each with the
-rows it is tight at as an int bitmask; a vertex is a ray (x, t) of the
-homogenised cone, the point x / t, which toric_lct pairs in integers. Two
-rays are adjacent when they share d - 2 tight rows and, unless one of them is
-simple (tight at exactly d - 1 rows), no third ray is tight at all of those.
-Eliminations run in integers, fraction free; Fraction holds only halfspaces,
-returned points and solutions. No floats, no epsilon.
+rows it is tight at as an int bitmask. Each ray y is carried as its tableau
+row (<row, y> for every row of the cone, then y), so a ray's side of an
+inserted row is a lookup and a new ray is one linear combination of two
+tableau rows. A vertex is a ray (x, t) of the homogenised cone, the point
+x / t; its tableau row holds its pairing with every row, which toric_lct
+reads instead of recomputing. Two rays are adjacent when they share d - 2
+tight rows and, unless one of them is simple (tight at exactly d - 1 rows),
+no third ray is tight at all of those. Eliminations run in integers, fraction
+free; Fraction holds only halfspaces, returned points and solutions, whose
+inputs are read exactly by _rational. No floats, no epsilon.
 
 Vectors are tuples, matrices are tuples of row tuples. An H-polytope is a
 finite intersection of closed halfspaces {w : <normal, w> >= offset}.
@@ -144,17 +148,18 @@ def mat_rank(rows: Iterable[Sequence]) -> int:
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """The closed halfspace {w : <normal, w> >= offset}."""
+    """The closed halfspace {w : <normal, w> >= offset}, its entries read
+    exactly by _rational."""
 
     normal: tuple[Fraction, ...]
     offset: Fraction
 
     def __post_init__(self):
-        normal = tuple(Fraction(c) for c in self.normal)
+        normal = tuple(_rational(c, "halfspace normal entry") for c in self.normal)
         if not normal or all(c == 0 for c in normal):
             raise ValueError("halfspace normal must be nonzero")
         object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", Fraction(self.offset))
+        object.__setattr__(self, "offset", _rational(self.offset, "halfspace offset"))
 
     @property
     def dim(self) -> int:
@@ -198,15 +203,21 @@ def _extreme_rays(rows, d: int):
     row}, by double description (Motzkin, Raiffa, Thompson and Thrall 1953;
     Fukuda and Prodon 1996); None when the integer rows have rank < d.
 
-    Each ray is a pair (primitive integer tuple, int bitmask of the rows it
-    is tight at). The first cone is cut by the first d independent rows B in
-    input order: one elimination of the transposed rows beside the identity
-    picks B and gives det(B) B^-T, whose rows times det(B) are its rays. Every
-    other row is inserted in turn: a ray on its positive side and one on its
-    negative side combine into a ray on its hyperplane iff they are adjacent,
-    that is, their common tight rows Z number at least d - 2 and no third ray
-    is tight at all of Z. The test is combinatorial, so it stays exact on
-    degenerate cones.
+    Each ray y is a pair (z, int bitmask of the rows it is tight at), where
+    z = (<rows[0], y>, ..., <rows[N - 1], y>, *y) is its tableau row for the
+    N rows, primitive: gcd(z) = gcd(y), since every product is an integer
+    combination of y, so z[N:] is the primitive ray. The first cone is cut by
+    the first d independent rows B in input order: one elimination of the
+    transposed rows beside the identity picks B and gives det(B) B^-T, whose
+    rows times det(B) are its rays. The eliminated [rows^T | I] holds each
+    such row after its products with every row, so its rows times det(B) are
+    already the tableau rows. Every other row k is inserted in turn, and a
+    ray's side of it is its entry z[k]: a ray on its positive side and one on
+    its negative side combine into a ray on its hyperplane iff they are
+    adjacent, that is, their common tight rows Z number at least d - 2 and no
+    third ray is tight at all of Z. The combination is linear in the whole
+    tableau row, so every product stays exact. The test is combinatorial, so
+    it stays exact on degenerate cones.
 
     The scan for a third ray runs only when neither ray is simple, that is,
     tight at exactly d - 1 rows. An extreme ray's tight rows have rank d - 1,
@@ -221,33 +232,34 @@ def _extreme_rays(rows, d: int):
     if len(basis) < d:
         return None
     tight = sum(1 << i for i in basis)
-    rays = [(primitive_vector([det * x for x in row[-d:]]), tight ^ (1 << i))
+    rays = [(primitive_vector([det * x for x in row]), tight ^ (1 << i))
             for row, i in zip(eliminated, basis)]
-    for k, row in enumerate(rows):
+    for k in range(len(rows)):
         if k in basis:
             continue
         bit = 1 << k
         pos, neg, kept = [], [], []
-        for y, mask in rays:
-            s = dot(row, y)
+        for z, mask in rays:
+            s = z[k]
             if s > 0:
-                pos.append((s, y, mask))
-                kept.append((y, mask))
+                pos.append((s, z, mask))
+                kept.append((z, mask))
             elif s < 0:
-                neg.append((s, y, mask))
+                neg.append((s, z, mask))
             else:
-                kept.append((y, mask | bit))
+                kept.append((z, mask | bit))
         # distinct extreme rays of a pointed cone have distinct tight sets
         masks = [mask for _, mask in rays]
         for sp, p, mp in pos:
             for sn, q, mq in neg:
-                z = mp & mq
-                if z.bit_count() < d - 2 or (
+                common = mp & mq
+                if common.bit_count() < d - 2 or (
                         mp.bit_count() >= d and mq.bit_count() >= d and any(
-                            m & z == z and m != mp and m != mq for m in masks)):
+                            m & common == common and m != mp and m != mq
+                            for m in masks)):
                     continue
-                y = primitive_vector([sp * b - sn * a for a, b in zip(p, q)])
-                kept.append((y, z | bit))
+                z = primitive_vector([sp * b - sn * a for a, b in zip(p, q)])
+                kept.append((z, common | bit))
         rays = kept
     return rays
 
@@ -270,24 +282,27 @@ def _vertex_rays(rows, n: int) -> list[tuple[int, ...]]:
     of the cone {(x, t) : t >= 0, <a, x> - b t >= 0}, by double description
     with the row t >= 0 inserted first.
 
+    Each is returned as its tableau row from _extreme_rays: z[0] = t,
+    z[1 + k] = <a_k, x> - b_k t for input row k, and z[-n - 1:] = (x, t).
+
     Raises Unbounded when the polytope has a recession direction (the rows
     have rank < n + 1, or some extreme ray has t = 0) and EmptyPolytope when
     no point satisfies all rows (no extreme ray at all).
     """
     rows = [(0,) * n + (1,)] + [(*row[:n], -row[n]) for row in rows]
     rays = _extreme_rays(rows, n + 1)
-    if rays is None or any(y[n] == 0 for y, _ in rays):
+    if rays is None or any(z[0] == 0 for z, _ in rays):
         raise Unbounded("polytope has a recession direction")
     if not rays:
         raise EmptyPolytope("no feasible point")
-    return [y for y, _ in rays]
+    return [z for z, _ in rays]
 
 
 def enumerate_vertices(poly: HPolytope) -> tuple[tuple[Fraction, ...], ...]:
     """All vertices of a bounded H-polytope, sorted lexicographically, from
     _vertex_rays. Raises Unbounded or EmptyPolytope as that does."""
     n = poly.dim
-    rays = _vertex_rays(_integer_rows(poly), n)
+    rays = [z[-n - 1:] for z in _vertex_rays(_integer_rows(poly), n)]
     # integer keys over the common denominator sort faster than Fractions
     den = lcm(*(y[n] for y in rays))
     points = sorted(rays, key=lambda y: [x * (den // y[n]) for x in y[:n]])
@@ -295,16 +310,17 @@ def enumerate_vertices(poly: HPolytope) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def solve_square_system(matrix, rhs) -> tuple[Fraction, ...] | None:
-    """Solve A x = b exactly for rational A and b, each entry converted
-    exactly through Fraction; None when A is singular.
+    """Solve A x = b exactly for rational A and b, each entry read exactly
+    by _rational; None when A is singular.
 
-    Raises ValueError on dimension mismatch.
+    Raises ValueError on dimension mismatch and on a float entry or a zero
+    denominator.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("dimension mismatch")
     reduced, pivots, d = _echelon(
-        [_scale_to_integers([Fraction(c) for c in (*row, b)])[0]
+        [_scale_to_integers([_rational(c, "matrix entry") for c in (*row, b)])[0]
          for row, b in zip(matrix, rhs)], n)
     if len(pivots) < n:
         return None

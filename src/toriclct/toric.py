@@ -18,12 +18,13 @@ D averages over G to a fixed one, which is 0 only if it is orthogonal to R.
 
 The maximum is attained at a vertex of D^G. One double description decides
 completeness and gives those vertices as integer rays (x, t), the points
-x / t, paired with R in integers. The engine works from generators: G permutes
-R iff each generator does, and D^G lies in the intersection of the fixed
-subspaces of the generators' transposes. Each group is spanned once, coset by
-coset, from its greedy picks: generate spans its generator list, and an
-element list is checked by the span of its own picks. The engine reads the
-picks of whichever span built the group.
+x / t, each with its row products, from which the pairings with R are read
+in integers. The engine works from generators: G permutes R iff each
+generator does, and D^G lies in the intersection of the fixed subspaces of
+the generators' transposes. Each group is spanned once, coset by coset, from
+its greedy picks: generate spans its generator list, and an element list is
+checked by the span of its own picks. The engine reads the picks of
+whichever span built the group.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import mul
 
 from .errors import (DegenerateSubdivision, FanNotComplete,
                      GroupDoesNotPreserveFan, GroupNotClosed, NotWellFormed,
@@ -212,7 +212,7 @@ class ToricLctReport:
 
 def dual_polytope(rays: RaySet) -> HPolytope:
     """The polytope {w : <w, v> >= -1 for every ray v}."""
-    return HPolytope(tuple(HalfSpace(v, Fraction(-1)) for v in rays))
+    return HPolytope(tuple(HalfSpace(v, -1) for v in rays))
 
 
 def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
@@ -227,11 +227,14 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
     B. Then the fan must be complete, else FanNotComplete: D bounded, or with
     a group, rays of rank n and D^G bounded, decided by one double description.
 
-    Vertices are the integer rays (x, t) of geometry._vertex_rays, paired in
-    integers; Fractions are made only for the report. The witness is the
-    smallest maximal vertex x / t, then its first maximal ray in sorted order.
+    Vertices are the integer rays (x, t) of geometry._vertex_rays, read from
+    their tableau rows z: the rows are (v, -1), or (B^T v, -1) with a group,
+    so z[1 + k] - t is the pairing, in integers, of the vertex with the k-th
+    ray; nothing is paired again. Rays zero on B have no row and pair at 0.
+    Fractions are made only for the report. The witness is the smallest
+    maximal vertex x / t, then its first maximal ray in sorted order.
     """
-    rows, d = [(*v, -1) for v in rays], rays.dim
+    rows, d, paired = [(*v, -1) for v in rays], rays.dim, rays
     if group is not None:
         if group.dim != rays.dim:
             raise ValueError("group dimension does not match rays")
@@ -250,8 +253,10 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
         if mat_rank(rays) < rays.dim:
             raise FanNotComplete("rays do not positively span the lattice")
         basis = fixed_subspace([transpose(g) for g in gens])
-        # <v, B s> >= -1 is <B^T v, s> >= -1; rows zero on B always hold
+        # <v, B s> >= -1 is <B^T v, s> >= -1; rows zero on B always hold,
+        # and their rays pair at 0
         normals = [[dot(v, b) for b in basis] for v in rays]
+        paired = [v for v, a in zip(rays, normals) if any(a)]
         rows, d = [(*a, -1) for a in normals if any(a)], len(basis)
     try:
         vertices = _vertex_rays(rows, d)
@@ -260,18 +265,23 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
     if group is not None:
         # one row per coordinate, empty ones when D^G = {0}: it lifts to 0
         lift = [[b[i] for b in basis] for i in range(rays.dim)]
-        vertices = [(*mat_vec(lift, y[:-1]), y[-1]) for y in vertices]
-    # map stops at the ray's length, so t is never paired
-    ordered = sorted(rays)
     best = None
-    for y in vertices:
-        pairings = [sum(map(mul, y, v)) for v in ordered]
-        p, t, x = max(pairings), y[-1], y[:-1]
+    for z in vertices:
+        # z = (t, the row products, x, t); a complete fan's pairings sum to 0
+        # under positive weights, so their maximum is >= 0, the pairing of
+        # any ray without a row
+        t = z[0]
+        p, x = max(z[1:-d - 1], default=t) - t, z[-d - 1:-1]
+        if group is not None:
+            # ties compare the lifted points B s
+            x = mat_vec(lift, x)
         if best is None or p * best[1] > best[0] * t or (
                 p * best[1] == best[0] * t
                 and [c * best[1] for c in x] < [c * t for c in best[2]]):
-            best = (p, t, x, ordered[pairings.index(p)])
-    num, t, x, v = best
+            best = (p, t, x, z)
+    num, t, x, z = best
+    pairings = dict.fromkeys(rays, 0) | {v: e - t for v, e in zip(paired, z[1:])}
+    v = min(v for v, p in pairings.items() if p == num)
     m = Fraction(num, t)
     return ToricLctReport(lct=1 / (1 + m), max_pairing=m,
                           witness_vertex=tuple(Fraction(c, t) for c in x),

@@ -120,6 +120,13 @@ def test_query_by_value():
     assert [str(r.id) for r in query(DB, value=F(3, 7))] == ["4.5"]
 
 
+def test_query_reads_the_value_exactly():
+    assert query(DB, value="3/7") == query(DB, value=F(3, 7))
+    for bad in (0.2, "1/0"):
+        with pytest.raises(ValueError):
+            query(DB, value=bad)
+
+
 def test_query_unknown():
     found = query(DB, status_kind="unknown")
     assert [str(r.id) for r in found] == [

@@ -1,6 +1,7 @@
 """The package stays exact and stdlib-only: every absolute import is a
-standard-library module, and no module holds a float or complex literal or
-uses the name float."""
+standard-library module, no module holds a float or complex literal or uses
+the name float, and numbers from outside reach Fraction only through
+geometry._rational."""
 
 import ast
 import sys
@@ -31,3 +32,30 @@ def test_package_is_exact_and_stdlib_only():
     modules = sorted(PACKAGE.rglob("*.py"))
     assert len(modules) > 5
     assert [item for path in modules for item in _offences(path)] == []
+
+
+def _unchecked_fraction_calls(path: Path) -> list[str]:
+    """One-argument Fraction(x) calls, x not an int literal, outside
+    geometry._rational: Fraction(x) reads a float as its binary expansion
+    and raises ZeroDivisionError on '1/0'."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = set()
+    if path.name == "geometry.py":
+        helper = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                      and node.name == "_rational")
+        inside = set(ast.walk(helper))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or node in inside or len(node.args) != 1:
+            continue
+        func, arg = node.func, node.args[0]
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("Fraction", "Rational") and not (
+                isinstance(arg, ast.Constant) and type(arg.value) is int):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_numbers_reach_fraction_through_one_helper():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert [item for path in modules for item in _unchecked_fraction_calls(path)] == []

@@ -39,9 +39,14 @@ def test_solve_2x2():
     assert (2 * x[0] + x[1], x[0] + 3 * x[1]) == (1, 0)
 
 
-def test_solve_converts_float_entries_exactly():
-    assert solve_square_system(((1.5, 0), (0, 1)), (1, 1)) == (F(2, 3), 1)
-    assert solve_square_system(((F(1, 3), 0), (0, 0.25)), (1, 0.5)) == (3, 2)
+def test_solve_reads_entries_exactly_and_rejects_floats():
+    assert solve_square_system(((F(3, 2), 0), (0, 1)), (1, 1)) == (F(2, 3), 1)
+    assert solve_square_system(((F(1, 3), 0), (0, "0.25")), (1, "1/2")) == (3, 2)
+    for matrix, rhs in ((((1.5, 0), (0, 1)), (1, 1)),
+                        (((F(1, 3), 0), (0, 0.25)), (1, 0.5)),
+                        (((0.1,),), (1,)), (((1,),), ("1/0",))):
+        with pytest.raises(ValueError):
+            solve_square_system(matrix, rhs)
 
 
 def test_solve_dimension_mismatch():
@@ -52,6 +57,13 @@ def test_solve_dimension_mismatch():
 def test_halfspace_rejects_zero_normal():
     with pytest.raises(ValueError):
         HalfSpace((0, 0), -1)
+
+
+def test_halfspace_reads_entries_exactly():
+    assert HalfSpace(("1/2", 1), "-0.25") == HalfSpace((F(1, 2), 1), F(-1, 4))
+    for normal, offset in (((0.1, 1), 0), ((1, 1), 0.5), (("1/0", 1), 0)):
+        with pytest.raises(ValueError):
+            HalfSpace(normal, offset)
 
 
 def test_polytope_rejects_mixed_dims():

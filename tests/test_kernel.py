@@ -3,8 +3,10 @@ equal boundedness and equal vertex tuples, order and types included, on
 stored and product fans in seeded bases, rational and non-simple polytopes,
 shuffled halfspace orders, fans missing one ray, repeated rows, 1-D
 polytopes, and unbounded and empty inputs; one elimination per double
-description; and the double description against its full-scan oracle, equal
-lists of rays and masks on fans and degenerate cones in seeded bases."""
+description; the double description against its full-scan oracle, equal
+lists of rays and masks on fans and degenerate cones in seeded bases, each
+ray's tableau row holding its exact products with every row; and toric_lct
+reading its pairings from those rows without an inner product."""
 
 import itertools
 import random
@@ -195,9 +197,12 @@ def test_extreme_ray_masks_are_the_tight_rows():
         rows = [(0,) * n + (1,)] + [(*map(int, h.normal), 1) for h in poly.halfspaces]
         rays = _extreme_rays(rows, n + 1)
         assert len(rays) == len(enumerate_vertices(poly))
-        for y, mask in rays:
+        for z, mask in rays:
+            # the tableau row: the products with every row, then the ray
+            y = z[len(rows):]
             assert gcd(*y) == 1 and y[n] > 0
             products = [dot(row, y) for row in rows]
+            assert list(z[:len(rows)]) == products
             assert min(products) == 0
             assert mask == sum(1 << k for k, p in enumerate(products) if p == 0)
             # a vertex of a 3-D polytope lies on at least three facets
@@ -246,6 +251,23 @@ def test_toric_lct_runs_one_double_description(monkeypatch):
         calls.clear()
         assert toric_lct(p3, group).lct == lct
         assert calls == [d], group
+
+
+def test_toric_lct_reads_pairings_from_the_tableau(monkeypatch):
+    # the double description's sign tests and the vertex pairings are read
+    # from each ray's row products, so no inner product is recomputed
+    calls = []
+    inner = toriclct.geometry.dot
+
+    def counted(u, v):
+        calls.append(len(u))
+        return inner(u, v)
+
+    monkeypatch.setattr(toriclct.geometry, "dot", counted)
+    fans = _stored_fans()
+    report = toric_lct(product_fan(fans[0], fans[5]))
+    assert report.lct == Fraction(1, 4)
+    assert calls == []
 
 
 # The double description against oracle_extreme_rays, which scans every mask
@@ -327,7 +349,11 @@ def test_double_description_matches_the_full_scan_oracle(family):
     degenerate = 0
     for rows, d in cones:
         rays = _extreme_rays(rows, d)
-        assert rays == oracle_extreme_rays(rows, d), (rows, d)
+        # the oracle returns the rays alone, without their row products
+        projected = rays and [(z[len(rows):], mask) for z, mask in rays]
+        assert projected == oracle_extreme_rays(rows, d), (rows, d)
+        for z, _ in rays or ():
+            assert list(z[:len(rows)]) == [dot(row, z[len(rows):]) for row in rows]
         degenerate += any(mask.bit_count() >= d for _, mask in rays or ())
     if family not in ("stored_fans", "product_fans"):
         # rays tight at more than d - 1 rows are where adjacency needs a scan
