@@ -3,7 +3,17 @@
 Exit codes: 0 on success, 1 for computation errors (bad fan, out-of-regime
 input, failed cross-check, unreadable file), 2 for usage errors. Every
 computing subcommand takes --machine for a stable key=value output; numbers
-are always exact reduced fractions, never decimals.
+are always exact reduced fractions, never decimals. A warning raised by a
+computation prints to stderr as one `warning: <message>` line.
+
+_emit renders every key/value field: with --machine as `key=value`, a vector
+as `a,b`; otherwise as `key = value` with underscores shown as spaces, a
+vector as `(a, b)`. Machine keys: toric lct, max_pairing, witness_vertex,
+witness_ray; family <id> status, lct (when known), provenance; family --list
+one export table line per family; db and db --import families, exact_all,
+exact_general, upper_bound, unknown, fans; db --cross-check one <id>=pass or
+<id>=fail line per stored fan, then status; equivariant <key> lct,
+provenance; every other computing subcommand lct.
 
 Ray strings list vectors separated by ';' with coordinates separated by ','
 (whitespace is ignored); group strings list row-major dim*dim matrices the
@@ -14,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -37,13 +48,28 @@ _STATUS_HUMAN = {
     "unknown": "open",
 }
 
+# human labels of the db summary's machine keys
+_SUMMARY_HUMAN = {
+    "exact_all": "exact for every smooth member",
+    "exact_general": "exact for a general member",
+    "upper_bound": "upper bound only",
+    "unknown": "open",
+    "fans": "stored fans",
+}
 
-def _vec_h(v) -> str:
-    return "(" + ", ".join(str(c) for c in v) + ")"
 
-
-def _vec_m(v) -> str:
-    return ",".join(str(c) for c in v)
+def _emit(out, machine: bool, *fields) -> int:
+    """Print (key, value) fields by the rule above; a tuple is a vector.
+    Returns 0, the success exit code."""
+    for key, value in fields:
+        if isinstance(value, tuple):
+            parts = [str(c) for c in value]
+            value = ",".join(parts) if machine else f"({', '.join(parts)})"
+        if machine:
+            print(f"{key}={value}", file=out)
+        else:
+            print(f"{key.replace('_', ' ')} = {value}", file=out)
+    return 0
 
 
 def _read_text(path: str) -> str:
@@ -70,14 +96,6 @@ def _vector_list(text: str) -> list[tuple[int, ...]]:
             for part in text.split(";") if part.strip()]
 
 
-def _emit_value(out, machine: bool, value, label: str = "lct") -> int:
-    if machine:
-        print(f"lct={value}", file=out)
-    else:
-        print(f"{label} = {value}", file=out)
-    return 0
-
-
 def _cmd_toric(args, out) -> int:
     group = None
     if args.fan_file is not None:
@@ -90,19 +108,12 @@ def _cmd_toric(args, out) -> int:
         group = GroupAction.generate([_square_matrix(flat, rays.dim)
                                       for flat in _vector_list(args.group)])
     report = toric_lct(rays, group)
-    if args.machine:
-        print(f"lct={report.lct}", file=out)
-        print(f"max_pairing={report.max_pairing}", file=out)
-        print(f"witness_vertex={_vec_m(report.witness_vertex)}", file=out)
-        print(f"witness_ray={_vec_m(report.witness_ray)}", file=out)
-    else:
-        if group is not None:
-            print(f"group order = {len(group)}", file=out)
-        print(f"lct = {report.lct}", file=out)
-        print(f"max pairing = {report.max_pairing}", file=out)
-        print(f"witness vertex = {_vec_h(report.witness_vertex)}", file=out)
-        print(f"witness ray = {_vec_h(report.witness_ray)}", file=out)
-    return 0
+    if group is not None and not args.machine:
+        _emit(out, False, ("group_order", len(group)))
+    return _emit(out, args.machine, ("lct", report.lct),
+                 ("max_pairing", report.max_pairing),
+                 ("witness_vertex", report.witness_vertex),
+                 ("witness_ray", report.witness_ray))
 
 
 def _cmd_wps(args, out) -> int:
@@ -111,8 +122,8 @@ def _cmd_wps(args, out) -> int:
     if engine != value:
         raise ToolkitError(f"engine value {engine} disagrees with formula {value}")
     if not args.machine:
-        print(f"weights = ({', '.join(str(w) for w in args.weights)})", file=out)
-    return _emit_value(out, args.machine, value)
+        _emit(out, False, ("weights", tuple(args.weights)))
+    return _emit(out, args.machine, ("lct", value))
 
 
 def _cmd_bundle(args, out) -> int:
@@ -122,13 +133,10 @@ def _cmd_bundle(args, out) -> int:
     if engine != value:
         raise ToolkitError(f"engine value {engine} disagrees with closed form {value}")
     if args.machine:
-        print(f"lct={value}", file=out)
-    else:
-        print(f"base dimension = {args.base_dim}", file=out)
-        print(f"twists = ({', '.join(str(a) for a in twists)})", file=out)
-        print(f"closed form = {value}", file=out)
-        print(f"fan engine = {engine}", file=out)
-    return 0
+        return _emit(out, True, ("lct", value))
+    return _emit(out, False, ("base_dimension", args.base_dim),
+                 ("twists", tuple(twists)), ("closed_form", value),
+                 ("fan_engine", engine))
 
 
 def _cmd_cse(args, out) -> int:
@@ -136,23 +144,23 @@ def _cmd_cse(args, out) -> int:
         value = monomial_cse(_int_list(args.monomial))
     else:
         value = fermat_cse(_int_list(args.fermat))
-    return _emit_value(out, args.machine, value, label="cse")
+    return _emit(out, args.machine, ("lct" if args.machine else "cse", value))
 
 
 def _cmd_hypersurface(args, out) -> int:
-    return _emit_value(out, args.machine, hypersurface_lct(args.ambient, args.degree))
+    return _emit(out, args.machine, ("lct", hypersurface_lct(args.ambient, args.degree)))
 
 
 def _cmd_double_cover(args, out) -> int:
-    return _emit_value(out, args.machine, double_cover_lct(args.ambient, args.degree))
+    return _emit(out, args.machine, ("lct", double_cover_lct(args.ambient, args.degree)))
 
 
 def _cmd_product(args, out) -> int:
-    return _emit_value(out, args.machine, product_lct(args.values[0], args.values[1]))
+    return _emit(out, args.machine, ("lct", product_lct(args.values[0], args.values[1])))
 
 
 def _cmd_p1_product(args, out) -> int:
-    return _emit_value(out, args.machine, p1_product_lct(args.value))
+    return _emit(out, args.machine, ("lct", p1_product_lct(args.value)))
 
 
 def _cmd_dp(args, out) -> int:
@@ -164,12 +172,12 @@ def _cmd_dp(args, out) -> int:
         has_eckardt_point=args.eckardt,
         degree8_type=args.deg8,
     )
-    return _emit_value(out, args.machine, del_pezzo_lct(surface))
+    return _emit(out, args.machine, ("lct", del_pezzo_lct(surface)))
 
 
 def _cmd_cubic_sing(args, out) -> int:
     types = [tok.strip() for tok in args.types.split(",") if tok.strip()]
-    return _emit_value(out, args.machine, cubic_surface_lct(types))
+    return _emit(out, args.machine, ("lct", cubic_surface_lct(types)))
 
 
 def _cmd_family(args, out) -> int:
@@ -185,48 +193,38 @@ def _cmd_family(args, out) -> int:
     if args.id is None:
         raise ValueError("give a family id (like 3.27) or --list")
     record = lookup(db, args.id)
+    kind, value = record.status.kind, record.status.value
     if args.machine:
-        print(f"status={record.status.kind}", file=out)
-        if record.status.value is not None:
-            print(f"lct={record.status.value}", file=out)
-        print(f"provenance={record.provenance}", file=out)
-    else:
-        print(f"family {record.id}", file=out)
-        print(f"rank = {record.picard_rank}", file=out)
-        print(f"status = {_STATUS_HUMAN[record.status.kind]}", file=out)
-        if record.status.kind == "upper_bound":
-            print(f"lct <= {record.status.value}", file=out)
-        elif record.status.value is not None:
-            print(f"lct = {record.status.value}", file=out)
-        print(f"provenance = {record.provenance}", file=out)
-        if record.fan is not None:
-            print(f"fan rays = {len(record.fan)}", file=out)
-        if record.notes:
-            print(f"notes = {record.notes}", file=out)
+        fields = [("status", kind), ("lct", value), ("provenance", record.provenance)]
+        return _emit(out, True, *(field for field in fields if field[1] is not None))
+    print(f"family {record.id}", file=out)
+    _emit(out, False, ("rank", record.picard_rank), ("status", _STATUS_HUMAN[kind]))
+    if kind == "upper_bound":
+        print(f"lct <= {value}", file=out)
+    elif value is not None:
+        _emit(out, False, ("lct", value))
+    _emit(out, False, ("provenance", record.provenance))
+    if record.fan is not None:
+        _emit(out, False, ("fan_rays", len(record.fan)))
+    if record.notes:
+        _emit(out, False, ("notes", record.notes))
     return 0
 
 
-def _print_db_summary(db, machine: bool, out) -> None:
+def _print_db_summary(db, machine: bool, out) -> int:
     counts = status_counts(db.records)
-    fans = sum(r.fan is not None for r in db.records)
-    if machine:
-        print(f"families={len(db.records)}", file=out)
-        for kind in STATUS_KINDS:
-            print(f"{kind}={counts[kind]}", file=out)
-        print(f"fans={fans}", file=out)
-    else:
-        print(f"families = {len(db.records)}", file=out)
-        print(f"exact for every smooth member = {counts['exact_all']}", file=out)
-        print(f"exact for a general member = {counts['exact_general']}", file=out)
-        print(f"upper bound only = {counts['upper_bound']}", file=out)
-        print(f"open = {counts['unknown']}", file=out)
-        print(f"stored fans = {fans}", file=out)
+    fields = [("families", len(db.records)),
+              *((kind, counts[kind]) for kind in STATUS_KINDS),
+              ("fans", sum(r.fan is not None for r in db.records))]
+    if not machine:
+        fields = [(_SUMMARY_HUMAN.get(key, key), n) for key, n in fields]
+    return _emit(out, machine, *fields)
 
 
 def _cmd_db(args, out) -> int:
     if args.import_path is not None:
-        _print_db_summary(import_table(_read_text(args.import_path)), args.machine, out)
-        return 0
+        return _print_db_summary(import_table(_read_text(args.import_path)),
+                                 args.machine, out)
     db = load_builtin()
     if args.export_path is not None:
         text = export_table(db)
@@ -237,8 +235,7 @@ def _cmd_db(args, out) -> int:
             print(f"wrote {args.export_path}", file=out)
         return 0
     if not args.cross_check:
-        _print_db_summary(db, args.machine, out)
-        return 0
+        return _print_db_summary(db, args.machine, out)
     report = cross_check_toric(db)
     for check in report.checks:
         if args.machine:
@@ -262,13 +259,8 @@ def _cmd_equivariant(args, out) -> int:
             print(key, file=out)
         return 0
     entry = known_equivariant_lct(args.key)
-    if args.machine:
-        print(f"lct={entry.value}", file=out)
-        print(f"provenance={entry.provenance}", file=out)
-    else:
-        print(f"lct = {entry.value}", file=out)
-        print(f"provenance = {entry.provenance}", file=out)
-    return 0
+    return _emit(out, args.machine, ("lct", entry.value),
+                 ("provenance", entry.provenance))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -369,7 +361,14 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args, out)
+        # a warning becomes one stderr line, whatever the warning filters say
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                return args.handler(args, out)
+            finally:
+                for w in caught:
+                    print(f"warning: {w.message}", file=err)
     except (ToolkitError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=err)
         return 1

@@ -31,7 +31,7 @@ class GroupNotClosed(ToolkitError):
 
 
 class DegenerateSubdivision(ToolkitError):
-    """Star subdivision request is degenerate (dependent subset, zero sum, or existing ray)."""
+    """Star subdivision request is degenerate (empty or dependent subset, or existing ray)."""
 
 
 class NotWellFormed(ToolkitError):

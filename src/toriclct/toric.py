@@ -347,8 +347,8 @@ def star_subdivide(rays: RaySet, subset) -> RaySet:
     rays (the toric blow-up of the corresponding cone's stratum).
 
     The caller is responsible for the subset actually spanning a cone of the
-    fan. Raises DegenerateSubdivision when the subset is dependent, sums to
-    zero, or its primitive sum is already a ray.
+    fan. Raises DegenerateSubdivision when the subset is empty, repeats a
+    ray or is dependent, or when its primitive sum is already a ray.
     """
     subset = [_integers(v, "ray") for v in subset]
     present = set(rays)
@@ -362,8 +362,6 @@ def star_subdivide(rays: RaySet, subset) -> RaySet:
     if mat_rank(subset) != len(subset):
         raise DegenerateSubdivision("subset is linearly dependent")
     total = tuple(sum(col) for col in zip(*subset))
-    if all(c == 0 for c in total):
-        raise DegenerateSubdivision("subset sums to zero")
     new = primitive_vector(total)
     if new in present:
         raise DegenerateSubdivision(f"{new} is already a ray")

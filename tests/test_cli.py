@@ -2,6 +2,7 @@
 stability."""
 
 import io
+import warnings
 
 import pytest
 
@@ -105,6 +106,24 @@ def test_toric_fan_file_with_group(tmp_path):
 def test_toric_missing_file():
     code, _, err = invoke("toric", "--fan-file", "/no/such/file")
     assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_toric_warning_is_one_stderr_line(action):
+    # a non-primitive ray warns; the process's warning filters do not matter
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        code, out, err = invoke("toric", "--rays", "2,0;0,1;-1,-1", "--machine")
+    assert code == 0
+    assert out == invoke("toric", "--rays", P2_RAYS, "--machine")[1]
+    assert err == "warning: ray (2, 0) normalized to primitive (1, 0)\n"
+
+
+def test_toric_warnings_precede_the_error():
+    code, out, err = invoke("toric", "--rays", "2,0;0,1;-1,-1", "--group", "0,1")
+    assert code == 1 and out == ""
+    assert err == ("warning: ray (2, 0) normalized to primitive (1, 0)\n"
+                   "error: ValueError: expected 4 row-major entries\n")
 
 
 # ---------------------------------------------------------------------------

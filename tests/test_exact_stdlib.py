@@ -59,3 +59,9 @@ def _unchecked_fraction_calls(path: Path) -> list[str]:
 def test_numbers_reach_fraction_through_one_helper():
     modules = sorted(PACKAGE.rglob("*.py"))
     assert [item for path in modules for item in _unchecked_fraction_calls(path)] == []
+
+
+def test_package_parses_as_python_3_10():
+    # pyproject.toml promises requires-python >= 3.10
+    for path in sorted(PACKAGE.rglob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -1,0 +1,71 @@
+"""Input checks that no other test reaches: one malformed input per
+rejection branch, and the CLI's guard against an engine that disagrees
+with a closed form."""
+
+import io
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+
+from toriclct import cli
+from toriclct.errors import DegenerateSubdivision, GroupNotClosed, ParseError
+from toriclct.formulas import double_cover_lct, fermat_cse, p1_product_lct
+from toriclct.geometry import (HPolytope, dot, fixed_subspace, mat_det,
+                               smith_normal_form)
+from toriclct.toric import (GroupAction, RaySet, ToricLctReport, parse_fan,
+                            projective_space_fan, star_subdivide)
+
+EYE2 = ((1, 0), (0, 1))
+SWAP2 = ((0, 1), (1, 0))
+P2_FAN = "1,0\n0,1\n-1,-1\n\n"
+
+REJECTIONS = [
+    ("dot", lambda: dot((1, 2), (1,)), ValueError, "dimension mismatch"),
+    ("mat_det", lambda: mat_det(((1, 2),)), ValueError, "square"),
+    ("HPolytope", lambda: HPolytope(()), ValueError, "at least one halfspace"),
+    ("smith_normal_form", lambda: smith_normal_form(((1, 2),)), ValueError,
+     "square"),
+    ("fixed_subspace", lambda: fixed_subspace([]), ValueError,
+     "at least one matrix"),
+    ("RaySet", lambda: RaySet(()), ValueError, "at least one ray"),
+    ("GroupAction empty", lambda: GroupAction(()), ValueError,
+     "at least one element"),
+    ("GroupAction mixed size", lambda: GroupAction((EYE2, ((1,),))),
+     ValueError, "square of one dimension"),
+    ("GroupAction repeated", lambda: GroupAction((EYE2, SWAP2, SWAP2)),
+     GroupNotClosed, "repeated"),
+    ("ToricLctReport witness",
+     lambda: ToricLctReport(Fraction(1, 3), Fraction(2), (-1, -1), (1, 0)),
+     ValueError, "witness pairing"),
+    ("star_subdivide empty", lambda: star_subdivide(projective_space_fan(2), []),
+     DegenerateSubdivision, "empty subset"),
+    ("parse_fan group row", lambda: parse_fan(P2_FAN + "1,0,0\n"),
+     ParseError, "line 5: expected 4 row-major entries"),
+    ("parse_fan group not closed",
+     lambda: parse_fan(P2_FAN + "1,0,0,1\n0,1,1,0\n0,-1,1,-1\n"),
+     ParseError, "not closed under product"),
+    ("double_cover_lct", lambda: double_cover_lct(1, 1), ValueError,
+     "n >= 2"),
+    ("fermat_cse", lambda: fermat_cse([0]), ValueError, "positive integers"),
+    ("p1_product_lct", lambda: p1_product_lct(2), ValueError, r"\(0, 1\]"),
+]
+
+
+@pytest.mark.parametrize("call, error, match", [r[1:] for r in REJECTIONS],
+                         ids=[r[0] for r in REJECTIONS])
+def test_malformed_input_is_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+@pytest.mark.parametrize("argv", [
+    ("wps", "1", "1", "2"),
+    ("bundle", "--base-dim", "2", "--twists", "1"),
+])
+def test_engine_disagreeing_with_the_formula_fails(monkeypatch, argv):
+    monkeypatch.setattr(cli, "toric_lct",
+                        lambda rays: SimpleNamespace(lct=Fraction(1, 99)))
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(list(argv), stdout=out, stderr=err) == 1
+    assert out.getvalue() == "" and "disagrees" in err.getvalue()
