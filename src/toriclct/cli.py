@@ -88,25 +88,33 @@ def _fraction(text: str) -> Fraction:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid integer list: {text!r}") from None
 
 
 def _vector_list(text: str) -> list[tuple[int, ...]]:
-    return [tuple(int(tok) for tok in part.split(","))
-            for part in text.split(";") if part.strip()]
+    try:
+        return [tuple(int(tok) for tok in part.split(","))
+                for part in text.split(";") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid vector list: {text!r}") from None
 
 
 def _cmd_toric(args, out) -> int:
     group = None
     if args.fan_file is not None:
         rays, group = parse_fan(_read_text(args.fan_file))
-        if group is not None and args.group:
+        if group is not None and args.group is not None:
             raise ValueError("fan file already carries a group block; drop --group")
     else:
-        rays = RaySet(tuple(_vector_list(args.rays)))
-    if args.group:
+        rays = RaySet(tuple(args.rays))
+    if args.group is not None:
         group = GroupAction.generate([_square_matrix(flat, rays.dim)
-                                      for flat in _vector_list(args.group)])
+                                      for flat in args.group])
     report = toric_lct(rays, group)
     if group is not None and not args.machine:
         _emit(out, False, ("group_order", len(group)))
@@ -127,7 +135,7 @@ def _cmd_wps(args, out) -> int:
 
 
 def _cmd_bundle(args, out) -> int:
-    twists = _int_list(args.twists)
+    twists = args.twists
     value = bundle_lct_closed_form(args.base_dim, twists)
     engine = toric_lct(projectivized_bundle_fan(args.base_dim, twists)).lct
     if engine != value:
@@ -141,9 +149,9 @@ def _cmd_bundle(args, out) -> int:
 
 def _cmd_cse(args, out) -> int:
     if args.monomial is not None:
-        value = monomial_cse(_int_list(args.monomial))
+        value = monomial_cse(args.monomial)
     else:
-        value = fermat_cse(_int_list(args.fermat))
+        value = fermat_cse(args.fermat)
     return _emit(out, args.machine, ("lct" if args.machine else "cse", value))
 
 
@@ -279,9 +287,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("toric", _cmd_toric, "threshold of a complete fan")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--rays", help="rays like '1,0;0,1;-1,-1'")
+    src.add_argument("--rays", type=_vector_list, help="rays like '1,0;0,1;-1,-1'")
     src.add_argument("--fan-file", help="fan file path, or - for stdin")
-    p.add_argument("--group", help="generator matrices, row-major, like '0,1,1,0'")
+    p.add_argument("--group", type=_vector_list,
+                   help="generator matrices, row-major, like '0,1,1,0'")
 
     p = add("wps", _cmd_wps, "threshold of a well-formed weighted projective space")
     p.add_argument("weights", nargs="+", type=int)
@@ -289,12 +298,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("bundle", _cmd_bundle, "threshold of a projectivized split bundle over projective space")
     p.add_argument("--base-dim", type=int, required=True,
                    help="dimension of the base projective space")
-    p.add_argument("--twists", required=True, help="twist degrees like '1,2'")
+    p.add_argument("--twists", type=_int_list, required=True,
+                   help="twist degrees like '1,2'")
 
     p = add("cse", _cmd_cse, "complex singularity exponent at the origin")
     kind = p.add_mutually_exclusive_group(required=True)
-    kind.add_argument("--monomial", help="exponents like '2,3,5'")
-    kind.add_argument("--fermat", help="exponents of a power sum like '2,3,5'")
+    kind.add_argument("--monomial", type=_int_list, help="exponents like '2,3,5'")
+    kind.add_argument("--fermat", type=_int_list,
+                      help="exponents of a power sum like '2,3,5'")
 
     p = add("hypersurface", _cmd_hypersurface, "threshold of a smooth low-degree hypersurface")
     p.add_argument("--ambient", type=int, required=True,

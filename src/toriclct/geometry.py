@@ -9,7 +9,9 @@ tableau rows. A vertex is a ray (x, t) of the homogenised cone, the point
 x / t; its tableau row holds its pairing with every row, which toric_lct
 reads instead of recomputing. Two rays are adjacent when they share d - 2
 tight rows and, unless one of them is simple (tight at exactly d - 1 rows),
-no third ray is tight at all of those. Eliminations run in integers, fraction
+no third ray is tight at all of those; when an inserted row has many rays on
+both sides, simple rays find their simple partners by hashing those shared
+rows instead of testing every pair. Eliminations run in integers, fraction
 free; Fraction holds only halfspaces, returned points and solutions, whose
 inputs are read exactly by _rational. No floats, no epsilon.
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from numbers import Rational as _Exact
 from operator import index, mul
@@ -69,6 +72,8 @@ def _rational(x, what: str) -> Fraction:
 def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
     """The primitive part of a nonzero integer vector: v divided by gcd(v)."""
     g = gcd(*v)
+    if g == 1:
+        return tuple(v)
     if g == 0:
         raise ValueError("zero vector has no primitive part")
     return tuple([c // g for c in v])
@@ -226,6 +231,15 @@ def _extreme_rays(rows, d: int):
     When it shares d - 2, Z is independent, so the face cut out by Z spans a
     2-D subspace. That face contains both rays, so it is a pointed 2-D cone
     whose only two extreme rays are these two: the pair is adjacent.
+
+    So two simple rays are adjacent iff their masks of d - 1 bits share
+    d - 2. When |pos| |neg| exceeds 2 (|pos| + |neg|) (d - 1), the pairs
+    come from _hashed_pairs, which finds those simple pairs by hashing and
+    keeps every other pair with at least d - 2 common bits, in the order of
+    the full loop; all take the test above, so the rays, masks and order
+    are the same either way. Below that switch the full loop is cheaper
+    than the index. The intermediate cones, and so the cost, still depend
+    on the order of the rows, which is the caller's: toric_lct sorts them.
     """
     eliminated, basis, det = _echelon(
         [(*col, *e) for col, e in zip(transpose(rows), identity_matrix(d))], len(rows))
@@ -250,18 +264,58 @@ def _extreme_rays(rows, d: int):
                 kept.append((z, mask | bit))
         # distinct extreme rays of a pointed cone have distinct tight sets
         masks = [mask for _, mask in rays]
-        for sp, p, mp in pos:
-            for sn, q, mq in neg:
-                common = mp & mq
-                if common.bit_count() < d - 2 or (
-                        mp.bit_count() >= d and mq.bit_count() >= d and any(
-                            m & common == common and m != mp and m != mq
-                            for m in masks)):
-                    continue
-                z = primitive_vector([sp * b - sn * a for a, b in zip(p, q)])
-                kept.append((z, common | bit))
+        if len(pos) * len(neg) > 2 * (len(pos) + len(neg)) * (d - 1):
+            pairs = _hashed_pairs(pos, neg, d)
+        else:
+            pairs = product(pos, neg)
+        for (sp, p, mp), (sn, q, mq) in pairs:
+            common = mp & mq
+            if common.bit_count() < d - 2 or (
+                    mp.bit_count() >= d and mq.bit_count() >= d and any(
+                        m & common == common and m != mp and m != mq
+                        for m in masks)):
+                continue
+            z = primitive_vector([sp * b - sn * a for a, b in zip(p, q)])
+            kept.append((z, common | bit))
         rays = kept
     return rays
+
+
+def _low_bits(mask: int):
+    """The set bits of mask, each as an int of one bit, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _hashed_pairs(pos, neg, d: int) -> list:
+    """The (+, -) pairs of _extreme_rays whose masks share at least d - 2
+    bits, in the order of product(pos, neg). Each negative simple ray is
+    indexed under its d - 1 masks with one bit dropped, and each positive
+    simple ray looks up its own d - 1: two distinct simple masks of d - 1
+    bits share d - 2 iff they meet under exactly one such key. Pairs with a
+    non-simple ray are counted bit by bit."""
+    masks = [(j, b[2]) for j, b in enumerate(neg)]
+    keys, wide = {}, []
+    for j, mask in masks:
+        if mask.bit_count() >= d:
+            wide.append((j, mask))
+        else:
+            for low in _low_bits(mask):
+                keys.setdefault(mask ^ low, []).append(j)
+    pairs = []
+    for a in pos:
+        mask = a[2]
+        simple = mask.bit_count() < d
+        found = [j for j, m in (wide if simple else masks)
+                 if (mask & m).bit_count() >= d - 2]
+        if simple:
+            for low in _low_bits(mask):
+                found += keys.get(mask ^ low, ())
+            found.sort()
+        pairs += [(a, neg[j]) for j in found]
+    return pairs
 
 
 def is_bounded(poly: HPolytope) -> bool:

@@ -233,8 +233,16 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
     ray; nothing is paired again. Rays zero on B have no row and pair at 0.
     Fractions are made only for the report. The witness is the smallest
     maximal vertex x / t, then its first maximal ray in sorted order.
+
+    The rows follow the rays in sorted order, whatever order they came in.
+    The double description's intermediate cones, and so its cost, depend on
+    the order in which it inserts the rows: a product fan lists one
+    factor's rays after the other's, and on such fans the sorted order
+    makes far fewer candidate pairs. The witness rule is a total order, so
+    the report does not depend on the order either way.
     """
-    rows, d, paired = [(*v, -1) for v in rays], rays.dim, rays
+    paired = sorted(rays)
+    rows, d = [(*v, -1) for v in paired], rays.dim
     if group is not None:
         if group.dim != rays.dim:
             raise ValueError("group dimension does not match rays")
@@ -255,8 +263,8 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
         basis = fixed_subspace([transpose(g) for g in gens])
         # <v, B s> >= -1 is <B^T v, s> >= -1; rows zero on B always hold,
         # and their rays pair at 0
-        normals = [[dot(v, b) for b in basis] for v in rays]
-        paired = [v for v, a in zip(rays, normals) if any(a)]
+        normals = [[dot(v, b) for b in basis] for v in paired]
+        paired = [v for v, a in zip(paired, normals) if any(a)]
         rows, d = [(*a, -1) for a in normals if any(a)], len(basis)
     try:
         vertices = _vertex_rays(rows, d)

@@ -70,6 +70,12 @@ def test_toric_group_needs_square_matrices():
     assert code == 1 and "entries" in err
 
 
+@pytest.mark.parametrize("group", [";", ""])
+def test_toric_empty_group_list_is_an_error(group):
+    code, out, err = invoke("toric", "--rays", P2_RAYS, f"--group={group}")
+    assert code == 1 and out == "" and "need at least one generator" in err
+
+
 def test_toric_incomplete_fan():
     code, _, err = invoke("toric", "--rays", "1,0;0,1")
     assert code == 1 and "FanNotComplete" in err
@@ -228,6 +234,19 @@ def test_p1_product():
 def test_bad_fraction_is_a_usage_error(argv):
     code, out, err = invoke(*argv)
     assert code == 2 and out == "" and "invalid Fraction value" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("toric", "--rays", "1,0;0,1;-1,x"), "--rays"),
+    (("toric", "--rays", P2_RAYS, "--group", "0,1,1,x"), "--group"),
+    (("cse", "--monomial", "2,x"), "--monomial"),
+    (("cse", "--fermat", "2,3.0"), "--fermat"),
+    (("bundle", "--base-dim", "1", "--twists", "1.5"), "--twists"),
+])
+def test_bad_integer_list_is_a_usage_error_naming_the_option(argv, option):
+    code, out, err = invoke(*argv, "--machine")
+    assert code == 2 and out == ""
+    assert f"argument {option}: invalid " in err and "invalid literal" not in err
 
 
 def test_dp_smooth():

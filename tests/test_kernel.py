@@ -5,8 +5,9 @@ shuffled halfspace orders, fans missing one ray, repeated rows, 1-D
 polytopes, and unbounded and empty inputs; one elimination per double
 description; the double description against its full-scan oracle, equal
 lists of rays and masks on fans and degenerate cones in seeded bases, each
-ray's tableau row holding its exact products with every row; and toric_lct
-reading its pairings from those rows without an inner product."""
+ray's tableau row holding its exact products with every row, and the hashed
+partner search listing the pair loop's candidates in its order; and
+toric_lct reading its pairings from those rows without an inner product."""
 
 import itertools
 import random
@@ -324,7 +325,16 @@ DD_FAMILIES = {
     "bipyramids": lambda rng: [_bipyramid(base) for base in
                                (HEXAGON, _cube(3), _cube(4))],
     "random_signs": lambda rng: [_random_sign_rows(rng) for _ in range(40)],
+    # large enough (+, -) sides for the hashed partner search, with and
+    # without non-simple rays
+    "cross_polytope_7": lambda rng: [_cross_polytope(7)],
+    "triple_product": lambda rng: [
+        _fan_rows(product_fan(product_fan(a, b), c))
+        for a, b, c in [rng.sample(_stored_fans(), 3)]],
 }
+# the families whose cones reach the hashed partner search, and whether they
+# reach it with a non-simple ray on either side
+HASHED = {"cross_polytope_7": True, "triple_product": False}
 
 
 def _homogenised(rows):
@@ -334,7 +344,19 @@ def _homogenised(rows):
 
 
 @pytest.mark.parametrize("family", DD_FAMILIES)
-def test_double_description_matches_the_full_scan_oracle(family):
+def test_double_description_matches_the_full_scan_oracle(family, monkeypatch):
+    hashed = []
+
+    def counted(pos, neg, d):
+        hashed.append(any(m.bit_count() >= d for _, _, m in (*pos, *neg)))
+        pairs = search(pos, neg, d)
+        # the pair loop's order, less the pairs that cannot be adjacent
+        assert pairs == [(a, b) for a in pos for b in neg
+                         if (a[2] & b[2]).bit_count() >= d - 2]
+        return pairs
+
+    search = toriclct.geometry._hashed_pairs
+    monkeypatch.setattr(toriclct.geometry, "_hashed_pairs", counted)
     rng = random.Random(96)
     cones = []
     for rows in DD_FAMILIES[family](rng):
@@ -355,6 +377,8 @@ def test_double_description_matches_the_full_scan_oracle(family):
         for z, _ in rays or ():
             assert list(z[:len(rows)]) == [dot(row, z[len(rows):]) for row in rows]
         degenerate += any(mask.bit_count() >= d for _, mask in rays or ())
-    if family not in ("stored_fans", "product_fans"):
+    if family not in ("stored_fans", "product_fans", "triple_product"):
         # rays tight at more than d - 1 rows are where adjacency needs a scan
         assert degenerate, family
+    if family in HASHED:
+        assert hashed and any(hashed) == HASHED[family], hashed

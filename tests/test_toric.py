@@ -669,6 +669,45 @@ def test_product_fan_p1_cubed():
     assert toric_lct(fan).lct == F(1, 2)
 
 
+def _seeded_product(rng, count):
+    """The product of count stored fans drawn by rng, each in a seeded basis,
+    and the smallest of their recorded thresholds, which the product takes."""
+    stored = [(rec.status.value, rec.fan) for rec in load_builtin().records
+              if rec.fan is not None]
+    picks = rng.sample(stored, count)
+    fans = [transform_rays(random_unimodular(rng, fan.dim), fan) for _, fan in picks]
+    product = fans[0]
+    for fan in fans[1:]:
+        product = product_fan(product, fan)
+    return product, min(value for value, _ in picks)
+
+
+def _shuffled(rng, rays):
+    rays = list(rays)
+    rng.shuffle(rays)
+    return RaySet(tuple(rays))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_twelve_dimensional_products_take_the_smallest_factor_value(seed):
+    rng = random.Random(seed)
+    fan, expected = _seeded_product(rng, 4)
+    assert fan.dim == 12
+    report = toric_lct(fan)
+    assert report.lct == expected
+    assert toric_lct(_shuffled(rng, fan)) == report
+
+
+def test_product_reports_do_not_depend_on_the_ray_order():
+    rng = random.Random(17)
+    for _ in range(20):
+        fan, expected = _seeded_product(rng, 2)
+        report = toric_lct(fan)
+        assert report.lct == expected
+        for _ in range(3):
+            assert toric_lct(_shuffled(rng, fan)) == report
+
+
 def test_bundle_fan_rays():
     fan = projectivized_bundle_fan(2, (1,))
     assert set(fan) == {(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1),
