@@ -17,7 +17,8 @@ provenance; every other computing subcommand lct.
 
 Ray strings list vectors separated by ';' with coordinates separated by ','
 (whitespace is ignored); group strings list row-major dim*dim matrices the
-same way.
+same way. A blank ';' part is skipped, as a blank line is in a fan file; a
+blank or non-integer token, here and in any integer list, is a usage error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import argparse
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 from pathlib import Path
 
 from .database import (STATUS_KINDS, cross_check_toric, export_table,
@@ -38,8 +38,9 @@ from .formulas import (DelPezzoDescriptor, KNOWN_EQUIVARIANT,
                        fermat_cse, hypersurface_lct, known_equivariant_lct,
                        monomial_cse, p1_product_lct, product_lct, wps_lct)
 from .geometry import _rational
-from .toric import (GroupAction, RaySet, _square_matrix, bundle_lct_closed_form,
-                    parse_fan, projectivized_bundle_fan, toric_lct, wps_fan)
+from .toric import (GroupAction, RaySet, _ints, _square_matrix,
+                    bundle_lct_closed_form, parse_fan, projectivized_bundle_fan,
+                    toric_lct, wps_fan)
 
 _STATUS_HUMAN = {
     "exact_all": "exact value for every smooth member",
@@ -78,30 +79,21 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
-def _fraction(text: str) -> Fraction:
-    # argparse would name this function, not Fraction, in its usage error
-    try:
-        return _rational(text, "value")
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid Fraction value: {text!r}") from None
+def _option(read, what: str):
+    """An argparse type= function: read(text), a ValueError becoming a usage
+    error that names what was expected (argparse would name the function)."""
+    def parse(text: str):
+        try:
+            return read(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {what}: {text!r}") from None
+    return parse
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid integer list: {text!r}") from None
-
-
-def _vector_list(text: str) -> list[tuple[int, ...]]:
-    try:
-        return [tuple(int(tok) for tok in part.split(","))
-                for part in text.split(";") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid vector list: {text!r}") from None
+_fraction = _option(lambda text: _rational(text, "value"), "Fraction value")
+_int_list = _option(_ints, "integer list")
+_vector_list = _option(lambda text: [tuple(_ints(part)) for part in text.split(";")
+                                     if part.strip()], "vector list")
 
 
 def _cmd_toric(args, out) -> int:

@@ -13,10 +13,10 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import InvalidId, ParseError
-from .geometry import _integers, _rational
-from .toric import (RaySet, _blocks, _int_rows, format_fan, product_fan,
-                    projective_space_fan, projectivized_bundle_fan,
-                    star_subdivide, toric_lct)
+from .geometry import _integers, _rational, _threshold
+from .toric import (RaySet, _at_line, _blocks, _int_rows, format_fan,
+                    product_fan, projective_space_fan,
+                    projectivized_bundle_fan, star_subdivide, toric_lct)
 
 RANK_SIZES = {1: 17, 2: 36, 3: 31, 4: 13, 5: 8}
 STATUS_KINDS = ("exact_all", "exact_general", "upper_bound", "unknown")
@@ -52,8 +52,9 @@ class FamilyId:
 class LctStatus:
     """What is known about a family's threshold: an exact value for every
     smooth member, an exact value for a general member, an upper bound, or
-    nothing sharp. The value is read exactly from an int, a Fraction or a
-    string such as '1/2'; a float or a zero denominator raises ValueError."""
+    nothing sharp. The value is read by geometry._threshold from an int, a
+    Fraction or a string such as '1/2'; a float, a zero denominator or a
+    value outside (0, 1] raises ValueError."""
 
     kind: str
     value: Fraction | None = None
@@ -65,10 +66,7 @@ class LctStatus:
             if self.value is not None:
                 raise ValueError("unknown status carries no value")
         else:
-            value = _rational(self.value, "status value")
-            if not 0 < value <= 1:
-                raise ValueError("status value must lie in (0, 1]")
-            object.__setattr__(self, "value", value)
+            object.__setattr__(self, "value", _threshold(self.value, "status value"))
 
     @classmethod
     def exact_all(cls, value) -> "LctStatus":
@@ -285,10 +283,8 @@ def load_builtin() -> Database:
 def lookup(db: Database, family) -> FamilyRecord:
     """The record for a family id given as FamilyId or 'rank.index' string."""
     fid = family if isinstance(family, FamilyId) else FamilyId.parse(family)
-    for record in db.records:
-        if record.id == fid:
-            return record
-    raise InvalidId(f"{fid} is not in the database")
+    # a Database holds every id that FamilyId accepts
+    return next(record for record in db.records if record.id == fid)
 
 
 def query(db: Database, rank: int | None = None, status_kind: str | None = None,
@@ -390,8 +386,8 @@ def export_table(db: Database) -> str:
 def import_table(text: str) -> Database:
     """Inverse of export_table (notes are not serialized). A blank line or a
     '[fan id]' header starts a new block; a fan block holds the ray rows of
-    a fan file. Raises ParseError with the offending line number on
-    malformed input."""
+    a fan file. A value of '-' is no value. Raises ParseError with the
+    offending line number on malformed input."""
     entries: dict[FamilyId, tuple[LctStatus, str]] = {}
     fans: dict[FamilyId, RaySet] = {}
     for block in _blocks(text, "[fan"):
@@ -400,10 +396,8 @@ def import_table(text: str) -> Database:
         if header.startswith("[fan"):
             if not header.endswith("]"):
                 raise ParseError(header_line, "malformed fan header")
-            try:
+            with _at_line(header_line):
                 fan_id = FamilyId.parse(header[len("[fan"):-1])
-            except InvalidId as exc:
-                raise ParseError(header_line, str(exc))
             if fan_id not in entries:
                 raise ParseError(header_line, f"fan for unknown family {fan_id}")
             if fan_id in fans:
@@ -411,34 +405,23 @@ def import_table(text: str) -> Database:
             rows = _int_rows(block[1:])
             if not rows:
                 raise ParseError(header_line, f"fan block for {fan_id} has no rays")
-            try:
+            with _at_line(header_line):
                 fans[fan_id] = RaySet(tuple(tuple(values) for _, values in rows))
-            except ValueError as exc:
-                raise ParseError(header_line, str(exc))
             continue
         for lineno, raw in block:
             fields = raw.strip().split("|", 4)
             if len(fields) != 5:
                 raise ParseError(lineno, "expected id|rank|status_kind|value|provenance")
             id_text, rank_text, kind, value_text, provenance = fields
-            try:
+            with _at_line(lineno):
                 fid = FamilyId.parse(id_text)
-            except InvalidId as exc:
-                raise ParseError(lineno, str(exc))
             if not (rank_text.isascii() and rank_text.isdigit()) \
                     or int(rank_text) != fid.rank:
                 raise ParseError(lineno, f"rank {rank_text!r} does not match id {fid}")
             if fid in entries:
                 raise ParseError(lineno, f"duplicate record for {fid}")
-            if kind == "unknown":
-                if value_text != "-":
-                    raise ParseError(lineno, "unknown status takes value '-'")
-                status = LctStatus.unknown()
-            else:
-                try:
-                    status = LctStatus(kind, value_text)
-                except ValueError as exc:
-                    raise ParseError(lineno, str(exc))
+            with _at_line(lineno):
+                status = LctStatus(kind, None if value_text == "-" else value_text)
             entries[fid] = (status, provenance)
 
     records = tuple(FamilyRecord(id=fid, status=status, provenance=provenance,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .errors import OutOfRegime, UnknownKey, UnsupportedDescriptor
-from .geometry import _integers, _rational
+from .geometry import _integers, _threshold
 from .toric import check_well_formed
 
 CUBIC_SINGULARITY_TYPES = ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6")
@@ -52,40 +52,37 @@ def double_cover_lct(n: int, d: int) -> Fraction:
     return Fraction(1, n + 1 - d)
 
 
-def monomial_cse(exponents) -> Fraction:
-    """Complex singularity exponent of the monomial z_1^{m_1} ... z_k^{m_k}
-    at the origin: min(1/m_i)."""
+def _exponents(exponents) -> tuple[int, ...]:
+    """The exponents of a singularity: at least one, each a positive
+    integer."""
     exponents = _integers(exponents, "exponents")
     if not exponents or any(m < 1 for m in exponents):
         raise ValueError("exponents must be positive integers")
-    return Fraction(1, max(exponents))
+    return exponents
+
+
+def monomial_cse(exponents) -> Fraction:
+    """Complex singularity exponent of the monomial z_1^{m_1} ... z_k^{m_k}
+    at the origin: min(1/m_i)."""
+    return Fraction(1, max(_exponents(exponents)))
 
 
 def fermat_cse(exponents) -> Fraction:
     """Complex singularity exponent of z_1^{m_1} + ... + z_k^{m_k} at the
     origin: min(1, sum 1/m_i)."""
-    exponents = _integers(exponents, "exponents")
-    if not exponents or any(m < 1 for m in exponents):
-        raise ValueError("exponents must be positive integers")
-    return min(Fraction(1), sum(Fraction(1, m) for m in exponents))
+    return min(Fraction(1), sum(Fraction(1, m) for m in _exponents(exponents)))
 
 
 def product_lct(a, b) -> Fraction:
     """lct of a product with canonical Gorenstein factors: min of the
-    factors' thresholds."""
-    a, b = _rational(a, "factor threshold"), _rational(b, "factor threshold")
-    if not (0 < a <= 1 and 0 < b <= 1):
-        raise ValueError("factor thresholds must lie in (0, 1]")
-    return min(a, b)
+    factors' thresholds, each read by geometry._threshold."""
+    return min(_threshold(a, "factor threshold"), _threshold(b, "factor threshold"))
 
 
 def p1_product_lct(a) -> Fraction:
     """lct of a product of the projective line with a log terminal Fano:
-    min(1/2, lct of the second factor)."""
-    a = _rational(a, "factor threshold")
-    if not 0 < a <= 1:
-        raise ValueError("factor threshold must lie in (0, 1]")
-    return min(Fraction(1, 2), a)
+    min(1/2, lct of the second factor), read by geometry._threshold."""
+    return min(Fraction(1, 2), _threshold(a, "factor threshold"))
 
 
 # The global lct of every tabulated del Pezzo surface, keyed by (degree,

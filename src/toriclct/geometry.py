@@ -69,6 +69,29 @@ def _rational(x, what: str) -> Fraction:
     raise ValueError(f"{what} {x!r} is not an exact rational")
 
 
+def _threshold(x, what: str) -> Fraction:
+    """x read by _rational, which must lie in (0, 1], as every threshold
+    does."""
+    x = _rational(x, what)
+    if not 0 < x <= 1:
+        raise ValueError(f"{what} must lie in (0, 1]")
+    return x
+
+
+def _matrices(matrices, what: str) -> tuple:
+    """Integer copies of a nonempty list of square matrices of one
+    dimension."""
+    out = tuple(tuple(_integers(row, f"{what} row") for row in g)
+                for g in matrices)
+    if not out:
+        raise ValueError(f"need at least one {what}")
+    n = len(out[0])
+    for g in out:
+        if len(g) != n or any(len(row) != n for row in g):
+            raise ValueError(f"every {what} must be square of one dimension")
+    return out
+
+
 def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
     """The primitive part of a nonzero integer vector: v divided by gcd(v)."""
     g = gcd(*v)
@@ -134,11 +157,9 @@ def _scale_to_integers(values) -> tuple[tuple[int, ...], int]:
 
 def mat_det(m) -> int:
     """Exact determinant of a square integer matrix."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    _, pivots, det = _echelon(m, n)
-    return det if len(pivots) == n else 0
+    (m,) = _matrices([m], "matrix")
+    _, pivots, det = _echelon(m, len(m))
+    return det if len(pivots) == len(m) else 0
 
 
 def mat_rank(rows: Iterable[Sequence]) -> int:
@@ -406,10 +427,9 @@ def smith_normal_form(matrix) -> SmithDecomposition:
     trailing block by folding an offending row into the pivot row. All
     operations are recorded in u (rows) and v (columns).
     """
+    (matrix,) = _matrices([matrix], "matrix")
     n = len(matrix)
-    a = [list(_integers(row, "matrix row")) for row in matrix]
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
+    a = [list(row) for row in matrix]
     u = [list(row) for row in identity_matrix(n)]
     v = [list(row) for row in identity_matrix(n)]
 
@@ -480,15 +500,9 @@ def fixed_subspace(gens) -> list[tuple[int, ...]]:
     system and positive there, in ascending column order. The identity yields
     the standard basis; an empty list means the fixed subspace is {0}.
     """
-    gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one matrix")
+    gens = _matrices(gens, "matrix")
     n = len(gens[0])
-    rows = []
-    for g in gens:
-        if len(g) != n or any(len(row) != n for row in g):
-            raise ValueError("matrices must be square of one dimension")
-        rows += ([g[i][j] - (i == j) for j in range(n)] for i in range(n))
+    rows = [[g[i][j] - (i == j) for j in range(n)] for g in gens for i in range(n)]
     reduced, pivots, d = _echelon(rows, n)
     basis = []
     for free in (c for c in range(n) if c not in pivots):

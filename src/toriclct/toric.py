@@ -30,19 +30,20 @@ whichever span built the group.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
 from .errors import (DegenerateSubdivision, FanNotComplete,
-                     GroupDoesNotPreserveFan, GroupNotClosed, NotWellFormed,
-                     ParseError, Unbounded)
+                     GroupDoesNotPreserveFan, GroupNotClosed, InvalidId,
+                     NotWellFormed, ParseError, Unbounded)
 # bench/layers.py rebinds is_bounded, enumerate_vertices (unused here), mat_mul
-from .geometry import (HalfSpace, HPolytope, _integers, _vertex_rays, dot,
-                       enumerate_vertices, fixed_subspace, identity_matrix,
-                       is_bounded, mat_det, mat_mul, mat_rank, mat_vec,
-                       primitive_vector, smith_normal_form, transpose)
+from .geometry import (HalfSpace, HPolytope, _integers, _matrices,
+                       _vertex_rays, dot, enumerate_vertices, fixed_subspace,
+                       identity_matrix, is_bounded, mat_det, mat_mul, mat_rank,
+                       mat_vec, primitive_vector, smith_normal_form, transpose)
 
 
 @dataclass(frozen=True)
@@ -85,20 +86,6 @@ class RaySet:
 
     def __len__(self):
         return len(self.rays)
-
-
-def _matrices(matrices, what: str) -> tuple:
-    """Integer copies of a nonempty list of square matrices of one
-    dimension."""
-    out = tuple(tuple(_integers(row, f"{what} row") for row in g)
-                for g in matrices)
-    if not out:
-        raise ValueError(f"need at least one {what}")
-    n = len(out[0])
-    for g in out:
-        if len(g) != n or any(len(row) != n for row in g):
-            raise ValueError(f"{what}s must be square of one dimension")
-    return out
 
 
 def _spans(candidates, cap: int, what: str):
@@ -450,17 +437,34 @@ def _blocks(text: str, header: str | None = None) -> list[list[tuple[int, str]]]
     return [block for block in blocks if block]
 
 
+@contextmanager
+def _at_line(lineno: int):
+    """Re-raise a content fault in the block (ValueError, InvalidId,
+    GroupNotClosed) as ParseError(lineno, its message)."""
+    try:
+        yield
+    except (ValueError, InvalidId, GroupNotClosed) as exc:
+        raise ParseError(lineno, str(exc)) from exc
+
+
+def _ints(text: str) -> list[int]:
+    """The integers of a comma-separated list; a blank or non-integer token
+    raises ValueError."""
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError(f"not a comma-separated integer list: {text!r}") from None
+
+
 def _int_rows(lines) -> list[tuple[int, list[int]]]:
-    """(lineno, values) of the comma-separated integer rows among (lineno,
+    """(lineno, values) of the integer rows, read by _ints, among (lineno,
     line) pairs; '#' starts a comment. Raises ParseError on any other line."""
     rows = []
     for lineno, raw in lines:
         line = raw.split("#", 1)[0].strip()
         if line:
-            try:
-                rows.append((lineno, [int(tok) for tok in line.split(",")]))
-            except ValueError:
-                raise ParseError(lineno, f"not a comma-separated integer row: {raw!r}")
+            with _at_line(lineno):
+                rows.append((lineno, _ints(line)))
     return rows
 
 
@@ -485,20 +489,14 @@ def parse_fan(text: str) -> tuple[RaySet, GroupAction | None]:
     for lineno, values in ray_block:
         if len(values) != dim:
             raise ParseError(lineno, f"expected {dim} coordinates")
-    try:
+    with _at_line(ray_block[0][0]):
         rays = RaySet(tuple(tuple(values) for _, values in ray_block))
-    except ValueError as exc:
-        raise ParseError(ray_block[0][0], str(exc))
     group = None
     if len(blocks) == 2:
         matrices = []
         for lineno, values in blocks[1]:
-            try:
+            with _at_line(lineno):
                 matrices.append(_square_matrix(values, dim))
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc))
-        try:
+        with _at_line(blocks[1][0][0]):
             group = GroupAction(tuple(matrices))
-        except (ValueError, GroupNotClosed) as exc:
-            raise ParseError(blocks[1][0][0], str(exc))
     return rays, group

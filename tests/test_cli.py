@@ -242,6 +242,12 @@ def test_bad_fraction_is_a_usage_error(argv):
     (("cse", "--monomial", "2,x"), "--monomial"),
     (("cse", "--fermat", "2,3.0"), "--fermat"),
     (("bundle", "--base-dim", "1", "--twists", "1.5"), "--twists"),
+    # a blank token is an error in every integer list
+    (("cse", "--monomial", "2,,3"), "--monomial"),
+    (("cse", "--fermat", "2,3,"), "--fermat"),
+    (("bundle", "--base-dim", "1", "--twists", "1,,2"), "--twists"),
+    (("toric", "--rays", "1,,0;0,1;-1,-1"), "--rays"),
+    (("toric", "--rays", P2_RAYS, "--group", "0,1,,1,0"), "--group"),
 ])
 def test_bad_integer_list_is_a_usage_error_naming_the_option(argv, option):
     code, out, err = invoke(*argv, "--machine")

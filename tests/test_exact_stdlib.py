@@ -1,7 +1,7 @@
 """The package stays exact and stdlib-only: every absolute import is a
 standard-library module, no module holds a float or complex literal or uses
 the name float, and numbers from outside reach Fraction only through
-geometry._rational."""
+geometry._rational. Each input rule is written in one function."""
 
 import ast
 import sys
@@ -59,6 +59,41 @@ def _unchecked_fraction_calls(path: Path) -> list[str]:
 def test_numbers_reach_fraction_through_one_helper():
     modules = sorted(PACKAGE.rglob("*.py"))
     assert [item for path in modules for item in _unchecked_fraction_calls(path)] == []
+
+
+def _rule(node) -> str | None:
+    """The input rule that node writes out, if any."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        for phrase in ("must lie in (0, 1]", "square of one dimension"):
+            if phrase in node.value:
+                return phrase
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "ArgumentTypeError":
+            return name
+        if name == "ParseError" and any(
+                isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "str"
+                for arg in node.args[1:]):
+            return "ParseError(lineno, str(exc))"
+    return None
+
+
+def test_each_input_rule_has_one_home():
+    # (rule, module, top-level function or class that writes it out)
+    homes = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                rule = _rule(node)
+                if rule is not None:
+                    homes.add((rule, path.name, getattr(top, "name", None)))
+    assert homes == {
+        ("ArgumentTypeError", "cli.py", "_option"),
+        ("ParseError(lineno, str(exc))", "toric.py", "_at_line"),
+        ("must lie in (0, 1]", "geometry.py", "_threshold"),
+        ("square of one dimension", "geometry.py", "_matrices"),
+    }
 
 
 def test_package_parses_as_python_3_10():

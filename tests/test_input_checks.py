@@ -40,6 +40,10 @@ REJECTIONS = [
      ValueError, "witness pairing"),
     ("star_subdivide empty", lambda: star_subdivide(projective_space_fan(2), []),
      DegenerateSubdivision, "empty subset"),
+    ("parse_fan duplicate ray", lambda: parse_fan("1,0\n0,1\n1,0\n-1,-1\n"),
+     ParseError, "line 1: rays must be pairwise distinct"),
+    ("parse_fan zero ray", lambda: parse_fan("\n1,0\n0,1\n0,0\n-1,-1\n"),
+     ParseError, "line 2: zero vector is not a ray"),
     ("parse_fan group row", lambda: parse_fan(P2_FAN + "1,0,0\n"),
      ParseError, "line 5: expected 4 row-major entries"),
     ("parse_fan group not closed",
