@@ -1,6 +1,7 @@
 """Threshold table for the 105 deformation families: integrity, lookup,
 cross-checking against the engine, and the text serialization."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,15 @@ def test_builtin_shape():
     by_rank = {r: sum(1 for rec in DB.records if rec.id.rank == r)
                for r in range(1, 6)}
     assert by_rank == RANK_SIZES
+
+
+def test_builtin_table_bytes_are_pinned():
+    # every id, kind, value, provenance and fan of the builtin table; the
+    # round-trip tests alone would pass a value filed under the wrong family
+    text = export_table(load_builtin()).encode()
+    assert (len(text), text.count(b"\n")) == (7202, 251)
+    assert hashlib.sha256(text).hexdigest() == (
+        "143f78659fdf56b1b464455fd1430c45b68373913c61303b807d294ad6dc7423")
 
 
 def test_lookup_spot_values():
