@@ -29,9 +29,9 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from .database import (STATUS_KINDS, cross_check_toric, export_table,
-                       import_table, load_builtin, lookup, query,
-                       status_counts, table_line)
+from .database import (STATUS_KINDS, _value_text, cross_check_toric,
+                       export_table, import_table, load_builtin, lookup,
+                       query, status_counts, table_line)
 from .errors import ToolkitError
 from .formulas import (DelPezzoDescriptor, KNOWN_EQUIVARIANT,
                        cubic_surface_lct, del_pezzo_lct, double_cover_lct,
@@ -187,8 +187,8 @@ def _cmd_family(args, out) -> int:
             if args.machine:
                 print(table_line(r), file=out)
             else:
-                value = "-" if r.status.value is None else str(r.status.value)
-                print(f"{r.id}  rank={r.id.rank}  {r.status.kind}  {value}", file=out)
+                print(f"{r.id}  rank={r.id.rank}  {r.status.kind}  "
+                      f"{_value_text(r.status.value)}", file=out)
         return 0
     if args.id is None:
         raise ValueError("give a family id (like 3.27) or --list")
@@ -241,9 +241,8 @@ def _cmd_db(args, out) -> int:
         if args.machine:
             print(f"{check.family}={'pass' if check.passed else 'fail'}", file=out)
         else:
-            expected = "-" if check.expected is None else str(check.expected)
             tail = "ok" if check.passed else "MISMATCH"
-            print(f"{check.family}: expected {expected}, "
+            print(f"{check.family}: expected {_value_text(check.expected)}, "
                   f"computed {check.computed}, {tail}", file=out)
     if args.machine:
         print(f"status={'pass' if report.passed else 'fail'}", file=out)

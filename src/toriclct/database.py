@@ -3,7 +3,9 @@ global log canonical thresholds: exact values, general-member values, upper
 bounds, and open cases, plus stored fans for the toric families.
 
 Records are keyed by the standard rank.index family labels (ranks 1..5 with
-17, 36, 31, 13, 8 families respectively).
+17, 36, 31, 13, 8 families respectively). _STATUSES is the one
+classification table, kind -> value -> ids; load_builtin reads every record
+from it.
 """
 
 from __future__ import annotations
@@ -14,12 +16,22 @@ from functools import cache
 
 from .errors import InvalidId, ParseError
 from .geometry import _integers, _rational, _threshold
-from .toric import (RaySet, _at_line, _blocks, _int_rows, format_fan,
-                    product_fan, projective_space_fan,
+from .toric import (RaySet, _at_line, _blocks, _int_rows, _ray_block,
+                    format_fan, product_fan, projective_space_fan,
                     projectivized_bundle_fan, star_subdivide, toric_lct)
 
 RANK_SIZES = {1: 17, 2: 36, 3: 31, 4: 13, 5: 8}
 STATUS_KINDS = ("exact_all", "exact_general", "upper_bound", "unknown")
+
+
+def _decimal(text: str) -> int | None:
+    """The value of an ASCII decimal numeral, else None."""
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
+def _value_text(value: Fraction | None) -> str:
+    """A threshold value as text; '-' when there is none."""
+    return "-" if value is None else str(value)
 
 
 @dataclass(frozen=True, order=True)
@@ -39,10 +51,10 @@ class FamilyId:
 
     @classmethod
     def parse(cls, text: str) -> "FamilyId":
-        parts = str(text).strip().split(".")
-        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
+        parts = [_decimal(p) for p in str(text).strip().split(".")]
+        if len(parts) != 2 or None in parts:
             raise InvalidId(f"{text!r} is not of the form rank.index")
-        return cls(int(parts[0]), int(parts[1]))
+        return cls(*parts)
 
     def __str__(self) -> str:
         return f"{self.rank}.{self.index}"
@@ -132,32 +144,36 @@ class Database:
 # ---------------------------------------------------------------------------
 # builtin data
 
-_EXACT_ALL = {
-    "1/5": "2.36 3.29",
-    "1/4": "1.17 2.28 2.30 2.33 2.35 3.23 3.26 3.30 4.12",
-    "1/3": "1.16 2.29 2.31 2.34 3.9 3.18 3.19 3.20 3.21 3.22 3.24 3.25 3.28 "
-           "3.31 4.4 4.8 4.9 4.10 4.11 5.1 5.2",
-    "3/7": "4.5",
-    "1/2": "1.11 1.12 1.13 1.14 1.15 2.1 2.3 2.18 2.25 2.27 2.32 3.4 3.10 "
-           "3.11 3.12 3.14 3.15 3.16 3.17 3.27 4.1 4.2 4.3 4.6 4.7 5.3 5.4 "
-           "5.5 5.6 5.7 5.8",
+# kind -> value -> ids: the one classification table; the open families
+# have no value
+_STATUSES = {
+    "exact_all": {
+        "1/5": "2.36 3.29",
+        "1/4": "1.17 2.28 2.30 2.33 2.35 3.23 3.26 3.30 4.12",
+        "1/3": "1.16 2.29 2.31 2.34 3.9 3.18 3.19 3.20 3.21 3.22 3.24 3.25 3.28 "
+               "3.31 4.4 4.8 4.9 4.10 4.11 5.1 5.2",
+        "3/7": "4.5",
+        "1/2": "1.11 1.12 1.13 1.14 1.15 2.1 2.3 2.18 2.25 2.27 2.32 3.4 3.10 "
+               "3.11 3.12 3.14 3.15 3.16 3.17 3.27 4.1 4.2 4.3 4.6 4.7 5.3 5.4 "
+               "5.5 5.6 5.7 5.8",
+    },
+    "exact_general": {
+        "1/3": "2.23",
+        "1/2": "2.5 2.8 2.10 2.11 2.14 2.15 2.19 2.24 2.26 3.2 3.5 3.6 3.7 3.8 4.13",
+        "2/3": "3.3",
+        "3/4": "2.4 3.1",
+        "1": "1.1",
+    },
+    "upper_bound": {
+        "1/2": "2.16 2.20 2.22 3.13",
+        "2/3": "1.10 2.7 2.13 2.17 2.21",
+        "3/4": "2.9 2.12",
+        "4/5": "1.9",
+        "6/7": "1.8",
+        "13/14": "2.2",
+    },
+    "unknown": {None: "1.2 1.3 1.4 1.5 1.6 1.7 2.6"},
 }
-
-_EXACT_GENERAL = {
-    "1/3": "2.23",
-    "1/2": "2.5 2.8 2.10 2.11 2.14 2.15 2.19 2.24 2.26 3.2 3.5 3.6 3.7 3.8 4.13",
-    "2/3": "3.3",
-    "3/4": "2.4 3.1",
-    "1": "1.1",
-}
-
-_UPPER_BOUND = {
-    "1.8": "6/7", "1.9": "4/5", "1.10": "2/3", "2.2": "13/14", "2.7": "2/3",
-    "2.9": "3/4", "2.12": "3/4", "2.13": "2/3", "2.16": "1/2", "2.17": "2/3",
-    "2.20": "1/2", "2.21": "2/3", "2.22": "1/2", "3.13": "1/2",
-}
-
-_UNKNOWN = "1.2 1.3 1.4 1.5 1.6 1.7 2.6"
 
 _PROVENANCE_DEFAULT = {
     "exact_all": "case analysis, every smooth member",
@@ -251,29 +267,15 @@ def _builtin_fans() -> dict[str, RaySet]:
 
 @cache
 def load_builtin() -> Database:
-    """The builtin database; construction enforces all its invariants."""
-    statuses: dict[str, LctStatus] = {}
-    for value, ids in _EXACT_ALL.items():
-        for key in ids.split():
-            statuses[key] = LctStatus.exact_all(value)
-    for value, ids in _EXACT_GENERAL.items():
-        for key in ids.split():
-            statuses[key] = LctStatus.exact_general(value)
-    for key, value in _UPPER_BOUND.items():
-        statuses[key] = LctStatus.upper_bound(value)
-    for key in _UNKNOWN.split():
-        statuses[key] = LctStatus.unknown()
+    """The builtin database; construction enforces all its invariants, so a
+    family listed twice in _STATUSES raises ValueError."""
     fans = _builtin_fans()
-    records = []
-    for key, status in statuses.items():
-        records.append(FamilyRecord(
-            id=FamilyId.parse(key),
-            status=status,
-            provenance=_PROVENANCE.get(key, _PROVENANCE_DEFAULT[status.kind]),
-            fan=fans.get(key),
-            notes=_NOTES.get(key),
-        ))
-    return Database(tuple(records))
+    return Database(tuple(
+        FamilyRecord(id=FamilyId.parse(key), status=LctStatus(kind, value),
+                     provenance=_PROVENANCE.get(key, _PROVENANCE_DEFAULT[kind]),
+                     fan=fans.get(key), notes=_NOTES.get(key))
+        for kind, by_value in _STATUSES.items()
+        for value, ids in by_value.items() for key in ids.split()))
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +370,8 @@ def with_fan(db: Database, family, fan: RaySet | None) -> Database:
 
 def table_line(record: FamilyRecord) -> str:
     """One record as 'id|rank|status_kind|value_or_dash|provenance'."""
-    value = "-" if record.status.value is None else str(record.status.value)
     return (f"{record.id}|{record.id.rank}|{record.status.kind}"
-            f"|{value}|{record.provenance}")
+            f"|{_value_text(record.status.value)}|{record.provenance}")
 
 
 def export_table(db: Database) -> str:
@@ -405,8 +406,7 @@ def import_table(text: str) -> Database:
             rows = _int_rows(block[1:])
             if not rows:
                 raise ParseError(header_line, f"fan block for {fan_id} has no rays")
-            with _at_line(header_line):
-                fans[fan_id] = RaySet(tuple(tuple(values) for _, values in rows))
+            fans[fan_id] = _ray_block(rows, header_line)
             continue
         for lineno, raw in block:
             fields = raw.strip().split("|", 4)
@@ -415,8 +415,7 @@ def import_table(text: str) -> Database:
             id_text, rank_text, kind, value_text, provenance = fields
             with _at_line(lineno):
                 fid = FamilyId.parse(id_text)
-            if not (rank_text.isascii() and rank_text.isdigit()) \
-                    or int(rank_text) != fid.rank:
+            if _decimal(rank_text) != fid.rank:
                 raise ParseError(lineno, f"rank {rank_text!r} does not match id {fid}")
             if fid in entries:
                 raise ParseError(lineno, f"duplicate record for {fid}")

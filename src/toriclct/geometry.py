@@ -61,10 +61,10 @@ def _integers(v, what: str) -> tuple[int, ...]:
 
 def _rational(x, what: str) -> Fraction:
     """x as a Fraction, read exactly from an int, a Fraction or a string such
-    as '3/4' or '0.75'. Floats, other inexact numbers and zero denominators
-    raise ValueError."""
+    as '3/4' or '0.75'. Floats, other inexact numbers, malformed strings and
+    zero denominators raise ValueError naming what."""
     if isinstance(x, (_Exact, str)):
-        with suppress(ZeroDivisionError):
+        with suppress(ValueError, ZeroDivisionError):
             return Fraction(x)
     raise ValueError(f"{what} {x!r} is not an exact rational")
 

@@ -70,8 +70,7 @@ class RaySet:
             rays.append(v)
         if not rays:
             raise ValueError("need at least one ray")
-        d = len(rays[0])
-        if d < 1 or any(len(v) != d for v in rays):
+        if any(len(v) != len(rays[0]) for v in rays):
             raise ValueError("rays of mixed dimension")
         if len(set(rays)) != len(rays):
             raise ValueError("rays must be pairwise distinct")
@@ -291,9 +290,7 @@ def projective_space_fan(n: int) -> RaySet:
     """Rays e_1, ..., e_n, -(e_1 + ... + e_n) of projective n-space."""
     if n < 1:
         raise ValueError("need n >= 1")
-    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    rays.append(tuple(-1 for _ in range(n)))
-    return RaySet(tuple(rays))
+    return RaySet(identity_matrix(n) + ((-1,) * n,))
 
 
 def product_fan(a: RaySet, b: RaySet) -> RaySet:
@@ -322,12 +319,9 @@ def projectivized_bundle_fan(n: int, twists) -> RaySet:
     """
     twists = _twists(n, twists)
     k = len(twists)
-    d = k + n
-    rays = [tuple(int(i == j) for j in range(d)) for i in range(k)]
-    rays.append(tuple(-1 if j < k else 0 for j in range(d)))
-    rays += [tuple(int(i == j) for j in range(d)) for i in range(k, d)]
-    rays.append(tuple(-twists[j] if j < k else -1 for j in range(d)))
-    return RaySet(tuple(rays))
+    unit = identity_matrix(k + n)
+    return RaySet((*unit[:k], (-1,) * k + (0,) * n, *unit[k:],
+                   tuple(-a for a in twists) + (-1,) * n))
 
 
 def bundle_lct_closed_form(n: int, twists) -> Fraction:
@@ -380,14 +374,9 @@ def wps_fan(weights) -> RaySet:
     col = tuple(tuple(weights[i] if j == 0 else 0 for j in range(n + 1))
                 for i in range(n + 1))
     u = smith_normal_form(col).u
-    rays = []
-    for i in range(n + 1):
-        v = tuple(u[r][i] for r in range(1, n + 1))
-        rays.append(v)
-    combo = [sum(w * v[i] for w, v in zip(weights, rays)) for i in range(n)]
-    if any(combo):
+    if any(mat_vec(u[1:], weights)):
         raise AssertionError("quotient basis failed: sum a_i v_i != 0")
-    return RaySet(tuple(rays))
+    return RaySet(transpose(u[1:]))
 
 
 def check_well_formed(weights) -> None:
@@ -399,10 +388,7 @@ def check_well_formed(weights) -> None:
     if any(a < 1 for a in weights):
         raise ValueError("weights must be positive")
     for drop in range(len(weights)):
-        g = 0
-        for i, a in enumerate(weights):
-            if i != drop:
-                g = gcd(g, a)
+        g = gcd(*weights[:drop], *weights[drop + 1:])
         if g != 1:
             raise NotWellFormed(
                 f"weights {weights} share a factor {g} once {weights[drop]} is dropped")
@@ -468,6 +454,19 @@ def _int_rows(lines) -> list[tuple[int, list[int]]]:
     return rows
 
 
+def _ray_block(rows, lineno: int) -> RaySet:
+    """The RaySet of integer rows (lineno, values), as _int_rows reads them,
+    of a fan file or a '[fan id]' block. A row of another length than the
+    first fails at its own line; a fault of the RaySet (a zero or repeated
+    ray) fails at the given lineno."""
+    dim = len(rows[0][1])
+    for row_line, values in rows:
+        if len(values) != dim:
+            raise ParseError(row_line, f"expected {dim} coordinates")
+    with _at_line(lineno):
+        return RaySet(tuple(tuple(values) for _, values in rows))
+
+
 def _square_matrix(entries, n: int) -> tuple[tuple[int, ...], ...]:
     """The n x n matrix with the given row-major entries."""
     if len(entries) != n * n:
@@ -484,19 +483,13 @@ def parse_fan(text: str) -> tuple[RaySet, GroupAction | None]:
         raise ParseError(1, "no rays")
     if len(blocks) > 2:
         raise ParseError(blocks[2][0][0], "more than two blocks")
-    ray_block = blocks[0]
-    dim = len(ray_block[0][1])
-    for lineno, values in ray_block:
-        if len(values) != dim:
-            raise ParseError(lineno, f"expected {dim} coordinates")
-    with _at_line(ray_block[0][0]):
-        rays = RaySet(tuple(tuple(values) for _, values in ray_block))
+    rays = _ray_block(blocks[0], blocks[0][0][0])
     group = None
     if len(blocks) == 2:
         matrices = []
         for lineno, values in blocks[1]:
             with _at_line(lineno):
-                matrices.append(_square_matrix(values, dim))
+                matrices.append(_square_matrix(values, rays.dim))
         with _at_line(blocks[1][0][0]):
             group = GroupAction(tuple(matrices))
     return rays, group

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from toriclct import database
 from toriclct.database import (RANK_SIZES, Database, FamilyId, FamilyRecord,
                                LctStatus, cross_check_toric, export_table,
                                import_table, load_builtin, lookup, query,
@@ -77,6 +78,15 @@ def test_status_takes_only_exact_values(bad):
             make(bad)
 
 
+def test_malformed_status_value_is_named():
+    with pytest.raises(ValueError,
+                       match="^status value 'abc' is not an exact rational$"):
+        LctStatus("exact_all", "abc")
+    with pytest.raises(ParseError, match=(
+            "^line 1: status value 'abc' is not an exact rational$")):
+        import_table("1.1|1|exact_all|abc|x\n")
+
+
 def test_status_reads_ints_fractions_and_strings_exactly():
     for value in (1, F(1), "1", "1/1", "1.0"):
         assert LctStatus.exact_all(value).value == 1
@@ -102,6 +112,18 @@ def test_builtin_table_bytes_are_pinned():
     assert (len(text), text.count(b"\n")) == (7202, 251)
     assert hashlib.sha256(text).hexdigest() == (
         "143f78659fdf56b1b464455fd1430c45b68373913c61303b807d294ad6dc7423")
+
+
+def test_builtin_table_lists_each_family_once(monkeypatch):
+    statuses = {kind: dict(by_value) for kind, by_value in database._STATUSES.items()}
+    statuses["exact_all"]["1/2"] += " 1.1"
+    monkeypatch.setattr(database, "_STATUSES", statuses)
+    load_builtin.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="duplicate family ids"):
+            load_builtin()
+    finally:
+        load_builtin.cache_clear()
 
 
 def test_lookup_spot_values():
@@ -332,7 +354,7 @@ def test_import_fan_block_boundaries():
         (good + "\n[fan 2.6]\n", 253),                    # empty block at end
         (good + "\n[fan 2.6]\n\n", 253),                  # empty, then blank
         (good + "\n[fan 2.6]\n[fan 1.1]\n1\n-1\n", 253),  # empty, then header
-        (good + "\n[fan 2.6]\n1\n-1,0\n", 253),           # mixed dimension
+        (good + "\n[fan 2.6]\n1\n-1,0\n", 255),           # mixed dimension
     ]
     for text, lineno in cases:
         if lineno is None:

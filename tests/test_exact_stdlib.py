@@ -1,7 +1,8 @@
 """The package stays exact and stdlib-only: every absolute import is a
 standard-library module, no module holds a float or complex literal or uses
 the name float, and numbers from outside reach Fraction only through
-geometry._rational. Each input rule is written in one function."""
+geometry._rational. Each input rule, and each rule of the table text, is
+written in one function."""
 
 import ast
 import sys
@@ -62,16 +63,24 @@ def test_numbers_reach_fraction_through_one_helper():
 
 
 def _rule(node) -> str | None:
-    """The input rule that node writes out, if any."""
+    """The input or text rule that node writes out, if any."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         for phrase in ("must lie in (0, 1]", "square of one dimension"):
             if phrase in node.value:
                 return phrase
+    if (isinstance(node, ast.IfExp) and isinstance(node.body, ast.Constant)
+            and node.body.value == "-" and isinstance(node.test, ast.Compare)
+            and isinstance(node.test.ops[0], ast.Is)):
+        return '"-" if value is None'
     if isinstance(node, ast.Call):
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name == "ArgumentTypeError":
+        if name in ("ArgumentTypeError", "isdigit"):
             return name
+        if name == "ParseError" and any(
+                isinstance(part, ast.Constant) and "coordinates" in str(part.value)
+                for arg in node.args[1:] for part in ast.walk(arg)):
+            return "ParseError(lineno, 'expected n coordinates')"
         if name == "ParseError" and any(
                 isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "str"
                 for arg in node.args[1:]):
@@ -90,7 +99,10 @@ def test_each_input_rule_has_one_home():
                     homes.add((rule, path.name, getattr(top, "name", None)))
     assert homes == {
         ("ArgumentTypeError", "cli.py", "_option"),
+        ("isdigit", "database.py", "_decimal"),
+        ('"-" if value is None', "database.py", "_value_text"),
         ("ParseError(lineno, str(exc))", "toric.py", "_at_line"),
+        ("ParseError(lineno, 'expected n coordinates')", "toric.py", "_ray_block"),
         ("must lie in (0, 1]", "geometry.py", "_threshold"),
         ("square of one dimension", "geometry.py", "_matrices"),
     }

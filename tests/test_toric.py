@@ -43,6 +43,9 @@ S4_ON_P3 = [((0, 1, 0), (1, 0, 0), (0, 0, 1)), ((0, 0, 1), (1, 0, 0), (0, 1, 0))
 def test_rayset_rejects_zero():
     with pytest.raises(ValueError):
         RaySet(((0, 0), (1, 0)))
+    # an empty vector is a zero vector
+    with pytest.raises(ValueError, match="zero vector"):
+        RaySet(((),))
 
 
 def test_rayset_rejects_duplicates():
