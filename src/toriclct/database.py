@@ -10,12 +10,12 @@ from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
+from operator import ge, gt, le, lt
 
 from .errors import InvalidId, ParseError
-from .geometry import _integers, _rational, _threshold
+from .geometry import _Record, _integers, _rational, _threshold
 from .toric import (RaySet, _at_line, _blocks, _int_rows, _ray_block,
                     format_fan, product_fan, projective_space_fan,
                     projectivized_bundle_fan, star_subdivide, toric_lct)
@@ -34,10 +34,20 @@ def _value_text(value: Fraction | None) -> str:
     return "-" if value is None else str(value)
 
 
-@dataclass(frozen=True, order=True)
-class FamilyId:
+def _by_rank_then_index(compare):
+    """An order comparison of two FamilyIds, by (rank, index)."""
+    def method(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return compare((self.rank, self.index), (other.rank, other.index))
+    return method
+
+
+class FamilyId(_Record):
     rank: int
     index: int
+
+    __lt__, __le__, __gt__, __ge__ = map(_by_rank_then_index, (lt, le, gt, ge))
 
     def __post_init__(self):
         try:
@@ -60,8 +70,7 @@ class FamilyId:
         return f"{self.rank}.{self.index}"
 
 
-@dataclass(frozen=True)
-class LctStatus:
+class LctStatus(_Record):
     """What is known about a family's threshold: an exact value for every
     smooth member, an exact value for a general member, an upper bound, or
     nothing sharp. The value is read by geometry._threshold from an int, a
@@ -97,8 +106,7 @@ class LctStatus:
         return cls("unknown", None)
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
+class FamilyRecord(_Record):
     id: FamilyId
     status: LctStatus
     provenance: str
@@ -118,8 +126,7 @@ def status_counts(records) -> dict[str, int]:
     return counts
 
 
-@dataclass(frozen=True)
-class Database:
+class Database(_Record):
     """All 105 family records, sorted by id; construction enforces the
     coverage and status-count invariants."""
 
@@ -271,9 +278,9 @@ def load_builtin() -> Database:
     family listed twice in _STATUSES raises ValueError."""
     fans = _builtin_fans()
     return Database(tuple(
-        FamilyRecord(id=FamilyId.parse(key), status=LctStatus(kind, value),
-                     provenance=_PROVENANCE.get(key, _PROVENANCE_DEFAULT[kind]),
-                     fan=fans.get(key), notes=_NOTES.get(key))
+        FamilyRecord(FamilyId.parse(key), LctStatus(kind, value),
+                     _PROVENANCE.get(key, _PROVENANCE_DEFAULT[kind]),
+                     fans.get(key), _NOTES.get(key))
         for kind, by_value in _STATUSES.items()
         for value, ids in by_value.items() for key in ids.split()))
 
@@ -282,9 +289,14 @@ def load_builtin() -> Database:
 # queries
 
 
+def _family_id(family) -> FamilyId:
+    """A family id given as FamilyId or 'rank.index' string."""
+    return family if isinstance(family, FamilyId) else FamilyId.parse(family)
+
+
 def lookup(db: Database, family) -> FamilyRecord:
     """The record for a family id given as FamilyId or 'rank.index' string."""
-    fid = family if isinstance(family, FamilyId) else FamilyId.parse(family)
+    fid = _family_id(family)
     # a Database holds every id that FamilyId accepts
     return next(record for record in db.records if record.id == fid)
 
@@ -314,8 +326,7 @@ def query(db: Database, rank: int | None = None, status_kind: str | None = None,
 # toric cross-check
 
 
-@dataclass(frozen=True)
-class FanCheck:
+class FanCheck(_Record):
     family: FamilyId
     expected: Fraction | None
     computed: Fraction
@@ -327,8 +338,7 @@ class FanCheck:
         return self.expected is not None and self.expected == self.computed
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(_Record):
     checks: tuple[FanCheck, ...]
 
     @property
@@ -358,9 +368,9 @@ def cross_check_toric(db: Database) -> CrossCheckReport:
 def with_fan(db: Database, family, fan: RaySet | None) -> Database:
     """A copy of the database with one family's fan replaced (fault
     injection and what-if checks)."""
-    fid = family if isinstance(family, FamilyId) else FamilyId.parse(family)
-    records = tuple(replace(r, fan=fan) if r.id == fid else r
-                    for r in db.records)
+    fid = _family_id(family)
+    records = tuple(FamilyRecord(r.id, r.status, r.provenance, fan, r.notes)
+                    if r.id == fid else r for r in db.records)
     return Database(records)
 
 

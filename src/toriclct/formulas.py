@@ -10,12 +10,11 @@ validity regimes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .errors import OutOfRegime, UnknownKey, UnsupportedDescriptor
-from .geometry import _integers, _threshold
+from .geometry import _Record, _integers, _threshold
 from .toric import check_well_formed
 
 CUBIC_SINGULARITY_TYPES = ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6")
@@ -108,8 +107,7 @@ def _describe(nodes: int, flags: tuple, degree8_type) -> str:
     return " + ".join(named) or "no feature"
 
 
-@dataclass(frozen=True)
-class DelPezzoDescriptor:
+class DelPezzoDescriptor(_Record):
     """A del Pezzo surface, described by degree plus the features that move
     its threshold; degree8_type is "product" for the quadric surface and
     "nonproduct" for the one-point blow-up of the plane. A combination that

@@ -17,12 +17,15 @@ inputs are read exactly by _rational. No floats, no epsilon.
 
 Vectors are tuples, matrices are tuples of row tuples. An H-polytope is a
 finite intersection of closed halfspaces {w : <normal, w> >= offset}.
+
+_Record is the base of the package's frozen value classes: it compares,
+hashes and shows them by their fields without importing dataclasses, which
+would load inspect, ast and dis at every command-line start.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -90,6 +93,48 @@ def _matrices(matrices, what: str) -> tuple:
         if len(g) != n or any(len(row) != n for row in g):
             raise ValueError(f"every {what} must be square of one dimension")
     return out
+
+
+class _Record:
+    """Base of the frozen value classes: a subclass's own annotations are its
+    fields, in order, and a class-level value is a default. __init__ binds them
+    and calls __post_init__; ==, hash and repr read them as a frozen dataclass's do."""
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):  # by name, defaults filled in
+            cls, rest = type(self), self._fields[len(args):]
+            bad = sorted(set(kwargs).difference(rest)) + [
+                f for f in rest if f not in kwargs and not hasattr(cls, f)]
+            if len(args) > len(cls._fields) or bad:
+                raise TypeError(f"{cls.__qualname__}() takes ({', '.join(cls._fields)}): got "
+                                f"{len(args)} positional; unknown, repeated or missing {bad}")
+            args += tuple(kwargs[f] if f in kwargs else getattr(cls, f) for f in rest)
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Checks and normalises the fields, writing by object.__setattr__."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__qualname__} is frozen: cannot set or delete {name!r}")
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return (self._values() == other._values()
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
@@ -172,8 +217,7 @@ def mat_rank(rows: Iterable[Sequence]) -> int:
 # H-polytopes
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(_Record):
     """The closed halfspace {w : <normal, w> >= offset}, its entries read
     exactly by _rational."""
 
@@ -195,8 +239,7 @@ class HalfSpace:
         return dot(self.normal, point) >= self.offset
 
 
-@dataclass(frozen=True)
-class HPolytope:
+class HPolytope(_Record):
     """An intersection of finitely many halfspaces of one dimension."""
 
     halfspaces: tuple[HalfSpace, ...]
@@ -406,8 +449,7 @@ def solve_square_system(matrix, rhs) -> tuple[Fraction, ...] | None:
 # Smith normal form
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(_Record):
     """u @ a @ v == d with u, v unimodular and d = diag(d1 | d2 | ...) >= 0."""
 
     u: tuple[tuple[int, ...], ...]

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -40,14 +39,13 @@ from .errors import (DegenerateSubdivision, FanNotComplete,
                      GroupDoesNotPreserveFan, GroupNotClosed, InvalidId,
                      NotWellFormed, ParseError, Unbounded)
 # bench/layers.py rebinds is_bounded, enumerate_vertices (unused here), mat_mul
-from .geometry import (HalfSpace, HPolytope, _integers, _matrices,
+from .geometry import (HalfSpace, HPolytope, _Record, _integers, _matrices,
                        _vertex_rays, dot, enumerate_vertices, fixed_subspace,
                        identity_matrix, is_bounded, mat_det, mat_mul, mat_rank,
                        mat_vec, primitive_vector, smith_normal_form, transpose)
 
 
-@dataclass(frozen=True)
-class RaySet:
+class RaySet(_Record):
     """The rays of a fan: pairwise distinct primitive integer vectors.
 
     Nonzero but non-primitive input vectors are divided by their gcd, with a
@@ -117,8 +115,7 @@ def _spans(candidates, cap: int, what: str):
             return
 
 
-@dataclass(frozen=True)
-class GroupAction:
+class GroupAction(_Record):
     """A finite group of integer matrices, |det| = 1 each, closed under
     product and containing the identity.
 
@@ -179,8 +176,7 @@ class GroupAction:
         return group
 
 
-@dataclass(frozen=True)
-class ToricLctReport:
+class ToricLctReport(_Record):
     """Result of a toric lct computation: lct = 1/(1 + max_pairing), with a
     witness pair attaining the maximum (lexicographically smallest)."""
 

@@ -2,7 +2,11 @@
 stability."""
 
 import io
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,23 @@ def invoke(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(list(argv), stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+
+def test_cli_import_loads_no_dataclasses_machinery():
+    # each CLI call is a fresh process; these modules cost about 20 ms of it
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys; before = set(sys.modules); import toriclct.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    loaded = set(done.stdout.split())
+    assert "toriclct.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize", "copy"})
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The package stays exact and stdlib-only: every absolute import is a
 standard-library module, no module holds a float or complex literal or uses
 the name float, and numbers from outside reach Fraction only through
-geometry._rational. Each input rule, and each rule of the table text, is
-written in one function."""
+geometry._rational. No module imports dataclasses. Each input rule, and
+each rule of the table text, is written in one function."""
 
 import ast
 import sys
@@ -33,6 +33,23 @@ def test_package_is_exact_and_stdlib_only():
     modules = sorted(PACKAGE.rglob("*.py"))
     assert len(modules) > 5
     assert [item for path in modules for item in _offences(path)] == []
+
+
+def test_no_module_imports_dataclasses():
+    # importing dataclasses loads inspect, ast, dis, tokenize and copy, and
+    # @dataclass compiles each generated method: most of the CLI's import time
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for m in modules
+                      if m.split(".")[0] == "dataclasses"]
+    assert found == []
 
 
 def _unchecked_fraction_calls(path: Path) -> list[str]:
@@ -77,6 +94,9 @@ def _rule(node) -> str | None:
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
         if name in ("ArgumentTypeError", "isdigit"):
             return name
+        if (name == "isinstance" and len(node.args) == 2
+                and getattr(node.args[1], "id", None) == "FamilyId"):
+            return "isinstance(..., FamilyId)"
         if name == "ParseError" and any(
                 isinstance(part, ast.Constant) and "coordinates" in str(part.value)
                 for arg in node.args[1:] for part in ast.walk(arg)):
@@ -100,6 +120,7 @@ def test_each_input_rule_has_one_home():
     assert homes == {
         ("ArgumentTypeError", "cli.py", "_option"),
         ("isdigit", "database.py", "_decimal"),
+        ("isinstance(..., FamilyId)", "database.py", "_family_id"),
         ('"-" if value is None', "database.py", "_value_text"),
         ("ParseError(lineno, str(exc))", "toric.py", "_at_line"),
         ("ParseError(lineno, 'expected n coordinates')", "toric.py", "_ray_block"),
