@@ -144,3 +144,19 @@ def test_positional_match():
             assert (lct, ray) == (F(1, 3), (-1, -1))
         case _:
             pytest.fail("no match")
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((1,), {}), ((1, 2, 3), {}), ((1,), {"rank": 1}), ((1, 2), {"idx": 2}),
+    ((), {"index": 2}), ((), {"rank": 1, "index": 2, "notes": None})])
+def test_bad_calls_raise_type_error(args, kwargs):
+    with pytest.raises(TypeError):
+        FamilyId(*args, **kwargs)
+
+
+def test_keyword_and_default_calls_bind_like_positional_ones():
+    assert FamilyId(index=2, rank=1) == FamilyId(1, index=2) == FamilyId(1, 2)
+    assert (DelPezzoDescriptor(8, degree8_type="nonproduct")
+            == DelPezzoDescriptor(8, 0, False, False, False, "nonproduct"))
+    with pytest.raises(TypeError):
+        LctStatus()
