@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 from numbers import Rational as _Exact
-from operator import index, mul
+from operator import attrgetter, index, mul
 from typing import Iterable, Sequence
 
 from .errors import EmptyPolytope, Unbounded
@@ -102,6 +102,8 @@ class _Record:
 
     def __init_subclass__(cls):
         cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+        get = attrgetter(*cls._fields)  # of one name, the bare value
+        cls._values = property(get if len(cls._fields) > 1 else lambda r: (get(r),))
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(self._fields):  # by name, defaults filled in
@@ -122,15 +124,12 @@ class _Record:
         raise AttributeError(f"{type(self).__qualname__} is frozen: cannot set or delete {name!r}")
     __delattr__ = __setattr__
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
     def __eq__(self, other):
-        return (self._values() == other._values()
+        return (self._values == other._values
                 if other.__class__ is self.__class__ else NotImplemented)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values)
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
