@@ -273,9 +273,8 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
     pairings = dict.fromkeys(rays, 0) | {v: e - t for v, e in zip(paired, z[1:])}
     v = min(v for v, p in pairings.items() if p == num)
     m = Fraction(num, t)
-    return ToricLctReport(lct=1 / (1 + m), max_pairing=m,
-                          witness_vertex=tuple(Fraction(c, t) for c in x),
-                          witness_ray=v)
+    # (lct, max_pairing, witness_vertex, witness_ray), positional: no binding by name
+    return ToricLctReport(1 / (1 + m), m, tuple(Fraction(c, t) for c in x), v)
 
 
 # ---------------------------------------------------------------------------
