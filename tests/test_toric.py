@@ -278,6 +278,32 @@ def test_generate_costs_fewer_than_2_products_per_element(monkeypatch):
         assert 0 < len(calls) < 2 * len(group), len(group)
 
 
+# toric.mat_mul calls made by GroupAction.generate(group.generators) and by
+# GroupAction(group.elements), counted when each product was a dense sum over
+# the columns: a cheaper product must leave the number of products as it is
+PRODUCT_COUNTS = {"B2": (26, 13), "B3": (134, 67), "B4": (860, 430),
+                  "S4 on P3": (82, 41)}
+
+
+def test_group_product_counts_are_pinned(monkeypatch):
+    named = _named_groups()
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr("toriclct.toric.mat_mul", counted)
+    for name, (generated, listed) in PRODUCT_COUNTS.items():
+        group = named[name]
+        calls.clear()
+        assert GroupAction.generate(group.generators) == group
+        assert len(calls) == generated, name
+        calls.clear()
+        assert GroupAction(group.elements) == group
+        assert len(calls) == listed, name
+
+
 def test_generate_matches_the_element_list_group():
     rng = random.Random(17)
     groups = (_signed_permutation_group(3), _signed_permutation_group(4),
