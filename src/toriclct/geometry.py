@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 from numbers import Rational as _Exact
-from operator import attrgetter, index, mul
+from operator import add, attrgetter, index, mul
 from typing import Iterable, Sequence
 
 from .errors import EmptyPolytope, Unbounded
@@ -159,12 +159,22 @@ def mat_vec(m, v):
 
 
 def mat_mul(a, b):
-    n = len(b)
+    b = [tuple(row) for row in b]
+    width = len(b[0]) if b else 0
+    for rows, n in ((a, len(b)), (b, width)):
+        for row in rows:
+            if len(row) != n:
+                raise ValueError(f"dimension mismatch: {len(row)} vs {n}")
+    out = []
     for row in a:
-        if len(row) != n:
-            raise ValueError(f"dimension mismatch: {len(row)} vs {n}")
-    bt = transpose(b)
-    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
+        acc = None
+        for c, picked in zip(row, b):
+            if c:
+                if c != 1:
+                    picked = tuple([c * x for x in picked])
+                acc = picked if acc is None else tuple(map(add, acc, picked))
+        out.append((0,) * width if acc is None else acc)
+    return tuple(out)
 
 
 def _echelon(rows, width: int):

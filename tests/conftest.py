@@ -1,13 +1,15 @@
 """Shared exact helpers: random polytopes, an independent 2D vertex oracle,
 the Fraction Gauss-Jordan oracle, the brute-force Fraction vertex oracle, the
 double description with its full adjacency scan, the Fraction vertex-pairing
-threshold oracle, the all-products group oracle, the breadth-first closure and
-greedy-pick oracles, random unimodular matrices, and group conjugation."""
+threshold oracle, the dense matrix product, the all-products group oracle, the
+breadth-first closure and greedy-pick oracles, random unimodular matrices, and
+group conjugation."""
 
 import functools
 import random
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from toriclct.errors import (EmptyPolytope, FanNotComplete,
                              GroupDoesNotPreserveFan, GroupNotClosed,
@@ -277,6 +279,21 @@ def oracle_extreme_rays(rows, d: int):
     return rays
 
 
+# The matrix product that geometry.mat_mul replaced, kept as the reference:
+# every entry a dense sum over a row of a and a column of b.
+
+
+def oracle_mat_mul(a, b):
+    """a @ b entry by entry; raises ValueError when a row of a does not have
+    len(b) entries."""
+    n = len(b)
+    for row in a:
+        if len(row) != n:
+            raise ValueError(f"dimension mismatch: {len(row)} vs {n}")
+    bt = transpose(b)
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
+
+
 def oracle_is_group(elements) -> bool:
     """Whether an element list is a group, by the all-products check: every
     element square of one dimension with |det| = 1, no repeats, the
@@ -296,7 +313,7 @@ def oracle_is_group(elements) -> bool:
         return False
     if identity_matrix(n) not in table:
         return False
-    return all(mat_mul(g, h) in table for g in elements for h in elements)
+    return all(oracle_mat_mul(g, h) in table for g in elements for h in elements)
 
 
 # The threshold computation that toric replaced, kept as the reference: the
@@ -374,7 +391,7 @@ def oracle_closure(gens, cap: int) -> set:
         fresh = []
         for g in frontier:
             for h in gens:
-                prod = mat_mul(g, h)
+                prod = oracle_mat_mul(g, h)
                 if prod not in elements:
                     elements.add(prod)
                     fresh.append(prod)

@@ -6,8 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import (hpoly, oracle_echelon, oracle_vertices_2d,
-                      random_bounded_poly)
+from conftest import (hpoly, oracle_echelon, oracle_mat_mul,
+                      oracle_vertices_2d, random_bounded_poly)
 
 from toriclct.errors import EmptyPolytope, Unbounded
 from toriclct.geometry import (HalfSpace, HPolytope, _echelon,
@@ -286,6 +286,45 @@ def test_mat_mul_matches_entrywise_sums_and_checks_shapes():
     # one short row among full ones is found too
     with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
         mat_mul(((1, 0), (1,)), ((1, 0), (0, 1)))
+
+
+def test_mat_mul_rejects_a_ragged_right_factor():
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        mat_mul(((1, 0), (0, 1)), ((1, 2, 3), (4, 5)))
+    with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+        mat_mul([[0, 1]], [[1, 2], [3, 4, 5]])
+    # an empty row of a picks nothing, but b is still checked
+    with pytest.raises(ValueError, match="dimension mismatch: 0 vs 1"):
+        mat_mul(((0, 0),), ((1,), ()))
+
+
+def test_mat_mul_matches_the_dense_oracle_on_sparse_matrices():
+    rng = random.Random(59)
+    for _ in range(300):
+        k, n, m = (rng.randint(1, 6) for _ in range(3))
+        # at least half of the entries of each factor are 0
+        a, b = ([[rng.randint(-3, 3) if rng.random() < 0.5 else 0
+                  for _ in range(cols)] for _ in range(rows)]
+                for rows, cols in ((k, n), (n, m)))
+        expected = oracle_mat_mul(a, b)
+        result = mat_mul(a, b)
+        assert result == expected, (a, b)
+        assert all(type(row) is tuple and all(type(c) is int for c in row)
+                   for row in result)
+        tuples = mat_mul(tuple(map(tuple, a)), tuple(map(tuple, b)))
+        assert type(result) is tuple and result == tuples
+        assert hash(result) == hash(tuples)
+
+
+def test_mat_mul_zero_rows_and_empty_factors():
+    b = ((1, -2, 3), (4, 5, -6))
+    assert mat_mul(((0, 0), (2, -1), (0, 0)), b) == (
+        (0, 0, 0), (-2, -9, 12), (0, 0, 0))
+    assert mat_mul([[0, 0]], [[1, 2, 3], [4, 5, 6]]) == ((0, 0, 0),)
+    for a in ((), ((),), ((), ())):
+        assert mat_mul(a, ()) == oracle_mat_mul(a, ()) == tuple(() for _ in a)
+    assert mat_mul([[], []], []) == ((), ())
+    assert mat_mul(((1, 0), (0, 1)), ((), ())) == ((), ())
 
 
 @pytest.mark.parametrize("v, expected", [

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from conftest import (conjugate_group, inverse_unimodular, oracle_closure,
                       oracle_enumerate_vertices, oracle_greedy_picks,
-                      oracle_is_bounded, oracle_is_group, oracle_toric_lct,
-                      random_unimodular, transform_rays)
+                      oracle_is_bounded, oracle_is_group, oracle_mat_mul,
+                      oracle_toric_lct, random_unimodular, transform_rays)
 
 from toriclct.database import load_builtin, lookup
 from toriclct.errors import (DegenerateSubdivision, FanNotComplete,
@@ -276,6 +276,18 @@ def test_generate_costs_fewer_than_2_products_per_element(monkeypatch):
         calls.clear()
         group = GroupAction.generate(gens)
         assert 0 < len(calls) < 2 * len(group), len(group)
+
+
+def test_group_element_products_match_the_dense_oracle():
+    named = _named_groups()
+    for name in ("B3", "S4 on P3"):
+        elements = named[name].elements
+        table = set(elements)
+        for g in elements:
+            for h in elements:
+                product = mat_mul(g, h)
+                assert product == oracle_mat_mul(g, h), (g, h)
+                assert product in table, name
 
 
 # toric.mat_mul calls made by GroupAction.generate(group.generators) and by
