@@ -15,8 +15,11 @@ rows instead of testing every pair. Eliminations run in integers, fraction
 free; Fraction holds only halfspaces, returned points and solutions, whose
 inputs are read exactly by _rational. No floats, no epsilon.
 
-Vectors are tuples, matrices are tuples of row tuples. An H-polytope is a
-finite intersection of closed halfspaces {w : <normal, w> >= offset}.
+Vectors are tuples, matrices are tuples of row tuples. Row i of a product
+a @ b is the sum of the rows of b that the nonzero entries of a[i] pick, so
+the mostly-zero group matrices cost a few row copies, not n^2 dot products.
+An H-polytope is a finite intersection of closed halfspaces
+{w : <normal, w> >= offset}.
 
 _Record is the base of the package's frozen value classes: it compares,
 hashes and shows them by their fields without importing dataclasses, which

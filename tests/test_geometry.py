@@ -298,14 +298,19 @@ def test_mat_mul_rejects_a_ragged_right_factor():
         mat_mul(((0, 0),), ((1,), ()))
 
 
+def _sparse_matrix(rng, n_rows, n_cols):
+    # entries in -3..3, at least half of them 0
+    flat = [rng.randint(-3, 3) for _ in range(n_rows * n_cols)]
+    for i in rng.sample(range(len(flat)), (len(flat) + 1) // 2):
+        flat[i] = 0
+    return [flat[i:i + n_cols] for i in range(0, len(flat), n_cols)]
+
+
 def test_mat_mul_matches_the_dense_oracle_on_sparse_matrices():
     rng = random.Random(59)
     for _ in range(300):
         k, n, m = (rng.randint(1, 6) for _ in range(3))
-        # at least half of the entries of each factor are 0
-        a, b = ([[rng.randint(-3, 3) if rng.random() < 0.5 else 0
-                  for _ in range(cols)] for _ in range(rows)]
-                for rows, cols in ((k, n), (n, m)))
+        a, b = _sparse_matrix(rng, k, n), _sparse_matrix(rng, n, m)
         expected = oracle_mat_mul(a, b)
         result = mat_mul(a, b)
         assert result == expected, (a, b)
