@@ -6,8 +6,9 @@ polytopes, and unbounded and empty inputs; one elimination per double
 description; the double description against its full-scan oracle, equal
 lists of rays and masks on fans and degenerate cones in seeded bases, each
 ray's tableau row holding its exact products with every row, and the hashed
-partner search listing the pair loop's candidates in its order; and
-toric_lct reading its pairings from those rows without an inner product."""
+partner search listing the pair loop's candidates in its order;
+toric_lct reading its pairings from those rows without an inner product;
+and the rays made and hashed searches run on seeded product fans, pinned."""
 
 import itertools
 import random
@@ -382,3 +383,34 @@ def test_double_description_matches_the_full_scan_oracle(family, monkeypatch):
         assert degenerate, family
     if family in HASHED:
         assert hashed and any(hashed) == HASHED[family], hashed
+
+
+# The double description's work on seeded product fans, pinned: per fan,
+# the rays made by primitive_vector (the first cone's plus every new one)
+# and the inserted rows whose pairs came from _hashed_pairs. A faster kernel
+# must make the same rays through the same steps, not fewer of them.
+PINNED_WORK = [(57, 0), (74, 0), (98, 0), (48, 0), (148, 2), (40, 0), (154, 1), (39, 0)]
+
+
+def test_double_description_work_on_product_fans_is_pinned(monkeypatch):
+    rng = random.Random(97)
+    fans = [product_fan(transform_rays(random_unimodular(rng, a.dim), a),
+                        transform_rays(random_unimodular(rng, b.dim), b))
+            for a, b in rng.sample(list(itertools.combinations(_stored_fans(), 2)), 8)]
+    primitive, search = toriclct.geometry.primitive_vector, toriclct.geometry._hashed_pairs
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(toriclct.geometry, "primitive_vector", counted("ray", primitive))
+    monkeypatch.setattr(toriclct.geometry, "_hashed_pairs", counted("hashed", search))
+    work = []
+    for fan in fans:
+        calls.clear()
+        toric_lct(fan)
+        work.append((calls.count("ray"), calls.count("hashed")))
+    assert work == PINNED_WORK
