@@ -185,22 +185,30 @@ def _echelon(rows, width: int):
     pivoting in the first width columns, carrying later ones: (the nonzero
     rows, their pivot columns, d). Each row is d at its own pivot column and 0
     at the others, so row / d is the reduced row echelon form over Q; a swap
-    negates the row it moves down, so d is det of a full-rank square matrix."""
+    negates the row it moves down, so d is det of a full-rank square matrix.
+
+    A row x is updated to (p x - f y) // d for the pivot row y, pivot p and
+    its entry f in the pivot column; when f = 0 and p = d that is x itself,
+    so the update is skipped, as it is on sparse unimodular inputs. The loop
+    stops once every row holds a pivot: no later column can take one."""
     a = [_integers(row, "matrix row") for row in rows]
     pivots: list[int] = []
     d = 1
     for col in range(width):
         top = len(pivots)
+        if top == len(a):
+            break
         piv = next((r for r in range(top, len(a)) if a[r][col]), None)
         if piv is None:
             continue
         if piv != top:
             a[top], a[piv] = a[piv], [-x for x in a[top]]
-        p = a[top][col]
+        y = a[top]
+        p = y[col]
         for r in range(len(a)):
-            if r != top:
-                f = a[r][col]
-                a[r] = [(p * x - f * y) // d for x, y in zip(a[r], a[top])]
+            f = a[r][col]
+            if r != top and (f or p != d):
+                a[r] = [(p * x - f * c) // d for x, c in zip(a[r], y)]
         d = p
         pivots.append(col)
     return a[:len(pivots)], pivots, d
@@ -290,15 +298,15 @@ def _extreme_rays(rows, d: int):
     combination of y, so z[N:] is the primitive ray. The first cone is cut by
     the first d independent rows B in input order: one elimination of the
     transposed rows beside the identity picks B and gives det(B) B^-T, whose
-    rows times det(B) are its rays. The eliminated [rows^T | I] holds each
-    such row after its products with every row, so its rows times det(B) are
-    already the tableau rows. Every other row k is inserted in turn, and a
-    ray's side of it is its entry z[k]: a ray on its positive side and one on
-    its negative side combine into a ray on its hyperplane iff they are
-    adjacent, that is, their common tight rows Z number at least d - 2 and no
-    third ray is tight at all of Z. The combination is linear in the whole
-    tableau row, so every product stays exact. The test is combinatorial, so
-    it stays exact on degenerate cones.
+    rows, negated when det(B) < 0, are its rays. The eliminated [rows^T | I]
+    holds each such row after its products with every row, so its rows, so
+    oriented, are already the tableau rows. Every other row k is inserted in
+    turn, and a ray's side of it is its entry z[k]: a ray on its positive
+    side and one on its negative side combine into a ray on its hyperplane
+    iff they are adjacent, that is, their common tight rows Z number at least
+    d - 2 and no third ray is tight at all of Z. The combination is linear in
+    the whole tableau row, so every product stays exact. The test is
+    combinatorial, so it stays exact on degenerate cones.
 
     The scan for a third ray runs only when neither ray is simple, that is,
     tight at exactly d - 1 rows. An extreme ray's tight rows have rank d - 1,
@@ -322,7 +330,7 @@ def _extreme_rays(rows, d: int):
     if len(basis) < d:
         return None
     tight = sum(1 << i for i in basis)
-    rays = [(primitive_vector([det * x for x in row]), tight ^ (1 << i))
+    rays = [(primitive_vector(row if det > 0 else [-x for x in row]), tight ^ (1 << i))
             for row, i in zip(eliminated, basis)]
     for k in range(len(rows)):
         if k in basis:

@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 from conftest import (hpoly, oracle_echelon, oracle_mat_mul,
-                      oracle_vertices_2d, random_bounded_poly)
+                      oracle_vertices_2d, random_bounded_poly,
+                      random_unimodular, transform_rays)
 
+from toriclct.database import load_builtin
 from toriclct.errors import EmptyPolytope, Unbounded
 from toriclct.geometry import (HalfSpace, HPolytope, _echelon,
                                _scale_to_integers, enumerate_vertices,
@@ -16,7 +18,7 @@ from toriclct.geometry import (HalfSpace, HPolytope, _echelon,
                                mat_det, mat_mul, mat_rank, primitive_vector,
                                smith_normal_form, solve_square_system,
                                transpose)
-from toriclct.toric import GroupAction
+from toriclct.toric import GroupAction, product_fan
 
 F = Fraction
 
@@ -486,3 +488,58 @@ def test_elimination_matches_the_fraction_oracle():
         assert basis == _oracle_fixed_subspace(gens)
         fixing += bool(basis)
     assert singular > 30 and deficient > 60 and 300 < fixing < len(gen_lists) - 30
+
+
+def _echelon_matches_the_oracle(rows, width):
+    """_echelon and oracle_echelon agree on rows: the pivot columns, the
+    reduced rows over d, and d as the signed product of the pivots. Returns
+    the pivot columns."""
+    got, pivots, d = _echelon(rows, width)
+    reduced, oracle_pivots, det = oracle_echelon(rows, width)
+    assert pivots == oracle_pivots, rows
+    assert [[F(x, d) for x in row] for row in got] == reduced, rows
+    assert d == det, rows
+    return pivots
+
+
+def _signed_permutation(rng, n):
+    perm = rng.sample(range(n), n)
+    return [[rng.choice((-1, 1)) * (j == perm[i]) for j in range(n)] for i in range(n)]
+
+
+def test_elimination_of_sparse_unimodular_rows_matches_the_fraction_oracle():
+    # most updates have a 0 in the pivot column and a pivot equal to the
+    # last one, so they leave the row as it is and are skipped
+    rng = random.Random(57)
+    for n in range(1, 7):
+        for _ in range(5):
+            g = _signed_permutation(rng, n)
+            assert len(_echelon_matches_the_oracle(g, n)) == n
+            # beside the identity: the inverse, carried along
+            assert len(_echelon_matches_the_oracle(
+                [row + list(e) for row, e in zip(g, identity_matrix(n))], n)) == n
+    # the [rows^T | I] that the double description's first cone eliminates,
+    # for the homogenised rows of product fans, in the stored basis and in a
+    # seeded one
+    fans = [rec.fan for rec in load_builtin().records if rec.fan is not None]
+    for a, b in rng.sample(list(itertools.combinations(fans, 2)), 10):
+        for fan in (product_fan(a, b), product_fan(
+                transform_rays(random_unimodular(rng, a.dim), a), b)):
+            rows = [(0,) * fan.dim + (1,)] + [(*v, 1) for v in fan]
+            cone = [(*col, *e) for col, e in zip(transpose(rows), identity_matrix(fan.dim + 1))]
+            assert len(_echelon_matches_the_oracle(cone, len(rows))) == fan.dim + 1
+
+
+def test_elimination_stops_once_every_row_holds_a_pivot():
+    # k rows with an invertible leading k x k block take their pivots in the
+    # first k of the width columns; the others are carried, never searched
+    rng = random.Random(58)
+    for _ in range(60):
+        k = rng.randint(1, 4)
+        width = k + rng.randint(1, 4)
+        extra = _random_matrix(rng, k, width - k + rng.randint(0, 2))
+        # a unimodular block with its rows scaled by nonzero integers
+        block = [[c * rng.choice((-3, -2, -1, 1, 2, 3)) for c in row]
+                 for row in random_unimodular(rng, k)]
+        rows = [a + b for a, b in zip(block, extra)]
+        assert _echelon_matches_the_oracle(rows, width) == list(range(k))
