@@ -211,10 +211,13 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
 
     Vertices are the integer rays (x, t) of geometry._vertex_rays, read from
     their tableau rows z: the rows are (v, -1), or (B^T v, -1) with a group,
-    so z[1 + k] - t is the pairing, in integers, of the vertex with the k-th
-    ray; nothing is paired again. Rays zero on B have no row and pair at 0.
-    Fractions are made only for the report. The witness is the smallest
-    maximal vertex x / t, then its first maximal ray in sorted order.
+    each distinct row once, so the rays of one G-orbit share a row, and
+    z[1 + k] - t is the pairing, in integers, of the vertex with the rays of
+    the k-th row; nothing is paired again. Rays zero on B have no row and
+    pair at 0. One pass keeps the largest pairing p / t by cross-multiplying
+    and reads the point x, lifted to B x with a group, only at a vertex that
+    reaches it. Fractions are made only for the report. The witness is the
+    smallest maximal vertex x / t, then its first maximal ray in sorted order.
 
     The rows follow the rays in sorted order, whatever order they came in.
     The double description's intermediate cones, and so its cost, depend on
@@ -224,7 +227,7 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
     the report does not depend on the order either way.
     """
     paired = sorted(rays)
-    rows, d = [(*v, -1) for v in paired], rays.dim
+    normals, d = paired, rays.dim
     if group is not None:
         if group.dim != rays.dim:
             raise ValueError("group dimension does not match rays")
@@ -243,38 +246,41 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
         if mat_rank(rays) < rays.dim:
             raise FanNotComplete("rays do not positively span the lattice")
         basis = fixed_subspace([transpose(g) for g in gens])
-        # <v, B s> >= -1 is <B^T v, s> >= -1; rows zero on B always hold,
-        # and their rays pair at 0
-        normals = [[dot(v, b) for b in basis] for v in paired]
-        paired = [v for v, a in zip(paired, normals) if any(a)]
-        rows, d = [(*a, -1) for a in normals if any(a)], len(basis)
+        # <v, B s> >= -1 is <B^T v, s> >= -1
+        normals, d = [[dot(v, b) for b in basis] for v in paired], len(basis)
+    rows = [(*a, -1) for a in normals]
+    # each nonzero row once, numbered by its place in the tableau rows z; a
+    # row zero on B always holds, and its rays read z[0] = t: they pair at 0
+    slot = {row: k for k, row in enumerate(
+        dict.fromkeys(row for row in rows if any(row[:-1])), 1)}
     try:
-        vertices = _vertex_rays(rows, d)
+        vertices = _vertex_rays(list(slot), d)
     except Unbounded:
         raise FanNotComplete("rays do not positively span the lattice") from None
     if group is not None:
         # one row per coordinate, empty ones when D^G = {0}: it lifts to 0
         lift = [[b[i] for b in basis] for i in range(rays.dim)]
-    best = None
+    # the running maximum num / den of the pairings starts below any: a
+    # complete fan's pairings sum to 0 under positive weights, so each
+    # vertex's maximum is >= 0, the pairing of any ray without a row
+    num, den, x, best = -1, 1, None, None
     for z in vertices:
-        # z = (t, the row products, x, t); a complete fan's pairings sum to 0
-        # under positive weights, so their maximum is >= 0, the pairing of
-        # any ray without a row
+        # z = (t, the row products, x, t)
         t = z[0]
-        p, x = max(z[1:-d - 1], default=t) - t, z[-d - 1:-1]
+        p = max(z[1:-d - 1], default=t) - t
+        c = p * den - num * t
+        if c < 0:
+            continue
+        y = z[-d - 1:-1]
         if group is not None:
             # ties compare the lifted points B s
-            x = mat_vec(lift, x)
-        if best is None or p * best[1] > best[0] * t or (
-                p * best[1] == best[0] * t
-                and [c * best[1] for c in x] < [c * t for c in best[2]]):
-            best = (p, t, x, z)
-    num, t, x, z = best
-    pairings = dict.fromkeys(rays, 0) | {v: e - t for v, e in zip(paired, z[1:])}
-    v = min(v for v, p in pairings.items() if p == num)
-    m = Fraction(num, t)
+            y = mat_vec(lift, y)
+        if c or (y < x if t == den else [a * den for a in y] < [a * t for a in x]):
+            num, den, x, best = p, t, y, z
+    v = next(v for v, row in zip(paired, rows) if best[slot.get(row, 0)] - den == num)
+    m = Fraction(num, den)
     # (lct, max_pairing, witness_vertex, witness_ray), positional: no binding by name
-    return ToricLctReport(1 / (1 + m), m, tuple(Fraction(c, t) for c in x), v)
+    return ToricLctReport(1 / (1 + m), m, tuple(Fraction(c, den) for c in x), v)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@
 the Fraction Gauss-Jordan oracle, the brute-force Fraction vertex oracle, the
 double description with its full adjacency scan, the Fraction vertex-pairing
 threshold oracle, the dense matrix product, the all-products group oracle, the
-breadth-first closure and greedy-pick oracles, random unimodular matrices, and
-group conjugation."""
+breadth-first closure and greedy-pick oracles, random unimodular matrices,
+group conjugation, and seeded complete ray sets that are not products."""
 
 import functools
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from toriclct.errors import (EmptyPolytope, FanNotComplete,
@@ -20,7 +20,8 @@ from toriclct.geometry import (HalfSpace, HPolytope, _echelon, _integer_rows,
                                mat_det, mat_mul, mat_rank, mat_vec,
                                primitive_vector, solve_square_system,
                                transpose)
-from toriclct.toric import GroupAction, RaySet, ToricLctReport, dual_polytope
+from toriclct.toric import (GroupAction, RaySet, ToricLctReport, dual_polytope,
+                            toric_lct)
 
 
 def hpoly(rows):
@@ -454,3 +455,21 @@ def transform_rays(u, rays: RaySet) -> RaySet:
 def conjugate_group(u, u_inv, group: GroupAction) -> GroupAction:
     return GroupAction(tuple(sorted(
         mat_mul(mat_mul(u, g), u_inv) for g in group.elements)))
+
+
+def random_complete_rays(rng: random.Random, n: int, m: int, b: int) -> RaySet:
+    """m distinct primitive vectors in [-b, b]^n, in the order drawn, redrawn
+    as a whole until toric_lct takes them for a complete fan. With b = 1
+    many rays are coplanar, so the dual polytope has non-simple vertices."""
+    while True:
+        rays = []
+        while len(rays) < m:
+            v = tuple(rng.randint(-b, b) for _ in range(n))
+            if gcd(*v) == 1 and v not in rays:
+                rays.append(v)
+        rays = RaySet(tuple(rays))
+        try:
+            toric_lct(rays)
+        except FanNotComplete:
+            continue
+        return rays

@@ -3,18 +3,21 @@ constructors, and the fan text format."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from conftest import (conjugate_group, inverse_unimodular, oracle_closure,
                       oracle_enumerate_vertices, oracle_greedy_picks,
                       oracle_is_bounded, oracle_is_group, oracle_mat_mul,
-                      oracle_toric_lct, random_unimodular, transform_rays)
+                      oracle_toric_lct, random_complete_rays,
+                      random_unimodular, transform_rays)
 
+import toriclct.toric
 from toriclct.database import load_builtin, lookup
 from toriclct.errors import (DegenerateSubdivision, FanNotComplete,
                              GroupDoesNotPreserveFan, GroupNotClosed,
                              NotWellFormed, ParseError, ToolkitError)
-from toriclct.geometry import (fixed_subspace, identity_matrix, mat_mul,
+from toriclct.geometry import (dot, fixed_subspace, identity_matrix, mat_mul,
                                mat_rank, mat_vec, primitive_vector)
 from toriclct.toric import (GroupAction, RaySet, ToricLctReport,
                             bundle_lct_closed_form, check_well_formed,
@@ -635,6 +638,74 @@ def test_rank_deficient_fan_is_incomplete_under_minus_identity():
             toric_lct(rays, group)
 
 
+# Powers X^k of a stored fan with the automorphism that exchanges the first
+# two factors. The rays (v, 0, ...) and (0, v, ...) of one orbit restrict to
+# one row on D^G, which the double description takes once.
+
+
+def _power(fan, k):
+    out = fan
+    for _ in range(k - 1):
+        out = product_fan(out, fan)
+    return out
+
+
+def _factor_swap(n, k):
+    """The matrix on X^k, X of dimension n, that exchanges factors 1 and 2."""
+    perm = [i + n if i < n else i - n if i < 2 * n else i for i in range(n * k)]
+    return tuple(tuple(int(perm[i] == j) for j in range(n * k)) for i in range(n * k))
+
+
+def _rows_handed_to_the_dd(monkeypatch):
+    """A list that records how many rows each toric_lct passes to
+    _vertex_rays."""
+    counts, vertex_rays = [], toriclct.toric._vertex_rays
+
+    def counted(rows, n):
+        counts.append(len(rows))
+        return vertex_rays(rows, n)
+
+    monkeypatch.setattr(toriclct.toric, "_vertex_rays", counted)
+    return counts
+
+
+def _swapped_power(fan, k, seed):
+    """X^k with the factor swap, as it is and in a seeded basis."""
+    power = _power(fan, k)
+    group = GroupAction.generate([_factor_swap(fan.dim, k)])
+    u = random_unimodular(random.Random(seed), power.dim)
+    return [(power, group),
+            (transform_rays(u, power), conjugate_group(u, inverse_unimodular(u), group))]
+
+
+@pytest.mark.parametrize("family", ["P2", "2.35"])
+def test_squares_with_a_factor_swap_match_the_fraction_oracle(family, monkeypatch):
+    fan = P2 if family == "P2" else lookup(load_builtin(), family).fan
+    counts = _rows_handed_to_the_dd(monkeypatch)
+    for rays, group in _swapped_power(fan, 2, 1301):
+        assert toric_lct(rays, group) == oracle_toric_lct(rays, group)
+    # one row per orbit of the swap
+    assert counts == [len(fan)] * 2
+
+
+# toric_lct on 3.31^5 with the swap, as computed before the double
+# description took one row per orbit: as it is and in the seeded basis
+POWER_3_31_REPORTS = [
+    ToricLctReport(F(1, 3), F(2), (F(-1),) * 15, (-1, -1) + (0,) * 13),
+    ToricLctReport(F(1, 3), F(2), tuple(map(F, (-7, -5, 2, -5, -1, -1, -1, -1, -1, -1,
+                                                -1, 2, 3, -1, -1))),
+                   (-1,) + (0,) * 9 + (-1, -3, 0, 0, 0)),
+]
+
+
+def test_fifth_power_with_a_factor_swap_keeps_its_reports(monkeypatch):
+    counts = _rows_handed_to_the_dd(monkeypatch)
+    cases = _swapped_power(lookup(load_builtin(), "3.31").fan, 5, 31)
+    assert [toric_lct(rays, group) for rays, group in cases] == POWER_3_31_REPORTS
+    # 30 rays; the swap pairs the 12 of the first two factors
+    assert counts == [24] * 2
+
+
 def _brute_force_maximum(rays):
     """(max_pairing, witness_vertex, witness_ray) by a Fraction double loop
     over every (w, v): the largest pairing, then the smallest (w, v)."""
@@ -658,6 +729,31 @@ def test_tie_break_and_types_match_brute_force():
         assert type(report.lct) is Fraction and type(report.max_pairing) is Fraction
         assert all(type(c) is Fraction for c in report.witness_vertex)
         assert all(type(c) is int for c in report.witness_ray)
+
+
+# Seeded ray sets that are not products, (entry bound b, dimensions, seed):
+# with b = 1 many vertices of D are non-simple, and some fans have maximal
+# vertices x / t at different t, where the tie-break must compare x / t and
+# not x alone.
+SEEDED_RAY_SETS = [(1, (3, 4), 1), (2, (2, 3, 4), 1), (3, (2, 3), 4)]
+
+
+@pytest.mark.parametrize("b, dims, seed", SEEDED_RAY_SETS, ids=["b1", "b2", "b3"])
+def test_seeded_ray_sets_match_the_brute_force_and_fraction_oracles(b, dims, seed):
+    rng = random.Random(seed)
+    non_simple = ties_across_t = 0
+    for _ in range(20):
+        n = rng.choice(dims)
+        rays = random_complete_rays(rng, n, rng.randint(n + 2, 3 * n + 2), b)
+        report = toric_lct(rays)
+        assert report == oracle_toric_lct(rays), rays
+        assert (report.max_pairing, report.witness_vertex,
+                report.witness_ray) == _brute_force_maximum(rays), rays
+        vertices = oracle_enumerate_vertices(dual_polytope(rays))
+        non_simple += any(sum(dot(w, v) == -1 for v in rays) > n for w in vertices)
+        ties_across_t += len({lcm(*(c.denominator for c in w)) for w in vertices
+                              if max(dot(w, v) for v in rays) == report.max_pairing}) > 1
+    assert non_simple >= 5 and ties_across_t >= 1, (non_simple, ties_across_t)
 
 
 def test_toric_lct_builds_fractions_only_for_the_report(monkeypatch):
