@@ -188,9 +188,10 @@ def _echelon(rows, width: int):
     negates the row it moves down, so d is det of a full-rank square matrix.
 
     A row x is updated to (p x - f y) // d for the pivot row y, pivot p and
-    its entry f in the pivot column; when f = 0 and p = d that is x itself,
-    so the update is skipped, as it is on sparse unimodular inputs. The loop
-    stops once every row holds a pivot: no later column can take one."""
+    x's entry f in the pivot column. When f = 0 and p = d that is x itself,
+    so the update is skipped; most updates of sparse unimodular inputs are
+    such. The loop stops once every row holds a pivot: no later column can
+    take one."""
     a = [_integers(row, "matrix row") for row in rows]
     pivots: list[int] = []
     d = 1
@@ -330,8 +331,8 @@ def _extreme_rays(rows, d: int):
     if len(basis) < d:
         return None
     tight = sum(1 << i for i in basis)
-    rays = [(primitive_vector(row if det > 0 else [-x for x in row]), tight ^ (1 << i))
-            for row, i in zip(eliminated, basis)]
+    rays = [(primitive_vector(row if det > 0 else [-x for x in row]),
+             tight ^ (1 << i)) for row, i in zip(eliminated, basis)]
     for k in range(len(rows)):
         if k in basis:
             continue
