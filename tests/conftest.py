@@ -1,9 +1,10 @@
 """Shared exact helpers: random polytopes, an independent 2D vertex oracle,
 the Fraction Gauss-Jordan oracle, the brute-force Fraction vertex oracle, the
 double description with its full adjacency scan, the Fraction vertex-pairing
-threshold oracle, the dense matrix product, the all-products group oracle, the
-breadth-first closure and greedy-pick oracles, random unimodular matrices,
-group conjugation, and seeded complete ray sets that are not products."""
+threshold oracle, the dense matrix product, the two-sided Smith normal form,
+the all-products group oracle, the breadth-first closure and greedy-pick
+oracles, random unimodular matrices, group conjugation, and seeded complete
+ray sets that are not products."""
 
 import functools
 import random
@@ -293,6 +294,73 @@ def oracle_mat_mul(a, b):
             raise ValueError(f"dimension mismatch: {len(row)} vs {n}")
     bt = transpose(b)
     return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
+
+
+# The Smith normal form that geometry replaced, kept as the reference: every
+# elementary operation written twice, once on the rows of a and u and once on
+# the columns of a and v.
+
+
+def oracle_smith_normal_form(matrix):
+    """(u, d, v) as tuples of tuples, with u @ matrix @ v == d."""
+    n = len(matrix)
+    a = [list(row) for row in matrix]
+    u = [list(row) for row in identity_matrix(n)]
+    v = [list(row) for row in identity_matrix(n)]
+
+    def add_row(dst, src, k):
+        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(dst, src, k):
+        for row in a:
+            row[dst] += k * row[src]
+        for row in v:
+            row[dst] += k * row[src]
+
+    for t in range(n):
+        while True:
+            best = None
+            for i in range(t, n):
+                for j in range(t, n):
+                    if a[i][j] and (best is None
+                                    or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                        best = (i, j)
+            if best is None:
+                break
+            i, j = best
+            if i != t:
+                a[t], a[i] = a[i], a[t]
+                u[t], u[i] = u[i], u[t]
+            if j != t:
+                for row in a:
+                    row[t], row[j] = row[j], row[t]
+                for row in v:
+                    row[t], row[j] = row[j], row[t]
+            p = a[t][t]
+            dirty = False
+            for r in range(t + 1, n):
+                if a[r][t]:
+                    add_row(r, t, -(a[r][t] // p))
+                    dirty = dirty or bool(a[r][t])
+            for c in range(t + 1, n):
+                if a[t][c]:
+                    add_col(c, t, -(a[t][c] // p))
+                    dirty = dirty or bool(a[t][c])
+            if dirty:
+                continue
+            p = a[t][t]
+            offender = next((r for r in range(t + 1, n)
+                             if any(x % p for x in a[r])), None)
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+
+    freeze = lambda m: tuple(tuple(row) for row in m)
+    return freeze(u), freeze(a), freeze(v)
 
 
 def oracle_is_group(elements) -> bool:

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 from conftest import (hpoly, oracle_echelon, oracle_mat_mul,
-                      oracle_vertices_2d, random_bounded_poly,
-                      random_unimodular, transform_rays)
+                      oracle_smith_normal_form, oracle_vertices_2d,
+                      random_bounded_poly, random_unimodular, transform_rays)
 
 from toriclct.database import load_builtin
 from toriclct.errors import EmptyPolytope, Unbounded
@@ -179,6 +179,49 @@ def test_snf_rejects_non_integer_entries():
     for bad in (1.5, 1.0, F(3, 2)):
         with pytest.raises(ValueError, match="non-integer"):
             smith_normal_form(((bad, 0), (0, 2)))
+
+
+def _seeded_square(rng: random.Random, n: int):
+    """An n x n integer matrix: entries up to +-30 with up to 70 % zeros, at
+    times a zero row or column, at times of rank below n."""
+    bound = rng.choice((1, 3, 9, 30))
+    zeros = rng.choice((0, 0, 0.3, 0.7))
+    m = [[0 if rng.random() < zeros else rng.randint(-bound, bound)
+          for _ in range(n)] for _ in range(n)]
+    shape = rng.randrange(6)
+    if shape == 1:
+        m[rng.randrange(n)] = [0] * n
+    elif shape == 2:
+        j = rng.randrange(n)
+        for row in m:
+            row[j] = 0
+    elif shape == 3 and n > 1:
+        # a row that is a combination of two others
+        i = rng.randrange(n)
+        j, k = (rng.choice([r for r in range(n) if r != i]) for _ in range(2))
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        m[i] = [a * x + b * y for x, y in zip(m[j], m[k])]
+    return tuple(tuple(row) for row in m)
+
+
+# the weights of the catalog workload's wps invocations
+WPS_WEIGHTS = ((1, 1), (1, 1, 1), (1, 1, 1, 1), (1, 1, 2), (1, 1, 3),
+               (1, 2, 3), (2, 3, 5), (1, 1, 2, 3), (1, 2, 2, 3), (3, 4, 5))
+
+
+def test_snf_matches_the_two_sided_oracle():
+    rng = random.Random(22)
+    matrices = [_seeded_square(rng, n) for n in range(1, 7) for _ in range(250)]
+    # the weight-column matrices that toric.wps_fan decomposes
+    matrices += [tuple(tuple(w if j == 0 else 0 for j in range(len(ws)))
+                       for w in ws) for ws in WPS_WEIGHTS]
+    deficient = 0
+    for m in matrices:
+        s = smith_normal_form(m)
+        assert (s.u, s.d, s.v) == oracle_smith_normal_form(m), m
+        assert s.reconstructs(m)
+        deficient += mat_rank(m) < len(m)
+    assert 300 <= deficient <= len(matrices) - 300
 
 
 def test_fixed_subspace_identity():
