@@ -483,72 +483,58 @@ class SmithDecomposition(_Record):
 
 
 def smith_normal_form(matrix) -> SmithDecomposition:
-    """Exact Smith decomposition of a square integer matrix.
+    """Exact Smith decomposition of a square integer matrix a.
 
-    Classical pivoting: move a minimal nonzero entry to the diagonal, clear
-    its row and column by Euclidean steps, then repair divisibility of the
-    trailing block by folding an offending row into the pivot row. All
-    operations are recorded in u (rows) and v (columns).
+    Works on the block matrix m = [[a, u], [v, 0]], with u = v = I at the
+    start, through one reduction step: move row i to row t, subtract from
+    each top-block row below t the multiple of row t that leaves its entry in
+    the pivot column a floor remainder of the pivot, and report whether a
+    remainder is left. Run on m, the step's row operations act on a and u;
+    run on the transpose of m, whose top block is [a^T | v^T], they are
+    column operations on a and v. The pivot is a nonzero entry of least
+    absolute value in the trailing block, the first in row-major order; once
+    row and column t are clear, a trailing row that the pivot does not
+    divide is added to row t and the pivot sought again, and d[t][t] is
+    made nonnegative last.
     """
     (matrix,) = _matrices([matrix], "matrix")
     n = len(matrix)
-    a = [list(row) for row in matrix]
-    u = [list(row) for row in identity_matrix(n)]
-    v = [list(row) for row in identity_matrix(n)]
+    eye = identity_matrix(n)
+    m = [row + e for row, e in zip(matrix, eye)] + [e + (0,) * n for e in eye]
 
-    def add_row(dst, src, k):
-        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, k):
-        for row in a:
-            row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
+    def step(m, t, i, j) -> bool:
+        m[t], m[i] = m[i], m[t]
+        y = m[t]
+        for r in range(t + 1, n):
+            if m[r][j]:
+                q = m[r][j] // y[j]
+                m[r] = [x - q * c for x, c in zip(m[r], y)]
+        return any(m[r][j] for r in range(t + 1, n))
 
     for t in range(n):
         while True:
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    if a[i][j] and (best is None
-                                    or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
+            entries = [(abs(x), i, j) for i in range(t, n)
+                       for j, x in enumerate(m[i][t:n], t) if x]
+            if not entries:
                 break
-            i, j = best
-            if i != t:
-                a[t], a[i] = a[i], a[t]
-                u[t], u[i] = u[i], u[t]
-            if j != t:
-                for row in a:
-                    row[t], row[j] = row[j], row[t]
-                for row in v:
-                    row[t], row[j] = row[j], row[t]
-            p = a[t][t]
-            dirty = False
-            for r in range(t + 1, n):
-                if a[r][t]:
-                    add_row(r, t, -(a[r][t] // p))
-                    dirty = dirty or bool(a[r][t])
-            for c in range(t + 1, n):
-                if a[t][c]:
-                    add_col(c, t, -(a[t][c] // p))
-                    dirty = dirty or bool(a[t][c])
-            if dirty:
+            _, i, j = min(entries)
+            left = step(m, t, i, j)
+            m = list(zip(*m))
+            left = step(m, t, j, t) or left
+            m = list(zip(*m))
+            if left:
                 continue
-            p = a[t][t]
+            p = m[t][t]
             offender = next((r for r in range(t + 1, n)
-                             if any(x % p for x in a[r])), None)
+                             if any(x % p for x in m[r][:n])), None)
             if offender is None:
                 break
-            add_row(t, offender, 1)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-
-    freeze = lambda m: tuple(tuple(row) for row in m)
-    return SmithDecomposition(freeze(u), freeze(a), freeze(v))
+            m[t] = [x + y for x, y in zip(m[t], m[offender])]
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+    return SmithDecomposition(tuple(tuple(row[n:]) for row in m[:n]),
+                              tuple(tuple(row[:n]) for row in m[:n]),
+                              tuple(tuple(row[:n]) for row in m[n:]))
 
 
 # ---------------------------------------------------------------------------
