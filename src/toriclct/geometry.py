@@ -229,9 +229,13 @@ def mat_det(m) -> int:
 
 
 def mat_rank(rows: Iterable[Sequence]) -> int:
-    """Rank over Q of a list of integer row vectors."""
+    """Rank over Q of a list of integer row vectors of one length."""
     rows = list(rows)
-    return len(_echelon(rows, len(rows[0]))[1]) if rows else 0
+    width = len(rows[0]) if rows else 0
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"dimension mismatch: {len(row)} vs {width}")
+    return len(_echelon(rows, width)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from toriclct import cli
 from toriclct.errors import DegenerateSubdivision, GroupNotClosed, ParseError
 from toriclct.formulas import double_cover_lct, fermat_cse, p1_product_lct
 from toriclct.geometry import (HPolytope, dot, fixed_subspace, mat_det,
-                               smith_normal_form)
+                               mat_rank, smith_normal_form)
 from toriclct.toric import (GroupAction, RaySet, ToricLctReport, parse_fan,
                             projective_space_fan, star_subdivide)
 
@@ -23,6 +23,10 @@ P2_FAN = "1,0\n0,1\n-1,-1\n\n"
 REJECTIONS = [
     ("dot", lambda: dot((1, 2), (1,)), ValueError, "dimension mismatch"),
     ("mat_det", lambda: mat_det(((1, 2),)), ValueError, "square"),
+    ("mat_rank longer row", lambda: mat_rank([(1,), (3, 4)]), ValueError,
+     "dimension mismatch: 2 vs 1"),
+    ("mat_rank shorter row", lambda: mat_rank([(1, 2), (3,)]), ValueError,
+     "dimension mismatch: 1 vs 2"),
     ("HPolytope", lambda: HPolytope(()), ValueError, "at least one halfspace"),
     ("smith_normal_form", lambda: smith_normal_form(((1, 2),)), ValueError,
      "square"),
