@@ -303,11 +303,13 @@ def lookup(db: Database, family) -> FamilyRecord:
 
 def query(db: Database, rank: int | None = None, status_kind: str | None = None,
           value: Fraction | None = None) -> tuple[FamilyRecord, ...]:
-    """Records matching every given filter, in id order; value is read
-    exactly by geometry._rational, so a float or a zero denominator raises
-    ValueError."""
+    """Records matching every given filter, in id order; rank must be an
+    integer and value is read exactly by geometry._rational, so a float, a
+    string rank or a zero denominator raises ValueError."""
     if status_kind is not None and status_kind not in STATUS_KINDS:
         raise ValueError(f"unknown status kind {status_kind!r}")
+    if rank is not None:
+        (rank,) = _integers((rank,), "rank")
     if value is not None:
         value = _rational(value, "value")
     out = []

@@ -171,6 +171,13 @@ def test_query_rank_five():
     assert all(r.status.kind == "exact_all" for r in found)
 
 
+def test_query_reads_the_rank_as_an_integer():
+    for bad in ("1", 1.0, F(1)):
+        with pytest.raises(ValueError, match="rank .* non-integer"):
+            query(DB, rank=bad)
+    assert query(DB, rank=9) == ()
+
+
 def test_query_rejects_bad_kind():
     with pytest.raises(ValueError):
         query(DB, status_kind="sharp")
