@@ -181,6 +181,10 @@ def _cmd_cubic_sing(args, out) -> int:
 
 
 def _cmd_family(args, out) -> int:
+    if args.list and args.id is not None:
+        raise ValueError("give a family id or --list, not both")
+    if not args.list and (args.rank, args.status, args.value) != (None,) * 3:
+        raise ValueError("--rank, --status and --value filter --list only")
     db = load_builtin()
     if args.list:
         for r in query(db, rank=args.rank, status_kind=args.status, value=args.value):

@@ -352,6 +352,23 @@ def test_family_needs_id_or_list():
     assert code == 1 and "--list" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("1.1", "--list"), "give a family id or --list, not both"),
+    (("1.1", "--list", "--rank", "2"), "give a family id or --list, not both"),
+    (("1.1", "--rank", "2"), "--rank, --status and --value filter --list only"),
+    (("1.1", "--status", "exact_all"), "filter --list only"),
+    (("1.1", "--value", "1/2"), "filter --list only"),
+    (("--rank", "2"), "filter --list only"),
+    (("--status", "unknown"), "filter --list only"),
+    (("--value", "3/7", "--machine"), "filter --list only"),
+])
+def test_family_rejects_arguments_it_would_ignore(argv, message):
+    code, out, err = invoke("family", *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: ValueError: ")
+    assert message in err
+
+
 def test_family_list_rank_filter():
     code, out, _ = invoke("family", "--list", "--rank", "5")
     assert code == 0 and len(out.splitlines()) == 8
