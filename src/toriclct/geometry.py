@@ -491,9 +491,9 @@ def smith_normal_form(matrix) -> SmithDecomposition:
 
     Works on the block matrix m = [[a, u], [v, 0]], with u = v = I at the
     start, through one reduction step: move row i to row t, subtract from
-    each top-block row below t the multiple of row t that leaves its entry in
-    the pivot column a floor remainder of the pivot, and report whether a
-    remainder is left. Run on m, the step's row operations act on a and u;
+    each top-block row below t the floor quotient of its pivot-column entry
+    by the pivot times row t, and report whether a nonzero remainder is left
+    in that column. Run on m, the step's row operations act on a and u;
     run on the transpose of m, whose top block is [a^T | v^T], they are
     column operations on a and v. The pivot is a nonzero entry of least
     absolute value in the trailing block, the first in row-major order; once

@@ -182,8 +182,8 @@ def test_snf_rejects_non_integer_entries():
 
 
 def _seeded_square(rng: random.Random, n: int):
-    """An n x n integer matrix: entries up to +-30 with up to 70 % zeros, at
-    times a zero row or column, at times of rank below n."""
+    """An n x n integer matrix, entries up to +-30 with up to 70 % zeros; at
+    times with a zero row, a zero column or a row combined from two others."""
     bound = rng.choice((1, 3, 9, 30))
     zeros = rng.choice((0, 0, 0.3, 0.7))
     m = [[0 if rng.random() < zeros else rng.randint(-bound, bound)
