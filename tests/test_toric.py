@@ -112,13 +112,17 @@ def test_group_requires_closure_when_greedy_span_overshoots():
         GroupAction((EYE2, shear))
 
 
-def _signed_permutation_group(n):
-    """B_n from a transposition, an n-cycle and one sign change."""
+def _signed_permutation_generators(n):
+    """A transposition, an n-cycle and one sign change: they generate B_n."""
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
     swap = [eye[1], eye[0]] + eye[2:]
     cycle = eye[1:] + eye[:1]
     flip = [[-1] + [0] * (n - 1)] + eye[1:]
-    return GroupAction.generate([swap, cycle, flip])
+    return [swap, cycle, flip]
+
+
+def _signed_permutation_group(n):
+    return GroupAction.generate(_signed_permutation_generators(n))
 
 
 def _named_groups():
@@ -225,6 +229,55 @@ def test_generate_matches_the_breadth_first_oracle():
             assert group.generators == oracle_greedy_picks(elements), gens
         trivial = GroupAction.generate([eye, eye])
         assert trivial.elements == (eye,) and trivial.generators == ()
+
+
+ROT6 = ((0, -1), (1, 1))  # order 6 in GL(2, Z)
+GENERATING_SETS = {"B3": _signed_permutation_generators(3),
+                   "B4": _signed_permutation_generators(4),
+                   "S4 on P3": S4_ON_P3, "rotation of order 6": [ROT6]}
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("name", sorted(GENERATING_SETS))
+def test_generate_and_element_lists_match_the_oracles_on_conjugated_groups(name, seed):
+    # conjugated by a seeded unimodular u, the basis orbit holds vectors with
+    # entries beyond +-1; seed None leaves the group as it is
+    rng = random.Random(seed)
+    full = GroupAction.generate(GENERATING_SETS[name])
+    if seed is not None:
+        u = random_unimodular(rng, full.dim)
+        full = conjugate_group(u, inverse_unimodular(u), full)
+    eye = identity_matrix(full.dim)
+    shuffled = rng.sample(full.elements, len(full))
+    listed = GroupAction(tuple(shuffled))
+    assert listed.generators == oracle_greedy_picks(shuffled)
+    assert GroupAction.generate(listed.generators) == full
+    for _ in range(8):
+        gens = rng.sample(full.elements, rng.randint(1, 3))
+        if rng.random() < 0.5:  # repeated
+            gens.append(rng.choice(gens))
+        if rng.random() < 0.5:  # redundant
+            gens.append(mat_mul(rng.choice(gens), rng.choice(gens)))
+        if rng.random() < 0.5:
+            gens.append(eye)
+        rng.shuffle(gens)
+        group = GroupAction.generate(gens)
+        assert group.elements == tuple(sorted(oracle_closure(gens, 10000))), gens
+        assert group.generators == oracle_greedy_picks(group.elements), gens
+        picks, span = [], {eye}
+        for g in gens:
+            if g not in span:
+                picks.append(g)
+                span = oracle_closure(picks, 10000)
+        assert group._picks == tuple(picks), gens
+        listed = GroupAction(group.elements)
+        assert listed == group and hash(listed) == hash(group), gens
+        assert repr(listed) == repr(group), gens
+        assert listed.generators == listed._picks == group.generators, gens
+        assert GroupAction.generate(gens, cap=len(group)) == group, gens
+        if len(group) > 1:
+            with pytest.raises(GroupNotClosed, match="exceeds cap"):
+                GroupAction.generate(gens, cap=len(group) - 1)
 
 
 def test_group_checks_cost_fewer_than_2_products_per_element_and_generate_4(monkeypatch):
@@ -350,6 +403,54 @@ def test_generate_reports_a_bad_generator_before_the_cap():
     # reported first
     with pytest.raises(ValueError, match=r"generator \(\(2, 0\), \(0, 1\)\) is not unimodular"):
         GroupAction.generate([((1, 1), (0, 1)), ((2, 0), (0, 1))], cap=100)
+
+
+DOUBLE2 = ((2, 0), (0, 1))
+SHEAR2 = ((1, 1), (0, 1))
+B4_GENERATORS = _signed_permutation_generators(4)
+DOUBLE4 = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+# bad group inputs, each with the exception and the whole message it raises
+GROUP_FAULTS = [
+    ("generator not unimodular first", lambda: GroupAction.generate([DOUBLE2, SWAP2]),
+     ValueError, "generator ((2, 0), (0, 1)) is not unimodular"),
+    ("generator not unimodular last",
+     lambda: GroupAction.generate([SWAP2, ROT3, DOUBLE2]),
+     ValueError, "generator ((2, 0), (0, 1)) is not unimodular"),
+    ("generator not unimodular after the cap is exceeded",
+     lambda: GroupAction.generate(B4_GENERATORS + [DOUBLE4], cap=100), ValueError,
+     "generator ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)) is not unimodular"),
+    ("zero generator", lambda: GroupAction.generate([((0, 0), (0, 0))]),
+     ValueError, "generator ((0, 0), (0, 0)) is not unimodular"),
+    ("shear at cap 50", lambda: GroupAction.generate([SHEAR2], cap=50),
+     GroupNotClosed, "closure exceeds cap of 50 elements"),
+    ("hyperbolic at cap 50", lambda: GroupAction.generate([((2, 1), (1, 1))], cap=50),
+     GroupNotClosed, "closure exceeds cap of 50 elements"),
+    ("B4 at cap 100", lambda: GroupAction.generate(B4_GENERATORS, cap=100),
+     GroupNotClosed, "closure exceeds cap of 100 elements"),
+    ("missing product", lambda: GroupAction((EYE2, ((0, -1), (1, 0)))),
+     GroupNotClosed, "element list is not closed under product"),
+    ("shear in an element list", lambda: GroupAction((EYE2, SHEAR2)),
+     GroupNotClosed, "element list is not closed under product"),
+    ("repeated element", lambda: GroupAction((EYE2, SWAP2, SWAP2)),
+     GroupNotClosed, "repeated elements"),
+    ("identity missing", lambda: GroupAction((NEG2,)),
+     GroupNotClosed, "identity element missing"),
+    ("element not unimodular", lambda: GroupAction((EYE2, NEG2, DOUBLE2)),
+     ValueError, "element ((2, 0), (0, 1)) is not unimodular"),
+    ("zero element", lambda: GroupAction((EYE2, ((0, 0), (0, 0)))),
+     ValueError, "element ((0, 0), (0, 0)) is not unimodular"),
+    ("singular element", lambda: GroupAction((EYE2, ((1, 0), (0, 0)))),
+     ValueError, "element ((1, 0), (0, 0)) is not unimodular"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [f[1:] for f in GROUP_FAULTS],
+                         ids=[f[0] for f in GROUP_FAULTS])
+def test_group_faults_keep_their_type_and_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
