@@ -24,7 +24,8 @@ generator does, and D^G lies in the intersection of the fixed subspaces of
 the generators' transposes. Each group is spanned once, coset by coset, from
 its greedy picks: generate spans its generator list, and an element list is
 checked by the span of its own picks. The engine reads the picks of
-whichever span built the group.
+whichever span built the group. A span holds permutations of the orbit of
+the standard basis, so that a product is an index lookup.
 """
 
 from __future__ import annotations
@@ -34,11 +35,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import add, index, itemgetter
 
 from .errors import (DegenerateSubdivision, FanNotComplete,
                      GroupDoesNotPreserveFan, GroupNotClosed, InvalidId,
                      NotWellFormed, ParseError, Unbounded)
-# bench/layers.py rebinds is_bounded, enumerate_vertices (unused here), mat_mul
+# bench/layers.py rebinds is_bounded, enumerate_vertices and mat_mul, the last
+# two unused here
 from .geometry import (HalfSpace, HPolytope, _Record, _integers, _matrices,
                        _vertex_rays, dot, enumerate_vertices, fixed_subspace,
                        identity_matrix, is_bounded, mat_det, mat_mul, mat_rank,
@@ -85,31 +88,75 @@ class RaySet(_Record):
         return len(self.rays)
 
 
-def _spans(candidates, cap: int, what: str):
-    """Yield (picks, span) before the first greedy pick and after each. A
-    pick is a candidate outside the span, with |det| = 1 checked; the span
+def _check_unimodular(matrices, what: str) -> None:
+    """Raise ValueError naming the first matrix with |det| != 1."""
+    for g in matrices:
+        if abs(mat_det(g)) != 1:
+            raise ValueError(f"{what} {g} is not unimodular")
+
+
+def _orbit(matrices, limit: int):
+    """(O, perms): O the orbit of the standard basis under the matrices, as a
+    list of points, basis first, and each matrix as the tuple of the indices
+    of the points of O to which it sends them, so column i of the matrix is
+    O[perm[i]]. (None, None) once O has more than limit points."""
+    n = len(matrices[0])
+    zero = (0,) * n
+    points = [zero[:i] + (1,) + zero[i + 1:] for i in range(n)]
+    at = dict(zip(points, range(n)))
+    columns = [tuple(zip(*g)) for g in matrices]
+    perms = [[] for _ in matrices]
+    for i, p in enumerate(points):
+        # g p is the sum of the columns of g that the nonzero entries of p
+        # pick, c times column j for each entry c at j
+        picked = ((1, i),) if i < n else [(c, j) for j, c in enumerate(p) if c]
+        for cols, perm in zip(columns, perms):
+            image = None
+            for c, j in picked:
+                col = cols[j] if c == 1 else tuple([c * x for x in cols[j]])
+                image = col if image is None else tuple(map(add, image, col))
+            image = image or zero
+            k = at.get(image)
+            if k is None:
+                if len(points) == limit:
+                    return None, None
+                k = at[image] = len(points)
+                points.append(image)
+            perm.append(k)
+    return points, [tuple(perm) for perm in perms]
+
+
+def _spans(candidates, perms, cap: int, what: str):
+    """Yield (picks, span) before the first greedy pick and after each. The
+    candidates are matrices, given with their perms on a basis orbit O as
+    _orbit makes them, and the span is a set of such perms: h g is
+    itemgetter(*g)(h), exactly, since O spans Q^n and every candidate maps O
+    into O. A pick is a candidate outside the span, with |det| = 1 checked:
+    on the finite spanning set O that holds iff the pick permutes O. The span
     grows to the closure of the picks by right cosets H x of the old span H
     (Dimino's algorithm), so only coset representatives x times the picks
     need a membership test. All stops once the span exceeds cap elements."""
-    picks, span = (), {identity_matrix(len(candidates[0]))}
+    picks, span = (), {tuple(range(len(perms[0])))}
     yield picks, span
-    for g in candidates:
-        if g in span:
+    products = []  # r -> r s for each pick s
+    for g, s in zip(candidates, perms):
+        if s in span:
             continue
-        if abs(mat_det(g)) != 1:
+        if len(set(s)) != len(s):
             raise ValueError(f"{what} {g} is not unimodular")
         picks += (g,)
+        products.append(itemgetter(*s))
         old = tuple(span)
-        span.update(mat_mul(h, g) for h in old)
-        reps = [g]
+        span.update(map(products[-1], old))
+        reps = [s]
         for r in reps:
             if len(span) > cap:
                 break
-            for s in picks:
-                x = mat_mul(r, s)
+            for times_s in products:
+                x = times_s(r)
                 if x not in span:
                     reps.append(x)
-                    span.update(mat_mul(h, x) for h in old)
+                    span.update(map(itemgetter(*x), old))
         yield picks, span
         if len(span) > cap:
             return
@@ -125,6 +172,14 @@ class GroupAction(_Record):
     |det| = 1 and the span must stay in the list, ending equal to it.
     A group built by generate skips that check, since it is its own span;
     its generators are computed on first access.
+
+    The spans run on the orbit O of the standard basis under the matrices:
+    each matrix is the tuple of the indices of the points to which it sends
+    O, and a product is an index lookup. A group of m elements moves the
+    basis to at most n m points, so an orbit past that stops the walk
+    before it starts: past n cap points generate raises GroupNotClosed, and
+    past n m points an element list of m raises ValueError for its first
+    element with |det| != 1, else GroupNotClosed.
     """
 
     elements: tuple[tuple[tuple[int, ...], ...], ...]
@@ -136,8 +191,13 @@ class GroupAction(_Record):
             raise GroupNotClosed("repeated elements")
         if identity_matrix(len(elements[0])) not in table:
             raise GroupNotClosed("identity element missing")
-        for gens, span in _spans(elements, len(elements), "element"):
-            if not span <= table:
+        _, perms = _orbit(elements, len(elements[0]) * len(elements))
+        if perms is None:
+            _check_unimodular(elements, "element")
+            raise GroupNotClosed("element list is not closed under product")
+        listed = set(perms)
+        for gens, span in _spans(elements, perms, len(elements), "element"):
+            if not span <= listed:
                 raise GroupNotClosed("element list is not closed under product")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "generators", gens)
@@ -145,7 +205,8 @@ class GroupAction(_Record):
 
     @cached_property
     def generators(self) -> tuple:
-        *_, (picks, _) = _spans(self.elements, len(self), "element")
+        _, perms = _orbit(self.elements, self.dim * len(self))
+        *_, (picks, _) = _spans(self.elements, perms, len(self), "element")
         return picks
 
     @property
@@ -158,20 +219,29 @@ class GroupAction(_Record):
     @classmethod
     def generate(cls, generators, cap: int = 10000) -> "GroupAction":
         """Closure of a generator list under product, grown coset by coset
-        from its greedy picks. Raises ValueError when any generator has
-        |det| != 1, else GroupNotClosed when the closure exceeds cap."""
+        from its greedy picks. Raises ValueError when cap is not an integer
+        >= 1 or when any generator has |det| != 1, else GroupNotClosed when
+        the closure exceeds cap elements."""
         gens = _matrices(generators, "generator")
-        *_, (picks, span) = _spans(gens, cap, "generator")
-        if len(span) > cap:
-            # the span stopped at cap, maybe before a generator with |det| != 1
-            for g in gens:
-                if abs(mat_det(g)) != 1:
-                    raise ValueError(f"generator {g} is not unimodular")
+        try:
+            cap = index(cap)
+        except TypeError:
+            raise ValueError(f"cap {cap!r} is not an integer") from None
+        if cap < 1:
+            raise ValueError(f"cap {cap} is below 1")
+        # before the orbit, which a generator with |det| > 1 grows without end
+        _check_unimodular(gens, "generator")
+        n = len(gens[0])
+        points, perms = _orbit(gens, n * cap)
+        if perms is not None:
+            *_, (picks, span) = _spans(gens, perms, cap, "generator")
+        if perms is None or len(span) > cap:
             raise GroupNotClosed(f"closure exceeds cap of {cap} elements")
         # no __post_init__: the span is the closure of picks with |det| = 1,
-        # a group as it stands
+        # a group as it stands; column i of an element s is points[s[i]]
         group = object.__new__(cls)
-        object.__setattr__(group, "elements", tuple(sorted(span)))
+        object.__setattr__(group, "elements", tuple(sorted(
+            tuple(zip(*[points[i] for i in s[:n]])) for s in span)))
         object.__setattr__(group, "_picks", picks)
         return group
 

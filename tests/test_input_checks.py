@@ -39,6 +39,14 @@ REJECTIONS = [
      ValueError, "square of one dimension"),
     ("GroupAction repeated", lambda: GroupAction((EYE2, SWAP2, SWAP2)),
      GroupNotClosed, "repeated"),
+    ("generate cap string", lambda: GroupAction.generate([SWAP2], cap="5"),
+     ValueError, "cap '5' is not an integer"),
+    ("generate cap float", lambda: GroupAction.generate([SWAP2], cap=1.5),
+     ValueError, r"cap 1\.5 is not an integer"),
+    ("generate cap 0", lambda: GroupAction.generate([EYE2], cap=0),
+     ValueError, "cap 0 is below 1"),
+    ("generate cap negative", lambda: GroupAction.generate([EYE2], cap=-3),
+     ValueError, "cap -3 is below 1"),
     ("ToricLctReport witness",
      lambda: ToricLctReport(Fraction(1, 3), Fraction(2), (-1, -1), (1, 0)),
      ValueError, "witness pairing"),

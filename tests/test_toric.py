@@ -4,6 +4,7 @@ constructors, and the fan text format."""
 import random
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 
 import pytest
 from conftest import (conjugate_group, inverse_unimodular, oracle_closure,
@@ -280,24 +281,34 @@ def test_generate_and_element_lists_match_the_oracles_on_conjugated_groups(name,
                 GroupAction.generate(gens, cap=len(group) - 1)
 
 
-def test_group_checks_cost_fewer_than_2_products_per_element_and_generate_4(monkeypatch):
-    # the span goes through toric.mat_mul, the name the benchmark counts
-    named = [_signed_permutation_group(n) for n in (2, 3, 4)]
-    named.append(GroupAction.generate(S4_ON_P3))
+@pytest.fixture
+def compositions(monkeypatch):
+    """Calls of the index lookups that toric builds with itemgetter: the
+    products h g that the group walk composes."""
     calls = []
 
-    def counted(a, b):
-        calls.append(1)
-        return mat_mul(a, b)
+    def counted_itemgetter(*items):
+        get = itemgetter(*items)
 
-    monkeypatch.setattr("toriclct.toric.mat_mul", counted)
+        def composed(h):
+            calls.append(1)
+            return get(h)
+        return composed
+
+    monkeypatch.setattr("toriclct.toric.itemgetter", counted_itemgetter)
+    return calls
+
+
+def test_group_checks_cost_fewer_than_2_products_per_element_and_generate_4(compositions):
+    named = [_signed_permutation_group(n) for n in (2, 3, 4)]
+    named.append(GroupAction.generate(S4_ON_P3))
     for group in named:
-        calls.clear()
+        compositions.clear()
         assert GroupAction(group.elements) == group
-        assert 0 < len(calls) < 2 * len(group), len(group)
-        calls.clear()
+        assert 0 < len(compositions) < 2 * len(group), len(group)
+        compositions.clear()
         assert GroupAction.generate(group.generators) == group
-        assert 0 < len(calls) < 4 * len(group), len(group)
+        assert 0 < len(compositions) < 4 * len(group), len(group)
 
 
 def test_generate_spans_once_without_the_element_list_check(monkeypatch):
@@ -316,22 +327,15 @@ def test_generate_spans_once_without_the_element_list_check(monkeypatch):
         assert group.generators == from_lists[name].generators, name
 
 
-def test_generate_costs_fewer_than_2_products_per_element(monkeypatch):
+def test_generate_costs_fewer_than_2_products_per_element(compositions):
     # one span: Dimino's cosets plus the representatives' membership tests
     named = [_signed_permutation_group(n) for n in (2, 3, 4)]
     named.append(GroupAction.generate(S4_ON_P3))
     gen_lists = [group.generators for group in named]
-    calls = []
-
-    def counted(a, b):
-        calls.append(1)
-        return mat_mul(a, b)
-
-    monkeypatch.setattr("toriclct.toric.mat_mul", counted)
     for gens in gen_lists:
-        calls.clear()
+        compositions.clear()
         group = GroupAction.generate(gens)
-        assert 0 < len(calls) < 2 * len(group), len(group)
+        assert 0 < len(compositions) < 2 * len(group), len(group)
 
 
 def test_group_element_products_match_the_dense_oracle():
@@ -346,31 +350,24 @@ def test_group_element_products_match_the_dense_oracle():
                 assert product in table, name
 
 
-# toric.mat_mul calls made by GroupAction.generate(group.generators) and by
-# GroupAction(group.elements), counted when each product was a dense sum over
-# the columns: a cheaper product must leave the number of products as it is
+# products composed by GroupAction.generate(group.generators) and by
+# GroupAction(group.elements), as counted when each was a matrix product: a
+# cheaper product must leave the number of products as it is
 PRODUCT_COUNTS = {"B2": (13, 13), "B3": (67, 67), "B4": (430, 430),
                   "S4 on P3": (41, 41)}
 
 
-def test_group_product_counts_are_pinned(monkeypatch):
+def test_group_product_counts_are_pinned(compositions):
     named = _named_groups()
-    calls = []
-
-    def counted(a, b):
-        calls.append(1)
-        return mat_mul(a, b)
-
-    monkeypatch.setattr("toriclct.toric.mat_mul", counted)
     for name, (generated, listed) in PRODUCT_COUNTS.items():
         group = named[name]
         gens = group.generators  # a walk of its own, on first access
-        calls.clear()
+        compositions.clear()
         assert GroupAction.generate(gens) == group
-        assert len(calls) == generated, name
-        calls.clear()
+        assert len(compositions) == generated, name
+        compositions.clear()
         assert GroupAction(group.elements) == group
-        assert len(calls) == listed, name
+        assert len(compositions) == listed, name
 
 
 def test_generate_matches_the_element_list_group():
@@ -451,6 +448,15 @@ def test_group_faults_keep_their_type_and_message(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_an_element_list_whose_orbit_outgrows_it_names_a_non_unimodular_element():
+    # the shear's closure leaves the list before the walk would reach 2I, but
+    # the basis orbit outgrows the 2 * 3 points a group of three could reach
+    # first, and then the first element with |det| != 1 is named
+    with pytest.raises(ValueError) as info:
+        GroupAction((EYE2, SHEAR2, ((2, 0), (0, 2))))
+    assert str(info.value) == "element ((2, 0), (0, 2)) is not unimodular"
 
 
 # ---------------------------------------------------------------------------
