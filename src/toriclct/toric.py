@@ -40,8 +40,8 @@ from operator import add, index, itemgetter
 from .errors import (DegenerateSubdivision, FanNotComplete,
                      GroupDoesNotPreserveFan, GroupNotClosed, InvalidId,
                      NotWellFormed, ParseError, Unbounded)
-# bench/layers.py rebinds is_bounded, enumerate_vertices and mat_mul, the last
-# two unused here
+# bench/layers.py rebinds is_bounded, enumerate_vertices and mat_mul here to
+# trace them; toric calls none of the three
 from .geometry import (HalfSpace, HPolytope, _Record, _integers, _matrices,
                        _vertex_rays, dot, enumerate_vertices, fixed_subspace,
                        identity_matrix, is_bounded, mat_det, mat_mul, mat_rank,
