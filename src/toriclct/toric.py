@@ -138,6 +138,8 @@ def _spans(candidates, perms, cap: int, what: str):
     need a membership test. All stops once the span exceeds cap elements."""
     picks, span = (), {tuple(range(len(perms[0])))}
     yield picks, span
+    # itemgetter of one index returns it bare, but O has one point only when
+    # every candidate is the 1-D identity, and that is never picked
     products = []  # r -> r s for each pick s
     for g, s in zip(candidates, perms):
         if s in span:

@@ -159,6 +159,9 @@ def test_generators_fix_what_the_elements_fix_on_cyclic_subgroups():
 def test_trivial_group_has_no_generators():
     g = GroupAction((EYE2,))
     assert g.generators == ()
+    # the 1-D trivial group: a basis orbit of one point
+    one = GroupAction.generate([((1,),), ((1,),)])
+    assert one == GroupAction((((1,),),)) and one.generators == ()
     assert toric_lct(P2, g) == toric_lct(P2)
 
 
