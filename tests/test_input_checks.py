@@ -12,7 +12,7 @@ from toriclct import cli
 from toriclct.errors import DegenerateSubdivision, GroupNotClosed, ParseError
 from toriclct.formulas import double_cover_lct, fermat_cse, p1_product_lct
 from toriclct.geometry import (HPolytope, dot, fixed_subspace, mat_det,
-                               mat_rank, smith_normal_form)
+                               mat_rank, smith_normal_form, solve_square_system)
 from toriclct.toric import (GroupAction, RaySet, ToricLctReport, parse_fan,
                             projective_space_fan, star_subdivide)
 
@@ -23,15 +23,23 @@ P2_FAN = "1,0\n0,1\n-1,-1\n\n"
 REJECTIONS = [
     ("dot", lambda: dot((1, 2), (1,)), ValueError, "dimension mismatch"),
     ("mat_det", lambda: mat_det(((1, 2),)), ValueError, "square"),
+    ("mat_det fraction", lambda: mat_det(((1, Fraction(1, 2)), (0, 1))),
+     ValueError, "non-integer entry"),
     ("mat_rank longer row", lambda: mat_rank([(1,), (3, 4)]), ValueError,
      "dimension mismatch: 2 vs 1"),
     ("mat_rank shorter row", lambda: mat_rank([(1, 2), (3,)]), ValueError,
      "dimension mismatch: 1 vs 2"),
+    ("mat_rank float", lambda: mat_rank([(1.5, 2)]), ValueError,
+     "non-integer entry"),
     ("HPolytope", lambda: HPolytope(()), ValueError, "at least one halfspace"),
     ("smith_normal_form", lambda: smith_normal_form(((1, 2),)), ValueError,
      "square"),
     ("fixed_subspace", lambda: fixed_subspace([]), ValueError,
      "at least one matrix"),
+    ("fixed_subspace float", lambda: fixed_subspace([((1.0, 0), (0, 1))]),
+     ValueError, "non-integer entry"),
+    ("solve_square_system float", lambda: solve_square_system([[1.0]], [1]),
+     ValueError, "not an exact rational"),
     ("RaySet", lambda: RaySet(()), ValueError, "at least one ray"),
     ("GroupAction empty", lambda: GroupAction(()), ValueError,
      "at least one element"),
