@@ -191,8 +191,8 @@ def _echelon(rows, width: int):
     x's entry f in the pivot column. When f = 0 and p = d that is x itself,
     so the update is skipped; most updates of sparse unimodular inputs are
     such. The loop stops once every row holds a pivot: no later column can
-    take one."""
-    a = [_integers(row, "matrix row") for row in rows]
+    take one. The rows must hold integers already; callers check them."""
+    a = list(rows)
     pivots: list[int] = []
     d = 1
     for col in range(width):
@@ -230,7 +230,7 @@ def mat_det(m) -> int:
 
 def mat_rank(rows: Iterable[Sequence]) -> int:
     """Rank over Q of a list of integer row vectors of one length."""
-    rows = list(rows)
+    rows = [_integers(row, "matrix row") for row in rows]
     width = len(rows[0]) if rows else 0
     for row in rows:
         if len(row) != width:

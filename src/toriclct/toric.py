@@ -25,7 +25,8 @@ the generators' transposes. Each group is spanned once, coset by coset, from
 its greedy picks: generate spans its generator list, and an element list is
 checked by the span of its own picks. The engine reads the picks of
 whichever span built the group. A span holds permutations of the orbit of
-the standard basis, so that a product is an index lookup.
+the standard basis under row vectors, the rows of the elements, so that a
+product is an index lookup and an element is read back row by row.
 """
 
 from __future__ import annotations
@@ -35,16 +36,16 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import add, index, itemgetter
+from operator import add, index, itemgetter, mul
 
 from .errors import (DegenerateSubdivision, FanNotComplete,
                      GroupDoesNotPreserveFan, GroupNotClosed, InvalidId,
                      NotWellFormed, ParseError, Unbounded)
-# bench/layers.py rebinds is_bounded, enumerate_vertices and mat_mul here to
-# trace them; toric calls none of the three
-from .geometry import (HalfSpace, HPolytope, _Record, _integers, _matrices,
-                       _vertex_rays, dot, enumerate_vertices, fixed_subspace,
-                       identity_matrix, is_bounded, mat_det, mat_mul, mat_rank,
+# bench/layers.py rebinds is_bounded, enumerate_vertices, fixed_subspace and
+# mat_mul here to trace them; toric calls only fixed_subspace of the four
+from .geometry import (HalfSpace, HPolytope, _echelon, _Record, _integers,
+                       _matrices, _vertex_rays, dot, enumerate_vertices,
+                       fixed_subspace, identity_matrix, is_bounded, mat_mul,
                        mat_vec, primitive_vector, smith_normal_form, transpose)
 
 
@@ -89,32 +90,35 @@ class RaySet(_Record):
 
 
 def _check_unimodular(matrices, what: str) -> None:
-    """Raise ValueError naming the first matrix with |det| != 1."""
+    """Raise ValueError naming the first matrix with |det| != 1, of a list of
+    integer matrices as _matrices returns it."""
+    n = len(matrices[0])
     for g in matrices:
-        if abs(mat_det(g)) != 1:
+        _, pivots, det = _echelon(g, n)
+        if len(pivots) < n or abs(det) != 1:
             raise ValueError(f"{what} {g} is not unimodular")
 
 
 def _orbit(matrices, limit: int):
-    """(O, perms): O the orbit of the standard basis under the matrices, as a
-    list of points, basis first, and each matrix as the tuple of the indices
-    of the points of O to which it sends them, so column i of the matrix is
-    O[perm[i]]. (None, None) once O has more than limit points."""
+    """(O, perms): O the orbit of the standard basis of row vectors under the
+    matrices, p to p g, as a list of points, basis first, and each matrix as
+    the tuple of the indices of the points of O to which it sends them, so
+    row i of the matrix is O[perm[i]]. (None, None) once O has more than
+    limit points."""
     n = len(matrices[0])
     zero = (0,) * n
     points = [zero[:i] + (1,) + zero[i + 1:] for i in range(n)]
     at = dict(zip(points, range(n)))
-    columns = [tuple(zip(*g)) for g in matrices]
     perms = [[] for _ in matrices]
     for i, p in enumerate(points):
-        # g p is the sum of the columns of g that the nonzero entries of p
-        # pick, c times column j for each entry c at j
+        # p g is the sum of the rows of g that the nonzero entries of p pick,
+        # c times row j for each entry c at j
         picked = ((1, i),) if i < n else [(c, j) for j, c in enumerate(p) if c]
-        for cols, perm in zip(columns, perms):
+        for g, perm in zip(matrices, perms):
             image = None
             for c, j in picked:
-                col = cols[j] if c == 1 else tuple([c * x for x in cols[j]])
-                image = col if image is None else tuple(map(add, image, col))
+                row = g[j] if c == 1 else tuple([c * x for x in g[j]])
+                image = row if image is None else tuple(map(add, image, row))
             image = image or zero
             k = at.get(image)
             if k is None:
@@ -129,12 +133,12 @@ def _orbit(matrices, limit: int):
 def _spans(candidates, perms, cap: int, what: str):
     """Yield (picks, span) before the first greedy pick and after each. The
     candidates are matrices, given with their perms on a basis orbit O as
-    _orbit makes them, and the span is a set of such perms: h g is
+    _orbit makes them, and the span is a set of such perms: g h is
     itemgetter(*g)(h), exactly, since O spans Q^n and every candidate maps O
     into O. A pick is a candidate outside the span, with |det| = 1 checked:
     on the finite spanning set O that holds iff the pick permutes O. The span
-    grows to the closure of the picks by right cosets H x of the old span H
-    (Dimino's algorithm), so only coset representatives x times the picks
+    grows to the closure of the picks by left cosets x H of the old span H
+    (Dimino's algorithm), so only the picks times coset representatives x
     need a membership test. All stops once the span exceeds cap elements."""
     picks, span = (), {tuple(range(len(perms[0])))}
     yield picks, span
@@ -175,13 +179,13 @@ class GroupAction(_Record):
     A group built by generate skips that check, since it is its own span;
     its generators are computed on first access.
 
-    The spans run on the orbit O of the standard basis under the matrices:
-    each matrix is the tuple of the indices of the points to which it sends
-    O, and a product is an index lookup. A group of m elements moves the
-    basis to at most n m points, so an orbit past that stops the walk
-    before it starts: past n cap points generate raises GroupNotClosed, and
-    past n m points an element list of m raises ValueError for its first
-    element with |det| != 1, else GroupNotClosed.
+    The spans run on the orbit O of the standard basis of row vectors, which
+    is the set of the rows of the group's elements: each matrix is the tuple
+    of the indices of its rows in O, and a product is an index lookup. A
+    group of m elements has at most n m distinct rows, so an orbit past that
+    stops the walk before it starts: past n cap points generate raises
+    GroupNotClosed, and past n m points an element list of m raises
+    ValueError for its first element with |det| != 1, else GroupNotClosed.
     """
 
     elements: tuple[tuple[tuple[int, ...], ...], ...]
@@ -240,10 +244,10 @@ class GroupAction(_Record):
         if perms is None or len(span) > cap:
             raise GroupNotClosed(f"closure exceeds cap of {cap} elements")
         # no __post_init__: the span is the closure of picks with |det| = 1,
-        # a group as it stands; column i of an element s is points[s[i]]
+        # a group as it stands; row i of an element s is points[s[i]]
         group = object.__new__(cls)
         object.__setattr__(group, "elements", tuple(sorted(
-            tuple(zip(*[points[i] for i in s[:n]])) for s in span)))
+            tuple(map(points.__getitem__, s[:n])) for s in span)))
         object.__setattr__(group, "_picks", picks)
         return group
 
@@ -308,18 +312,19 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
         ray_set = set(rays)
 
         def permutes(g):
-            return {mat_vec(g, v) for v in rays} == ray_set
+            return {tuple([sum(map(mul, row, v)) for row in g])
+                    for v in rays} == ray_set
 
         if not all(map(permutes, gens)):
             # any generating set decides; the message names the same one
             bad = next(g for g in group.generators if not permutes(g))
             raise GroupDoesNotPreserveFan(
                 f"generator {bad} does not permute the rays")
-        if mat_rank(rays) < rays.dim:
+        if len(_echelon(rays, rays.dim)[1]) < rays.dim:
             raise FanNotComplete("rays do not positively span the lattice")
         basis = fixed_subspace([transpose(g) for g in gens])
         # <v, B s> >= -1 is <B^T v, s> >= -1
-        normals, d = [[dot(v, b) for b in basis] for v in paired], len(basis)
+        normals, d = [[sum(map(mul, v, b)) for b in basis] for v in paired], len(basis)
     rows = [(*a, -1) for a in normals]
     # each nonzero row once, numbered by its place in the tableau rows z; a
     # row zero on B always holds, and its rays read z[0] = t: they pair at 0
@@ -421,7 +426,7 @@ def star_subdivide(rays: RaySet, subset) -> RaySet:
             raise ValueError(f"{v} is not a ray of the fan")
     if len(set(subset)) != len(subset):
         raise DegenerateSubdivision("subset has repeated rays")
-    if mat_rank(subset) != len(subset):
+    if len(_echelon(subset, rays.dim)[1]) != len(subset):
         raise DegenerateSubdivision("subset is linearly dependent")
     total = tuple(sum(col) for col in zip(*subset))
     new = primitive_vector(total)

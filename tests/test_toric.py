@@ -284,6 +284,26 @@ def test_generate_and_element_lists_match_the_oracles_on_conjugated_groups(name,
                 GroupAction.generate(gens, cap=len(group) - 1)
 
 
+@pytest.mark.parametrize("seed", [None, 3])
+@pytest.mark.parametrize("name", ["B3", "S4 on P3"])
+def test_each_element_reads_its_rows_off_the_basis_orbit(name, seed):
+    # under row vectors the basis orbit is the set of the elements' rows, and
+    # an element's tuple names them in order; seed 3 conjugates the group by
+    # a seeded unimodular u, so rows have entries beyond +-1
+    group = GroupAction.generate(GENERATING_SETS[name])
+    if seed is not None:
+        u = random_unimodular(random.Random(seed), group.dim)
+        group = conjugate_group(u, inverse_unimodular(u), group)
+    points, perms = toriclct.toric._orbit(group.elements, group.dim * len(group))
+    assert set(points) == {row for g in group.elements for row in g}
+    for g, perm in zip(group.elements, perms):
+        for i in range(group.dim):
+            assert g[i] == points[perm[i]], (g, i)
+    gens = group.generators
+    assert GroupAction.generate(gens).elements == \
+        tuple(sorted(oracle_closure(gens, 10000)))
+
+
 @pytest.fixture
 def compositions(monkeypatch):
     """Calls of the index lookups that toric builds with itemgetter: the
@@ -371,6 +391,42 @@ def test_group_product_counts_are_pinned(compositions):
         compositions.clear()
         assert GroupAction(group.elements) == group
         assert len(compositions) == listed, name
+
+
+# geometry._integers and geometry._echelon calls, through either module's
+# binding, made by GroupAction.generate on the generators and then by the
+# equivariant toric_lct: each generator's rows are checked once, as they
+# enter, and its |det| is one elimination; toric_lct checks only the rows of
+# the fixed-subspace call and eliminates for the rays' rank, that subspace
+# and the double description
+WORK_COUNTS = {"B3": ((9, 3), (9, 3)), "B4": ((12, 3), (12, 3)),
+               "S4 on P3": ((9, 3), (9, 3))}
+
+
+def test_equivariant_requests_check_each_integer_row_once(monkeypatch):
+    calls = {"_integers": 0, "_echelon": 0}
+    for module in (toriclct.geometry, toriclct.toric):
+        for name in calls:
+            if name in vars(module):
+                def counted(*args, name=name, original=vars(module)[name]):
+                    calls[name] += 1
+                    return original(*args)
+                monkeypatch.setattr(module, name, counted)
+
+    def read():
+        counts = (calls["_integers"], calls["_echelon"])
+        calls.update(dict.fromkeys(calls, 0))
+        return counts
+
+    fans = {"B3": product_fan(product_fan(P1, P1), P1),
+            "B4": product_fan(product_fan(P1, P1), product_fan(P1, P1)),
+            "S4 on P3": P3}
+    for name, (generated, equivariant) in WORK_COUNTS.items():
+        read()
+        group = GroupAction.generate(GENERATING_SETS[name])
+        assert read() == generated, name
+        assert toric_lct(fans[name], group).lct == 1, name
+        assert read() == equivariant, name
 
 
 def test_generate_matches_the_element_list_group():
