@@ -58,6 +58,17 @@ REJECTIONS = [
     ("ToricLctReport witness",
      lambda: ToricLctReport(Fraction(1, 3), Fraction(2), (-1, -1), (1, 0)),
      ValueError, "witness pairing"),
+    ("ToricLctReport lct",
+     lambda: ToricLctReport(Fraction(1, 2), Fraction(2), (Fraction(1),), (2,)),
+     ValueError, r"report inconsistent: lct != 1/\(1\+max_pairing\)"),
+    ("ToricLctReport witness over mixed denominators",
+     lambda: ToricLctReport(Fraction(1, 3), Fraction(2),
+                            (Fraction(1, 2), Fraction(1, 3)), (1, 1)),
+     ValueError, "witness pairing"),
+    ("ToricLctReport witness length",
+     lambda: ToricLctReport(Fraction(1, 3), Fraction(2),
+                            (Fraction(-1), Fraction(-1)), (-1, -1, 0)),
+     ValueError, "dimension mismatch: 2 vs 3"),
     ("star_subdivide empty", lambda: star_subdivide(projective_space_fan(2), []),
      DegenerateSubdivision, "empty subset"),
     ("parse_fan duplicate ray", lambda: parse_fan("1,0\n0,1\n1,0\n-1,-1\n"),
@@ -81,6 +92,11 @@ REJECTIONS = [
 def test_malformed_input_is_rejected(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_report_takes_int_fields():
+    report = ToricLctReport(1, 0, (0, 0), (1, 0))
+    assert (report.lct, report.max_pairing) == (1, 0)
 
 
 @pytest.mark.parametrize("argv", [

@@ -674,6 +674,48 @@ def test_conjugated_group_invariance():
         assert toric_lct(transform_rays(u, P2), conj).lct == 1
 
 
+# S3 on P2, S4 on P3 and B3 on (P1)^3, fan and generators conjugated by a
+# seeded unimodular u, so that the picks' transposes are dense and their
+# entries reach beyond +-1. Each bad list holds one generator that does not
+# permute the conjugated rays: -I for S3 and S4; since B3 is a maximal
+# finite subgroup of GL(3, Z), its bad list trades the sign change for the
+# reflection of S4 on P3, which keeps the closure finite. The messages were
+# computed before the fan check read the picks' transposes.
+DENSE_CONJUGATES = {
+    "S3 on P2": (P2, [SWAP2, ROT3], [SWAP2, ROT3, NEG2]),
+    "S4 on P3": (P3, S4_ON_P3, S4_ON_P3 + [tuple(tuple(-int(i == j) for j in range(3))
+                                                  for i in range(3))]),
+    "B3": (product_fan(product_fan(P1, P1), P1), _signed_permutation_generators(3),
+           _signed_permutation_generators(3)[:2] + [S4_ON_P3[2]]),
+}
+DENSE_CONJUGATE_FAULTS = {
+    ("S3 on P2", 1): "generator ((-1, 0), (-1, 1)) does not permute the rays",
+    ("S3 on P2", 2): "generator ((-4, 3), (-7, 5)) does not permute the rays",
+    ("S4 on P3", 1): "generator ((-3, 4, 8), (0, 1, 0), (-1, 1, 3)) does not permute the rays",
+    ("S4 on P3", 2): "generator ((-3, 1, -1), (-2, 0, -1), (6, -3, 2)) does not permute the rays",
+    ("B3", 1): "generator ((-4, 9, 12), (1, -4, -4), (-2, 6, 7)) does not permute the rays",
+    ("B3", 2): "generator ((-3, 1, -1), (-1, 0, 0), (6, -3, 2)) does not permute the rays",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(DENSE_CONJUGATE_FAULTS))
+def test_fan_check_on_dense_conjugates(name, seed):
+    fan, good, bad = DENSE_CONJUGATES[name]
+    u = random_unimodular(random.Random(seed), fan.dim)
+    u_inv = inverse_unimodular(u)
+    rays = transform_rays(u, fan)
+
+    def conjugated(gens):
+        return GroupAction.generate([mat_mul(mat_mul(u, g), u_inv) for g in gens])
+
+    group = conjugated(good)
+    assert max(abs(c) for g in group.generators for row in g for c in row) > 1
+    assert toric_lct(rays, group) == oracle_toric_lct(rays, group)
+    with pytest.raises(GroupDoesNotPreserveFan) as caught:
+        toric_lct(rays, conjugated(bad))
+    assert str(caught.value) == DENSE_CONJUGATE_FAULTS[name, seed]
+
+
 # The threshold of a cyclic subgroup of S3 on P2 or S4 on P3 depends only on
 # its conjugacy class, read off as the cycle type of the generator on the
 # rays; the identity gives the plain value.
