@@ -15,9 +15,12 @@ rows instead of testing every pair. Eliminations run in integers, fraction
 free; Fraction holds only halfspaces, returned points and solutions, whose
 inputs are read exactly by _rational. No floats, no epsilon.
 
-Vectors are tuples, matrices are tuples of row tuples. Row i of a product
-a @ b is the sum of the rows of b that the nonzero entries of a[i] pick, so
-the mostly-zero group matrices cost a few row copies, not n^2 dot products.
+Vectors are tuples, matrices are tuples of row tuples. A row vector times
+a matrix, p @ b, is _row_times: the sum of the rows of b that the nonzero
+entries of p pick, so the mostly-zero group matrices cost a few row copies,
+not n^2 dot products. It has three callers: mat_mul builds each row of a
+product with it, toric._orbit the image p g of an orbit point, and
+toric_lct's fan check each image g v of a ray, as v g^T.
 An H-polytope is a finite intersection of closed halfspaces
 {w : <normal, w> >= offset}.
 
@@ -87,8 +90,8 @@ def _threshold(x, what: str) -> Fraction:
 def _matrices(matrices, what: str) -> tuple:
     """Integer copies of a nonempty list of square matrices of one
     dimension."""
-    out = tuple(tuple(_integers(row, f"{what} row") for row in g)
-                for g in matrices)
+    label = f"{what} row"
+    out = tuple(tuple(_integers(row, label) for row in g) for g in matrices)
     if not out:
         raise ValueError(f"need at least one {what}")
     n = len(out[0])
@@ -161,6 +164,20 @@ def mat_vec(m, v):
     return tuple(dot(row, v) for row in m)
 
 
+def _row_times(p, b):
+    """The row vector p times the matrix b of tuple rows, unchecked: the sum
+    of the rows of b that the nonzero entries of p pick, c times row j for
+    the entry c at j (row j itself when p picks it once with c = 1); None
+    when p is zero."""
+    acc = None
+    for c, row in zip(p, b):
+        if c:
+            if c != 1:
+                row = tuple([c * x for x in row])
+            acc = row if acc is None else tuple(map(add, acc, row))
+    return acc
+
+
 def mat_mul(a, b):
     b = [tuple(row) for row in b]
     width = len(b[0]) if b else 0
@@ -168,16 +185,8 @@ def mat_mul(a, b):
         for row in rows:
             if len(row) != n:
                 raise ValueError(f"dimension mismatch: {len(row)} vs {n}")
-    out = []
-    for row in a:
-        acc = None
-        for c, picked in zip(row, b):
-            if c:
-                if c != 1:
-                    picked = tuple([c * x for x in picked])
-                acc = picked if acc is None else tuple(map(add, acc, picked))
-        out.append((0,) * width if acc is None else acc)
-    return tuple(out)
+    zero = (0,) * width
+    return tuple([_row_times(row, b) or zero for row in a])
 
 
 def _echelon(rows, width: int):
@@ -193,23 +202,26 @@ def _echelon(rows, width: int):
     such. The loop stops once every row holds a pivot: no later column can
     take one. The rows must hold integers already; callers check them."""
     a = list(rows)
+    n = len(a)
     pivots: list[int] = []
     d = 1
     for col in range(width):
         top = len(pivots)
-        if top == len(a):
+        if top == n:
             break
-        piv = next((r for r in range(top, len(a)) if a[r][col]), None)
-        if piv is None:
+        for piv in range(top, n):
+            if a[piv][col]:
+                break
+        else:
             continue
         if piv != top:
             a[top], a[piv] = a[piv], [-x for x in a[top]]
         y = a[top]
         p = y[col]
-        for r in range(len(a)):
-            f = a[r][col]
+        for r, row in enumerate(a):
+            f = row[col]
             if r != top and (f or p != d):
-                a[r] = [(p * x - f * c) // d for x, c in zip(a[r], y)]
+                a[r] = [(p * x - f * c) // d for x, c in zip(row, y)]
         d = p
         pivots.append(col)
     return a[:len(pivots)], pivots, d
@@ -555,7 +567,7 @@ def fixed_subspace(gens) -> list[tuple[int, ...]]:
     """
     gens = _matrices(gens, "matrix")
     n = len(gens[0])
-    rows = [[g[i][j] - (i == j) for j in range(n)] for g in gens for i in range(n)]
+    rows = [(*row[:i], row[i] - 1, *row[i + 1:]) for g in gens for i, row in enumerate(g)]
     reduced, pivots, d = _echelon(rows, n)
     basis = []
     for free in (c for c in range(n) if c not in pivots):

@@ -36,7 +36,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import add, index, itemgetter, mul
+from numbers import Rational as _Exact
+from operator import index, itemgetter, mul
 
 from .errors import (DegenerateSubdivision, FanNotComplete,
                      GroupDoesNotPreserveFan, GroupNotClosed, InvalidId,
@@ -44,9 +45,10 @@ from .errors import (DegenerateSubdivision, FanNotComplete,
 # bench/layers.py rebinds is_bounded, enumerate_vertices, fixed_subspace and
 # mat_mul here to trace them; toric calls only fixed_subspace of the four
 from .geometry import (HalfSpace, HPolytope, _echelon, _Record, _integers,
-                       _matrices, _vertex_rays, dot, enumerate_vertices,
-                       fixed_subspace, identity_matrix, is_bounded, mat_mul,
-                       mat_vec, primitive_vector, smith_normal_form, transpose)
+                       _matrices, _row_times, _scale_to_integers, _vertex_rays,
+                       dot, enumerate_vertices, fixed_subspace, identity_matrix,
+                       is_bounded, mat_mul, mat_vec, primitive_vector,
+                       smith_normal_form, transpose)
 
 
 class RaySet(_Record):
@@ -111,15 +113,9 @@ def _orbit(matrices, limit: int):
     at = dict(zip(points, range(n)))
     perms = [[] for _ in matrices]
     for i, p in enumerate(points):
-        # p g is the sum of the rows of g that the nonzero entries of p pick,
-        # c times row j for each entry c at j
-        picked = ((1, i),) if i < n else [(c, j) for j, c in enumerate(p) if c]
         for g, perm in zip(matrices, perms):
-            image = None
-            for c, j in picked:
-                row = g[j] if c == 1 else tuple([c * x for x in g[j]])
-                image = row if image is None else tuple(map(add, image, row))
-            image = image or zero
+            # a basis point picks one row
+            image = g[i] if i < n else _row_times(p, g) or zero
             k = at.get(image)
             if k is None:
                 if len(points) == limit:
@@ -254,7 +250,13 @@ class GroupAction(_Record):
 
 class ToricLctReport(_Record):
     """Result of a toric lct computation: lct = 1/(1 + max_pairing), with a
-    witness pair attaining the maximum (lexicographically smallest)."""
+    witness pair attaining the maximum (lexicographically smallest).
+
+    lct, max_pairing and the witness vertex's entries are exact rationals
+    (int or Fraction) and the witness ray's entries integers, else
+    ValueError names the field. Both identities are checked in integers,
+    through numerators and denominators, with the vertex scaled to integers
+    over the lcm of its denominators."""
 
     lct: Fraction
     max_pairing: Fraction
@@ -262,9 +264,22 @@ class ToricLctReport(_Record):
     witness_ray: tuple[int, ...]
 
     def __post_init__(self):
-        if self.lct * (1 + self.max_pairing) != 1:
+        lct, m, vertex, ray = self._values
+        for name, x in (("lct", lct), ("max_pairing", m)):
+            if not isinstance(x, _Exact):
+                raise ValueError(f"{name} {x!r} is not an exact rational")
+        if not all([isinstance(c, _Exact) for c in vertex]):
+            raise ValueError(f"witness_vertex {vertex!r} has a non-rational entry")
+        try:
+            ray = [index(c) for c in ray]
+        except TypeError:
+            raise ValueError(f"witness_ray {ray!r} has a non-integer entry") from None
+        # lct (1 + a/b) = 1 and <x/t, v> = a/b, over the denominators b, t
+        a, b = m.numerator, m.denominator
+        if lct.numerator * (b + a) != lct.denominator * b:
             raise ValueError("report inconsistent: lct != 1/(1+max_pairing)")
-        if dot(self.witness_vertex, self.witness_ray) != self.max_pairing:
+        x, t = _scale_to_integers(vertex)
+        if dot(x, ray) * b != a * t:
             raise ValueError("report inconsistent: witness pairing")
 
 
@@ -310,19 +325,20 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
         # the trivial group has no picks
         gens = group._picks or group.elements
         ray_set = set(rays)
+        transposes = [transpose(g) for g in gens]
 
-        def permutes(g):
-            return {tuple([sum(map(mul, row, v)) for row in g])
-                    for v in rays} == ray_set
+        def permutes(gt):
+            # g v is v g^T
+            return {_row_times(v, gt) for v in rays} == ray_set
 
-        if not all(map(permutes, gens)):
+        if not all(map(permutes, transposes)):
             # any generating set decides; the message names the same one
-            bad = next(g for g in group.generators if not permutes(g))
+            bad = next(g for g in group.generators if not permutes(transpose(g)))
             raise GroupDoesNotPreserveFan(
                 f"generator {bad} does not permute the rays")
         if len(_echelon(rays, rays.dim)[1]) < rays.dim:
             raise FanNotComplete("rays do not positively span the lattice")
-        basis = fixed_subspace([transpose(g) for g in gens])
+        basis = fixed_subspace(transposes)
         # <v, B s> >= -1 is <B^T v, s> >= -1
         normals, d = [[sum(map(mul, v, b)) for b in basis] for v in paired], len(basis)
     rows = [(*a, -1) for a in normals]
@@ -351,7 +367,7 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
         y = z[-d - 1:-1]
         if group is not None:
             # ties compare the lifted points B s
-            y = mat_vec(lift, y)
+            y = [sum(map(mul, row, y)) for row in lift]
         if c or (y < x if t == den else [a * den for a in y] < [a * t for a in x]):
             num, den, x, best = p, t, y, z
     v = next(v for v, row in zip(paired, rows) if best[slot.get(row, 0)] - den == num)

@@ -12,7 +12,7 @@ from conftest import (hpoly, oracle_echelon, oracle_mat_mul,
 
 from toriclct.database import load_builtin
 from toriclct.errors import EmptyPolytope, Unbounded
-from toriclct.geometry import (HalfSpace, HPolytope, _echelon,
+from toriclct.geometry import (HalfSpace, HPolytope, _echelon, _row_times,
                                _scale_to_integers, enumerate_vertices,
                                fixed_subspace, identity_matrix, is_bounded,
                                mat_det, mat_mul, mat_rank, primitive_vector,
@@ -364,6 +364,22 @@ def test_mat_mul_matches_the_dense_oracle_on_sparse_matrices():
         tuples = mat_mul(tuple(map(tuple, a)), tuple(map(tuple, b)))
         assert type(result) is tuple and result == tuples
         assert hash(result) == hash(tuples)
+
+
+def test_row_times_matches_the_dense_oracle():
+    rng = random.Random(61)
+    zeros = 0
+    for _ in range(300):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        (p,) = _sparse_matrix(rng, 1, n)
+        b = tuple(tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(n))
+        result = _row_times(p, b)
+        if any(p):
+            assert result == oracle_mat_mul((p,), b)[0], (p, b)
+        else:
+            assert result is None, (p, b)
+            zeros += 1
+    assert 20 < zeros < 150, zeros
 
 
 def test_mat_mul_zero_rows_and_empty_factors():

@@ -69,6 +69,18 @@ REJECTIONS = [
      lambda: ToricLctReport(Fraction(1, 3), Fraction(2),
                             (Fraction(-1), Fraction(-1)), (-1, -1, 0)),
      ValueError, "dimension mismatch: 2 vs 3"),
+    ("ToricLctReport float lct",
+     lambda: ToricLctReport(0.5, 1.0, (1.0, 0.0), (1, 0)),
+     ValueError, r"^lct 0\.5 is not an exact rational"),
+    ("ToricLctReport float max_pairing",
+     lambda: ToricLctReport(Fraction(1, 2), 1.0, (Fraction(1), Fraction(0)), (1, 0)),
+     ValueError, r"^max_pairing 1\.0 is not an exact rational"),
+    ("ToricLctReport float vertex entry",
+     lambda: ToricLctReport(Fraction(1, 2), Fraction(1), (1.0, Fraction(0)), (1, 0)),
+     ValueError, r"^witness_vertex \(1\.0, Fraction\(0, 1\)\) has a non-rational entry"),
+    ("ToricLctReport float ray entry",
+     lambda: ToricLctReport(Fraction(1, 2), Fraction(1), (Fraction(1), Fraction(0)), (1.0, 0)),
+     ValueError, r"^witness_ray \(1\.0, 0\) has a non-integer entry"),
     ("star_subdivide empty", lambda: star_subdivide(projective_space_fan(2), []),
      DegenerateSubdivision, "empty subset"),
     ("parse_fan duplicate ray", lambda: parse_fan("1,0\n0,1\n1,0\n-1,-1\n"),

@@ -982,6 +982,28 @@ def test_toric_lct_builds_fractions_only_for_the_report(monkeypatch):
     assert len(made) <= fan.dim + 1, len(made)
 
 
+def test_report_check_builds_no_fractions(monkeypatch):
+    # checked in Fraction arithmetic, the report made 2n + 2 of them: 14 at
+    # 6-D and 32 at 15-D
+    db = load_builtin()
+    six = toric_lct(product_fan(lookup(db, "2.33").fan, lookup(db, "3.26").fan))
+    cases = [six._values, POWER_3_31_REPORTS[1]._values]
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    for fields in cases:
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        report = ToricLctReport(*fields)
+        monkeypatch.undo()
+        assert report._values == fields
+    assert [len(fields[2]) for fields in cases] == [6, 15]
+    assert made == []
+
+
 # ---------------------------------------------------------------------------
 # fan constructors
 
