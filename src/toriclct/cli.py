@@ -147,37 +147,9 @@ def _cmd_cse(args, out) -> int:
     return _emit(out, args.machine, ("lct" if args.machine else "cse", value))
 
 
-def _cmd_hypersurface(args, out) -> int:
-    return _emit(out, args.machine, ("lct", hypersurface_lct(args.ambient, args.degree)))
-
-
-def _cmd_double_cover(args, out) -> int:
-    return _emit(out, args.machine, ("lct", double_cover_lct(args.ambient, args.degree)))
-
-
-def _cmd_product(args, out) -> int:
-    return _emit(out, args.machine, ("lct", product_lct(args.values[0], args.values[1])))
-
-
-def _cmd_p1_product(args, out) -> int:
-    return _emit(out, args.machine, ("lct", p1_product_lct(args.value)))
-
-
-def _cmd_dp(args, out) -> int:
-    surface = DelPezzoDescriptor(
-        degree=args.degree,
-        nodes=args.nodes,
-        has_cuspidal_anticanonical=args.cuspidal,
-        has_tacnodal_anticanonical=args.tacnodal,
-        has_eckardt_point=args.eckardt,
-        degree8_type=args.deg8,
-    )
-    return _emit(out, args.machine, ("lct", del_pezzo_lct(surface)))
-
-
-def _cmd_cubic_sing(args, out) -> int:
-    types = [tok.strip() for tok in args.types.split(",") if tok.strip()]
-    return _emit(out, args.machine, ("lct", cubic_surface_lct(types)))
+def _lct(value):
+    """The handler of a formula subcommand: value(args) as the one field lct."""
+    return lambda args, out: _emit(out, args.machine, ("lct", value(args)))
 
 
 def _cmd_family(args, out) -> int:
@@ -302,24 +274,31 @@ def _build_parser() -> argparse.ArgumentParser:
     kind.add_argument("--fermat", type=_int_list,
                       help="exponents of a power sum like '2,3,5'")
 
-    p = add("hypersurface", _cmd_hypersurface, "threshold of a smooth low-degree hypersurface")
+    p = add("hypersurface", _lct(lambda a: hypersurface_lct(a.ambient, a.degree)),
+            "threshold of a smooth low-degree hypersurface")
     p.add_argument("--ambient", type=int, required=True,
                    help="dimension n of the ambient projective space")
     p.add_argument("--degree", type=int, required=True)
 
-    p = add("double-cover", _cmd_double_cover, "threshold of a double cover of projective space")
+    p = add("double-cover", _lct(lambda a: double_cover_lct(a.ambient, a.degree)),
+            "threshold of a double cover of projective space")
     p.add_argument("--ambient", type=int, required=True,
                    help="dimension n of the covered projective space")
     p.add_argument("--degree", type=int, required=True,
                    help="d for a branch divisor of degree 2d")
 
-    p = add("product", _cmd_product, "threshold of a product from the two factor thresholds")
+    p = add("product", _lct(lambda a: product_lct(*a.values)),
+            "threshold of a product from the two factor thresholds")
     p.add_argument("values", nargs=2, type=_fraction)
 
-    p = add("p1-product", _cmd_p1_product, "threshold of P1 x X from the threshold of X")
+    p = add("p1-product", _lct(lambda a: p1_product_lct(a.value)),
+            "threshold of P1 x X from the threshold of X")
     p.add_argument("value", type=_fraction)
 
-    p = add("dp", _cmd_dp, "threshold of a del Pezzo surface")
+    p = add("dp", _lct(lambda a: del_pezzo_lct(DelPezzoDescriptor(
+        degree=a.degree, nodes=a.nodes, has_cuspidal_anticanonical=a.cuspidal,
+        has_tacnodal_anticanonical=a.tacnodal, has_eckardt_point=a.eckardt,
+        degree8_type=a.deg8))), "threshold of a del Pezzo surface")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--nodes", type=int, choices=(0, 1), default=0)
     flags = p.add_mutually_exclusive_group()
@@ -332,7 +311,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deg8", choices=("product", "nonproduct"),
                    help="degree 8 only: quadric surface or one-point blow-up")
 
-    p = add("cubic-sing", _cmd_cubic_sing, "threshold of a cubic surface from its singularity types")
+    p = add("cubic-sing", _lct(lambda a: cubic_surface_lct(
+        [tok.strip() for tok in a.types.split(",") if tok.strip()])),
+            "threshold of a cubic surface from its singularity types")
     p.add_argument("types", help="comma-separated types like 'A4,A1'")
 
     p = add("family", _cmd_family, "one Fano threefold family record, or --list")

@@ -37,7 +37,7 @@ from itertools import product
 from math import gcd, lcm
 from numbers import Rational as _Exact
 from operator import add, attrgetter, index, mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import EmptyPolytope, Unbounded
 
@@ -200,7 +200,11 @@ def _echelon(rows, width: int):
     x's entry f in the pivot column. When f = 0 and p = d that is x itself,
     so the update is skipped; most updates of sparse unimodular inputs are
     such. The loop stops once every row holds a pivot: no later column can
-    take one. The rows must hold integers already; callers check them."""
+    take one. The rows must hold integers already; callers check them.
+
+    It is the package's one elimination. Its callers: toric._check_unimodular
+    (det), the rank checks of toric_lct and star_subdivide, fixed_subspace,
+    solve_square_system and the first cone of _extreme_rays."""
     a = list(rows)
     n = len(a)
     pivots: list[int] = []
@@ -231,23 +235,6 @@ def _scale_to_integers(values) -> tuple[tuple[int, ...], int]:
     """Rationals times the lcm of their denominators: (integers, lcm)."""
     den = lcm(*(c.denominator for c in values))
     return tuple(c.numerator * (den // c.denominator) for c in values), den
-
-
-def mat_det(m) -> int:
-    """Exact determinant of a square integer matrix."""
-    (m,) = _matrices([m], "matrix")
-    _, pivots, det = _echelon(m, len(m))
-    return det if len(pivots) == len(m) else 0
-
-
-def mat_rank(rows: Iterable[Sequence]) -> int:
-    """Rank over Q of a list of integer row vectors of one length."""
-    rows = [_integers(row, "matrix row") for row in rows]
-    width = len(rows[0]) if rows else 0
-    for row in rows:
-        if len(row) != width:
-            raise ValueError(f"dimension mismatch: {len(row)} vs {width}")
-    return len(_echelon(rows, width)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Shared exact helpers: random polytopes, an independent 2D vertex oracle,
-the Fraction Gauss-Jordan oracle, the brute-force Fraction vertex oracle, the
-double description with its full adjacency scan, the Fraction vertex-pairing
-threshold oracle, the dense matrix product, the two-sided Smith normal form,
-the all-products group oracle, the breadth-first closure and greedy-pick
-oracles, random unimodular matrices, group conjugation, and seeded complete
-ray sets that are not products."""
+the Fraction Gauss-Jordan oracle with the determinant, rank and kernel read
+off it, the brute-force Fraction vertex oracle, the double description with
+its full adjacency scan, the Fraction vertex-pairing threshold oracle, the
+dense matrix product, the two-sided Smith normal form, the all-products group
+oracle, the breadth-first closure and greedy-pick oracles, random unimodular
+matrices, group conjugation, and seeded complete ray sets that are not
+products.
+
+The group, boundedness and threshold oracles take their determinants, ranks
+and kernels from the Fraction oracle, not from the package's elimination."""
 
 import functools
 import random
@@ -17,8 +21,7 @@ from toriclct.errors import (EmptyPolytope, FanNotComplete,
                              Unbounded)
 from toriclct.geometry import (HalfSpace, HPolytope, _echelon, _integer_rows,
                                _scale_to_integers, dot, enumerate_vertices,
-                               fixed_subspace, identity_matrix, is_bounded,
-                               mat_det, mat_mul, mat_rank, mat_vec,
+                               identity_matrix, is_bounded, mat_mul, mat_vec,
                                primitive_vector, solve_square_system,
                                transpose)
 from toriclct.toric import (GroupAction, RaySet, ToricLctReport, dual_polytope,
@@ -116,6 +119,31 @@ def oracle_echelon(rows, width: int):
     return a[:len(pivots)], pivots, det
 
 
+def oracle_det(m):
+    """Determinant of a square matrix: 0 when it is singular."""
+    _, pivots, det = oracle_echelon(m, len(m))
+    return det if len(pivots) == len(m) else 0
+
+
+def oracle_rank(rows) -> int:
+    """Rank over Q of a nonempty list of rows of one length."""
+    return len(oracle_echelon(rows, len(rows[0]))[1])
+
+
+def oracle_kernel(rows, n: int) -> list:
+    """A basis of {x in Q^n : <row, x> = 0 for every row}: one primitive
+    integer vector per free column of the reduced rows, positive there, in
+    column order."""
+    reduced, pivots, _ = oracle_echelon(rows, n)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(c == free) for c in range(n)]
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[free]
+        basis.append(primitive_vector(_scale_to_integers(vec)[0]))
+    return basis
+
+
 # The brute-force corner kernel that geometry replaced, kept as the
 # reference: every full-rank subset of halfspaces, corners solved over Q.
 
@@ -177,7 +205,7 @@ def oracle_is_bounded(poly: HPolytope) -> bool:
     (dim-1)-subset of normals, solved over Q."""
     n = poly.dim
     normals = [row[:-1] for row in _integer_rows(poly)]
-    if mat_rank(normals) < n:
+    if oracle_rank(normals) < n:
         return False
     for triangle in _full_rank_subsets(normals, n, n - 1):
         # the kernel of the n-1 rows: 1 at the free column, solved for the rest
@@ -375,7 +403,7 @@ def oracle_is_group(elements) -> bool:
     for g in elements:
         if len(g) != n or any(len(row) != n for row in g):
             return False
-        if abs(mat_det(g)) != 1:
+        if abs(oracle_det(g)) != 1:
             return False
     table = set(elements)
     if len(table) != len(elements):
@@ -425,7 +453,10 @@ def oracle_toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLct
                     f"generator {g} does not permute the rays")
         if not is_bounded(poly):
             raise FanNotComplete("rays do not positively span the lattice")
-        basis = fixed_subspace([transpose(g) for g in gens])
+        # D^G lies in fix(g^T) for each g: the kernel of the stacked g^T - I
+        n = rays.dim
+        basis = oracle_kernel([[g[j][i] - (i == j) for j in range(n)]
+                               for g in gens for i in range(n)], n)
         if not basis:
             vertices = (tuple(Fraction(0) for _ in range(rays.dim)),)
         else:
@@ -479,7 +510,7 @@ def oracle_greedy_picks(elements) -> tuple:
     gens = []
     for g in elements:
         if g not in span:
-            if abs(mat_det(g)) != 1:
+            if abs(oracle_det(g)) != 1:
                 raise ValueError(f"element {g} is not unimodular")
             gens.append(g)
             span = oracle_closure(gens, len(elements))

@@ -6,18 +6,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import (hpoly, oracle_echelon, oracle_mat_mul,
-                      oracle_smith_normal_form, oracle_vertices_2d,
-                      random_bounded_poly, random_unimodular, transform_rays)
+from conftest import (hpoly, oracle_det, oracle_echelon, oracle_kernel,
+                      oracle_mat_mul, oracle_rank, oracle_smith_normal_form,
+                      oracle_vertices_2d, random_bounded_poly,
+                      random_unimodular, transform_rays)
 
 from toriclct.database import load_builtin
 from toriclct.errors import EmptyPolytope, Unbounded
 from toriclct.geometry import (HalfSpace, HPolytope, _echelon, _row_times,
-                               _scale_to_integers, enumerate_vertices,
-                               fixed_subspace, identity_matrix, is_bounded,
-                               mat_det, mat_mul, mat_rank, primitive_vector,
-                               smith_normal_form, solve_square_system,
-                               transpose)
+                               enumerate_vertices, fixed_subspace,
+                               identity_matrix, is_bounded, mat_mul,
+                               primitive_vector, smith_normal_form,
+                               solve_square_system, transpose)
 from toriclct.toric import GroupAction, product_fan
 
 F = Fraction
@@ -166,8 +166,8 @@ def test_snf_random_reconstruction():
         m = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
         s = smith_normal_form(m)
         assert s.reconstructs(m)
-        assert abs(mat_det(s.u)) == 1
-        assert abs(mat_det(s.v)) == 1
+        assert abs(oracle_det(s.u)) == 1
+        assert abs(oracle_det(s.v)) == 1
         assert all(s.d[i][j] == 0 for i in range(n) for j in range(n) if i != j)
         diag = [s.d[i][i] for i in range(n)]
         assert all(x >= 0 for x in diag)
@@ -220,7 +220,7 @@ def test_snf_matches_the_two_sided_oracle():
         s = smith_normal_form(m)
         assert (s.u, s.d, s.v) == oracle_smith_normal_form(m), m
         assert s.reconstructs(m)
-        deficient += mat_rank(m) < len(m)
+        deficient += oracle_rank(m) < len(m)
     assert 300 <= deficient <= len(matrices) - 300
 
 
@@ -278,6 +278,17 @@ def _minor_rank(rows):
     return 0
 
 
+def _echelon_det(m):
+    """det of a square integer matrix as _echelon gives it: d when every
+    row holds a pivot, else 0."""
+    _, pivots, d = _echelon(m, len(m))
+    return d if len(pivots) == len(m) else 0
+
+
+def _echelon_rank(rows):
+    return len(_echelon(rows, len(rows[0]) if rows else 0)[1])
+
+
 def _random_matrix(rng, n_rows, n_cols):
     rows = [[rng.randint(-5, 5) for _ in range(n_cols)] for _ in range(n_rows)]
     if n_rows > 1 and rng.random() < 0.4:
@@ -295,7 +306,7 @@ def test_mat_det_matches_leibniz():
         n = rng.randint(1, 4)
         m = _random_matrix(rng, n, n)
         expected = _leibniz_det(m)
-        assert mat_det(m) == expected
+        assert _echelon_det(m) == expected
         singular += expected == 0
     assert singular > 20
 
@@ -307,10 +318,10 @@ def test_mat_rank_matches_minors():
         n_rows, n_cols = rng.randint(1, 4), rng.randint(1, 4)
         rows = _random_matrix(rng, n_rows, n_cols)
         expected = _minor_rank(rows)
-        assert mat_rank(rows) == expected
+        assert _echelon_rank(rows) == expected
         deficient += expected < min(n_rows, n_cols)
     assert deficient > 20
-    assert mat_rank([]) == 0
+    assert _echelon_rank([]) == 0
 
 
 def test_mat_mul_matches_entrywise_sums_and_checks_shapes():
@@ -435,11 +446,6 @@ def test_solve_square_system_satisfies_equations():
 # the elimination against the Fraction Gauss-Jordan oracle in conftest
 
 
-def _oracle_det(m):
-    _, pivots, det = oracle_echelon(m, len(m))
-    return det if len(pivots) == len(m) else 0
-
-
 def _oracle_solve(matrix, rhs):
     n = len(matrix)
     reduced, pivots, _ = oracle_echelon(
@@ -449,15 +455,8 @@ def _oracle_solve(matrix, rhs):
 
 def _oracle_fixed_subspace(gens):
     n = len(gens[0])
-    rows = [[g[i][j] - (i == j) for j in range(n)] for g in gens for i in range(n)]
-    reduced, pivots, _ = oracle_echelon(rows, n)
-    basis = []
-    for free in (c for c in range(n) if c not in pivots):
-        vec = [F(c == free) for c in range(n)]
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = -row[free]
-        basis.append(primitive_vector(_scale_to_integers(vec)[0]))
-    return basis
+    return oracle_kernel([[g[i][j] - (i == j) for j in range(n)]
+                          for g in gens for i in range(n)], n)
 
 
 def _fixing_generators(rng, n):
@@ -507,10 +506,6 @@ def _elimination_inputs():
 def test_elimination_rejects_non_integer_entries():
     for bad in (1.5, 1.0, F(3, 2)):
         with pytest.raises(ValueError, match="non-integer"):
-            mat_det(((bad, 0), (0, 1)))
-        with pytest.raises(ValueError, match="non-integer"):
-            mat_rank([(1, bad)])
-        with pytest.raises(ValueError, match="non-integer"):
             fixed_subspace([((bad, 0), (0, 1))])
     # solve_square_system takes rationals
     assert solve_square_system(((F(1, 2), 0), (0, 1)), (1, F(1, 3))) == (2, F(1, 3))
@@ -520,16 +515,16 @@ def test_elimination_matches_the_fraction_oracle():
     rng, squares, others, gen_lists = _elimination_inputs()
     singular = deficient = 0
     for m in squares:
-        det = mat_det(m)
-        assert det == _oracle_det(m)
+        det = _echelon_det(m)
+        assert det == oracle_det(m)
         singular += det == 0
         b = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in m]
         x = solve_square_system(m, b)
         assert x == _oracle_solve(m, b)
         assert x is None or all(type(c) is Fraction for c in x)
     for rows in squares + others:
-        rank = mat_rank(rows)
-        assert rank == len(oracle_echelon(rows, len(rows[0]))[1])
+        rank = _echelon_rank(rows)
+        assert rank == oracle_rank(rows)
         deficient += rank < min(len(rows), len(rows[0]))
         # the integer rows over d are the oracle's reduced rows, with the
         # columns past width carried along
