@@ -4,7 +4,8 @@ Exit codes: 0 on success, 1 for computation errors (bad fan, out-of-regime
 input, failed cross-check, unreadable file), 2 for usage errors. Every
 computing subcommand takes --machine for a stable key=value output; numbers
 are always exact reduced fractions, never decimals. A warning raised by a
-computation prints to stderr as one `warning: <message>` line.
+computation prints to stderr as one `warning: <message>` line. A call builds
+only its own subcommand's parser; `toriclct -h` lists them all.
 
 _emit renders every key/value field: with --machine as `key=value`, a vector
 as `a,b`; otherwise as `key = value` with underscores shown as spaces, a
@@ -238,67 +239,36 @@ def _cmd_equivariant(args, out) -> int:
                  ("provenance", entry.provenance))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="toriclct",
-        description="exact log canonical thresholds: toric engine, closed "
-                    "formulas, and the Fano threefold database")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, help_text: str):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--machine", action="store_true",
-                       help="stable key=value output")
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add("toric", _cmd_toric, "threshold of a complete fan")
+def _toric_args(p) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--rays", type=_vector_list, help="rays like '1,0;0,1;-1,-1'")
     src.add_argument("--fan-file", help="fan file path, or - for stdin")
     p.add_argument("--group", type=_vector_list,
                    help="generator matrices, row-major, like '0,1,1,0'")
 
-    p = add("wps", _cmd_wps, "threshold of a well-formed weighted projective space")
-    p.add_argument("weights", nargs="+", type=int)
 
-    p = add("bundle", _cmd_bundle, "threshold of a projectivized split bundle over projective space")
+def _bundle_args(p) -> None:
     p.add_argument("--base-dim", type=int, required=True,
                    help="dimension of the base projective space")
-    p.add_argument("--twists", type=_int_list, required=True,
-                   help="twist degrees like '1,2'")
+    p.add_argument("--twists", type=_int_list, required=True, help="twist degrees like '1,2'")
 
-    p = add("cse", _cmd_cse, "complex singularity exponent at the origin")
+
+def _cse_args(p) -> None:
     kind = p.add_mutually_exclusive_group(required=True)
     kind.add_argument("--monomial", type=_int_list, help="exponents like '2,3,5'")
-    kind.add_argument("--fermat", type=_int_list,
-                      help="exponents of a power sum like '2,3,5'")
+    kind.add_argument("--fermat", type=_int_list, help="exponents of a power sum like '2,3,5'")
 
-    p = add("hypersurface", _lct(lambda a: hypersurface_lct(a.ambient, a.degree)),
-            "threshold of a smooth low-degree hypersurface")
-    p.add_argument("--ambient", type=int, required=True,
-                   help="dimension n of the ambient projective space")
-    p.add_argument("--degree", type=int, required=True)
 
-    p = add("double-cover", _lct(lambda a: double_cover_lct(a.ambient, a.degree)),
-            "threshold of a double cover of projective space")
-    p.add_argument("--ambient", type=int, required=True,
-                   help="dimension n of the covered projective space")
-    p.add_argument("--degree", type=int, required=True,
-                   help="d for a branch divisor of degree 2d")
+def _ambient_args(space: str, degree_help: str | None = None):
+    """The arguments of hypersurface and double-cover, whose help differs."""
+    def arguments(p) -> None:
+        p.add_argument("--ambient", type=int, required=True,
+                       help=f"dimension n of the {space} projective space")
+        p.add_argument("--degree", type=int, required=True, help=degree_help)
+    return arguments
 
-    p = add("product", _lct(lambda a: product_lct(*a.values)),
-            "threshold of a product from the two factor thresholds")
-    p.add_argument("values", nargs=2, type=_fraction)
 
-    p = add("p1-product", _lct(lambda a: p1_product_lct(a.value)),
-            "threshold of P1 x X from the threshold of X")
-    p.add_argument("value", type=_fraction)
-
-    p = add("dp", _lct(lambda a: del_pezzo_lct(DelPezzoDescriptor(
-        degree=a.degree, nodes=a.nodes, has_cuspidal_anticanonical=a.cuspidal,
-        has_tacnodal_anticanonical=a.tacnodal, has_eckardt_point=a.eckardt,
-        degree8_type=a.deg8))), "threshold of a del Pezzo surface")
+def _dp_args(p) -> None:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--nodes", type=int, choices=(0, 1), default=0)
     flags = p.add_mutually_exclusive_group()
@@ -311,19 +281,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deg8", choices=("product", "nonproduct"),
                    help="degree 8 only: quadric surface or one-point blow-up")
 
-    p = add("cubic-sing", _lct(lambda a: cubic_surface_lct(
-        [tok.strip() for tok in a.types.split(",") if tok.strip()])),
-            "threshold of a cubic surface from its singularity types")
-    p.add_argument("types", help="comma-separated types like 'A4,A1'")
 
-    p = add("family", _cmd_family, "one Fano threefold family record, or --list")
+def _family_args(p) -> None:
     p.add_argument("id", nargs="?", help="family id like 3.27")
     p.add_argument("--list", action="store_true")
     p.add_argument("--rank", type=int)
     p.add_argument("--status", choices=STATUS_KINDS)
     p.add_argument("--value", type=_fraction)
 
-    p = add("db", _cmd_db, "database summary, cross-check, export, import")
+
+def _db_args(p) -> None:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--cross-check", action="store_true",
                       help="recompute every stored fan through the engine")
@@ -332,16 +299,70 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--import", dest="import_path", metavar="PATH",
                       help="parse and validate a table (- for stdin)")
 
-    p = add("equivariant", _cmd_equivariant, "tabulated equivariant thresholds (no key: list keys)")
-    p.add_argument("key", nargs="?")
 
+# name -> (handler, help text, function adding its arguments), in the order
+# that help lists them. The _lct lambdas look their formula up in this
+# module's globals at call time, so a rebinding of that name reaches them.
+_SUBCOMMANDS = {
+    "toric": (_cmd_toric, "threshold of a complete fan", _toric_args),
+    "wps": (_cmd_wps, "threshold of a well-formed weighted projective space",
+            lambda p: p.add_argument("weights", nargs="+", type=int)),
+    "bundle": (_cmd_bundle, "threshold of a projectivized split bundle over projective space",
+               _bundle_args),
+    "cse": (_cmd_cse, "complex singularity exponent at the origin", _cse_args),
+    "hypersurface": (_lct(lambda a: hypersurface_lct(a.ambient, a.degree)),
+                     "threshold of a smooth low-degree hypersurface", _ambient_args("ambient")),
+    "double-cover": (_lct(lambda a: double_cover_lct(a.ambient, a.degree)),
+                     "threshold of a double cover of projective space",
+                     _ambient_args("covered", "d for a branch divisor of degree 2d")),
+    "product": (_lct(lambda a: product_lct(*a.values)),
+                "threshold of a product from the two factor thresholds",
+                lambda p: p.add_argument("values", nargs=2, type=_fraction)),
+    "p1-product": (_lct(lambda a: p1_product_lct(a.value)),
+                   "threshold of P1 x X from the threshold of X",
+                   lambda p: p.add_argument("value", type=_fraction)),
+    "dp": (_lct(lambda a: del_pezzo_lct(DelPezzoDescriptor(
+        degree=a.degree, nodes=a.nodes, has_cuspidal_anticanonical=a.cuspidal,
+        has_tacnodal_anticanonical=a.tacnodal, has_eckardt_point=a.eckardt,
+        degree8_type=a.deg8))), "threshold of a del Pezzo surface", _dp_args),
+    "cubic-sing": (_lct(lambda a: cubic_surface_lct(
+        [tok.strip() for tok in a.types.split(",") if tok.strip()])),
+        "threshold of a cubic surface from its singularity types",
+        lambda p: p.add_argument("types", help="comma-separated types like 'A4,A1'")),
+    "family": (_cmd_family, "one Fano threefold family record, or --list", _family_args),
+    "db": (_cmd_db, "database summary, cross-check, export, import", _db_args),
+    "equivariant": (_cmd_equivariant, "tabulated equivariant thresholds (no key: list keys)",
+                    lambda p: p.add_argument("key", nargs="?")),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the one subcommand that command names, or else of all of
+    them, as help, no command and an unknown command need."""
+    parser = argparse.ArgumentParser(
+        prog="toriclct",
+        description="exact log canonical thresholds: toric engine, closed "
+                    "formulas, and the Fano threefold database")
+    one = command in _SUBCOMMANDS
+    # with one subparser, the top-level usage printed for an unrecognized
+    # argument still lists every subcommand; the whole tree keeps no metavar,
+    # so that the error for a missing command names `command`
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_SUBCOMMANDS) + "}" if one else None)
+    for name, (handler, help_text, arguments) in _SUBCOMMANDS.items():
+        if name == command or not one:
+            p = sub.add_parser(name, help=help_text)
+            p.add_argument("--machine", action="store_true", help="stable key=value output")
+            p.set_defaults(handler=handler)
+            arguments(p)
     return parser
 
 
 def run(argv=None, stdout=None, stderr=None) -> int:
     out = sys.stdout if stdout is None else stdout
     err = sys.stderr if stderr is None else stderr
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)
     try:
         with redirect_stdout(out), redirect_stderr(err):
             args = parser.parse_args(argv)

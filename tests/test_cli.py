@@ -1,16 +1,18 @@
 """Command line behavior: exit codes, human and machine output, byte
 stability."""
 
+import argparse
 import io
 import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from toriclct.cli import run
+from toriclct.cli import _SUBCOMMANDS, _build_parser, run
 from toriclct.database import export_table, load_builtin
 
 P2_RAYS = "1,0;0,1;-1,-1"
@@ -39,6 +41,30 @@ def test_cli_import_loads_no_dataclasses_machinery():
     assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize", "copy"})
 
 
+@pytest.mark.parametrize("argv, built", [
+    (("toric", "--rays", P2_RAYS, "--machine"), 2),
+    (("db", "--machine"), 2),
+    (("wps", "-h"), 2),
+    (("dp", "--degree", "3", "--bogus"), 2),
+    (("--help",), 14),
+    ((), 14),
+    (("frobnicate",), 14),
+])
+def test_a_call_builds_only_its_own_subcommands_parser(monkeypatch, argv, built):
+    # the top-level parser plus one subparser, or plus all 13 for help and
+    # the errors that print the whole tree
+    built_parsers = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built_parsers.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    invoke(*argv)
+    assert len(built_parsers) == built
+
+
 # ---------------------------------------------------------------------------
 # parser level
 
@@ -46,6 +72,7 @@ def test_cli_import_loads_no_dataclasses_machinery():
 def test_no_arguments_is_usage_error():
     code, _, err = invoke()
     assert code == 2 and "usage" in err
+    assert err.endswith("error: the following arguments are required: command\n")
 
 
 def test_help_exits_zero():
@@ -56,6 +83,64 @@ def test_help_exits_zero():
 def test_unknown_subcommand():
     code, _, _ = invoke("frobnicate")
     assert code == 2
+
+
+# subcommand: (a valid call, a call missing a required argument, a bad type=
+# value, a mutually exclusive conflict); None where the subcommand has none
+PARSER_CASES = {
+    "toric": (["--rays", P2_RAYS, "--group", "0,1,1,0"], [], ["--rays", "1,x"],
+              ["--rays", P2_RAYS, "--fan-file", "fan.txt"]),
+    "wps": (["1", "1", "2", "3"], [], ["1", "x"], None),
+    "bundle": (["--base-dim", "2", "--twists", "1,2"], ["--base-dim", "2"],
+               ["--base-dim", "x", "--twists", "1"], None),
+    "cse": (["--monomial", "2,3,5"], [], ["--fermat", "2,,5"],
+            ["--monomial", "2,3", "--fermat", "2,3"]),
+    "hypersurface": (["--ambient", "4", "--degree", "2"], ["--ambient", "4"],
+                     ["--ambient", "x", "--degree", "2"], None),
+    "double-cover": (["--ambient", "4", "--degree", "3"], ["--degree", "3"],
+                     ["--ambient", "4", "--degree", "3/2"], None),
+    "product": (["1/3", "1/2"], ["1/3"], ["1/3", "x"], None),
+    "p1-product": (["2/3"], [], ["2/x"], None),
+    "dp": (["--degree", "8", "--deg8", "product"], ["--eckardt"], ["--degree", "x"],
+           ["--degree", "1", "--cuspidal", "--tacnodal"]),
+    "cubic-sing": (["A4,A1"], [], None, None),
+    "family": (["--list", "--rank", "2", "--value", "1/2"], None, ["--list", "--rank", "x"],
+               None),
+    "db": (["--import", "table.txt"], None, None, ["--cross-check", "--export", "-"]),
+    "equivariant": (["dP5_S5"], None, None, None),
+}
+
+
+def parse(parser, argv):
+    """(namespace as a dict or None, exit code, stdout, stderr) of parse_args."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            namespace, code = vars(parser.parse_args(argv)), 0
+        except SystemExit as exc:
+            namespace, code = None, exc.code
+    return namespace, code, out.getvalue(), err.getvalue()
+
+
+def test_parser_cases_cover_every_subcommand():
+    assert list(PARSER_CASES) == list(_SUBCOMMANDS) and len(_SUBCOMMANDS) == 13
+
+
+@pytest.mark.parametrize("name", PARSER_CASES)
+def test_one_subcommand_parser_matches_the_full_tree(name):
+    valid, missing, bad_type, conflict = PARSER_CASES[name]
+    cases = [(valid, 0), (valid + ["--machine"], 0), (["-h"], 0), (valid + ["--bogus"], 2),
+             (valid + ["--machine=yes"], 2)]
+    cases += [(tail, 2) for tail in (missing, bad_type, conflict) if tail is not None]
+    for tail, expected_code in cases:
+        argv = [name, *tail]
+        got = parse(_build_parser(name), argv)
+        assert got == parse(_build_parser(), argv), argv
+        assert got[1] == expected_code, argv
+        assert (got[0] is None) == (expected_code != 0 or tail == ["-h"]), argv
+    # an unrecognized argument prints the top-level usage, naming every subcommand
+    usage = " ".join(parse(_build_parser(name), [name, *valid, "--bogus"])[3].split())
+    assert usage.startswith("usage: toriclct [-h] {" + ",".join(_SUBCOMMANDS) + "} ...")
 
 
 # ---------------------------------------------------------------------------

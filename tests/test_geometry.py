@@ -299,7 +299,7 @@ def _random_matrix(rng, n_rows, n_cols):
     return rows
 
 
-def test_mat_det_matches_leibniz():
+def test_echelon_det_matches_leibniz():
     rng = random.Random(41)
     singular = 0
     for _ in range(300):
@@ -311,7 +311,7 @@ def test_mat_det_matches_leibniz():
     assert singular > 20
 
 
-def test_mat_rank_matches_minors():
+def test_echelon_rank_matches_minors():
     rng = random.Random(43)
     deficient = 0
     for _ in range(300):
