@@ -238,6 +238,24 @@ def test_database_rejects_duplicate():
         Database(DB.records + (DB.records[0],))
 
 
+def test_database_rejections_keep_their_type_and_message():
+    records = DB.records
+    as_text = tuple(FamilyRecord(str(r.id), r.status, r.provenance) for r in records)
+    one_text = records[:5] + (as_text[5],) + records[6:]
+    cases = [
+        (one_text, TypeError, "'<' not supported between instances of 'str' and 'FamilyId'"),
+        (as_text, ValueError, "records must cover exactly the 105 families"),
+        (records + (records[0],), ValueError, "duplicate family ids"),
+        (records[:40] + records[41:], ValueError, "records must cover exactly the 105 families"),
+        (records[1:] + (records[-1],), ValueError, "duplicate family ids"),
+    ]
+    for given, kind, message in cases:
+        with pytest.raises(kind) as info:
+            Database(given)
+        assert str(info.value) == message
+    assert Database(iter(records[::-1])) == DB
+
+
 def test_database_rejects_status_drift():
     records = list(DB.records)
     idx = next(i for i, rec in enumerate(records) if str(rec.id) == "2.6")
@@ -362,6 +380,11 @@ def test_import_fan_block_boundaries():
         (good + "\n[fan 2.6]\n\n", 253),                  # empty, then blank
         (good + "\n[fan 2.6]\n[fan 1.1]\n1\n-1\n", 253),  # empty, then header
         (good + "\n[fan 2.6]\n1\n-1,0\n", 255),           # mixed dimension
+        # a bad value on two lines (2.36 and 3.29) fails at the first
+        (good.replace("|exact_all|1/5|", "|exact_all|5/4|"), 53),
+        # after 1.11 and 1.12 repeat one good status, 1.13 fails at its own line
+        (good.replace("1.13|1|exact_all|", "1.13|1|exact_al|"), 13),
+        (good + "\n[fan 2.6]\n1\n-1\n1;2\n", 256),         # bad row after the statuses
     ]
     for text, lineno in cases:
         if lineno is None:
