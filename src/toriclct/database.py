@@ -118,6 +118,11 @@ class FamilyRecord(_Record):
         return self.id.rank
 
 
+# every family's (rank, index), in order
+_ID_PAIRS = [(rank, i) for rank, size in sorted(RANK_SIZES.items())
+             for i in range(1, size + 1)]
+
+
 def status_counts(records) -> dict[str, int]:
     """Number of records of each status kind, in STATUS_KINDS order."""
     counts = dict.fromkeys(STATUS_KINDS, 0)
@@ -133,13 +138,16 @@ class Database(_Record):
     records: tuple[FamilyRecord, ...]
 
     def __post_init__(self):
-        records = tuple(sorted(self.records, key=lambda r: r.id))
-        ids = [r.id for r in records]
+        records = tuple(self.records)
+        # FamilyIds order, compare and hash as their (rank, index) pairs; any
+        # other id is sorted and hashed as itself, and covers no family
+        pairs = all([r.id.__class__ is FamilyId for r in records])
+        key = (lambda r: (r.id.rank, r.id.index)) if pairs else (lambda r: r.id)
+        records = tuple(sorted(records, key=key))
+        ids = list(map(key, records))
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate family ids")
-        expected = [FamilyId(rank, i) for rank in sorted(RANK_SIZES)
-                    for i in range(1, RANK_SIZES[rank] + 1)]
-        if ids != expected:
+        if not pairs or ids != _ID_PAIRS:
             raise ValueError("records must cover exactly the 105 families")
         counts = status_counts(records)
         if counts != {"exact_all": 64, "exact_general": 20,
@@ -277,12 +285,16 @@ def load_builtin() -> Database:
     """The builtin database; construction enforces all its invariants, so a
     family listed twice in _STATUSES raises ValueError."""
     fans = _builtin_fans()
-    return Database(tuple(
-        FamilyRecord(FamilyId.parse(key), LctStatus(kind, value),
-                     _PROVENANCE.get(key, _PROVENANCE_DEFAULT[kind]),
-                     fans.get(key), _NOTES.get(key))
-        for kind, by_value in _STATUSES.items()
-        for value, ids in by_value.items() for key in ids.split()))
+    records = []
+    for kind, by_value in _STATUSES.items():
+        for value, ids in by_value.items():
+            # one status per row, shared by its families
+            status = LctStatus(kind, value)
+            records += [FamilyRecord(FamilyId.parse(key), status,
+                                     _PROVENANCE.get(key, _PROVENANCE_DEFAULT[kind]),
+                                     fans.get(key), _NOTES.get(key))
+                        for key in ids.split()]
+    return Database(tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +415,8 @@ def import_table(text: str) -> Database:
     offending line number on malformed input."""
     entries: dict[FamilyId, tuple[LctStatus, str]] = {}
     fans: dict[FamilyId, RaySet] = {}
+    # (kind, value text) -> its status, read once
+    statuses: dict[tuple[str, str], LctStatus] = {}
     for block in _blocks(text, "[fan"):
         header_line, header = block[0]
         header = header.strip()
@@ -431,11 +445,13 @@ def import_table(text: str) -> Database:
                 raise ParseError(lineno, f"rank {rank_text!r} does not match id {fid}")
             if fid in entries:
                 raise ParseError(lineno, f"duplicate record for {fid}")
-            with _at_line(lineno):
-                status = LctStatus(kind, None if value_text == "-" else value_text)
+            status = statuses.get((kind, value_text))
+            if status is None:
+                with _at_line(lineno):
+                    status = statuses[kind, value_text] = LctStatus(
+                        kind, None if value_text == "-" else value_text)
             entries[fid] = (status, provenance)
 
-    records = tuple(FamilyRecord(id=fid, status=status, provenance=provenance,
-                                 fan=fans.get(fid))
-                    for fid, (status, provenance) in entries.items())
-    return Database(records)
+    # (id, status, provenance, fan, notes), positional: no binding by name
+    return Database(tuple([FamilyRecord(fid, status, provenance, fans.get(fid), None)
+                           for fid, (status, provenance) in entries.items()]))

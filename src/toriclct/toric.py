@@ -32,7 +32,6 @@ product is an index lookup and an element is read back row by row.
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -79,6 +78,15 @@ class RaySet(_Record):
         if len(set(rays)) != len(rays):
             raise ValueError("rays must be pairwise distinct")
         object.__setattr__(self, "rays", tuple(rays))
+
+    @classmethod
+    def _valid(cls, rays) -> "RaySet":
+        """The RaySet of a tuple of rays that meet every invariant by
+        construction, built without __post_init__, as GroupAction.generate
+        builds its groups; the one place that skips the checks."""
+        ray_set = object.__new__(cls)
+        object.__setattr__(ray_set, "rays", rays)
+        return ray_set
 
     @property
     def dim(self) -> int:
@@ -388,11 +396,15 @@ def projective_space_fan(n: int) -> RaySet:
 
 
 def product_fan(a: RaySet, b: RaySet) -> RaySet:
-    """Rays of the product fan: each factor's rays padded by zeros."""
+    """Rays of the product fan: each factor's rays padded by zeros. Zero
+    padding keeps two RaySets' rays primitive, nonzero, distinct and of one
+    dimension, so their product is not checked again; other arguments go
+    through RaySet."""
     da, db = a.dim, b.dim
-    rays = [v + (0,) * db for v in a]
-    rays += [(0,) * da + v for v in b]
-    return RaySet(tuple(rays))
+    rays = (*[v + (0,) * db for v in a], *[(0,) * da + v for v in b])
+    if a.__class__ is b.__class__ is RaySet:
+        return RaySet._valid(rays)
+    return RaySet(rays)
 
 
 def _twists(n: int, twists) -> tuple[int, ...]:
@@ -431,7 +443,9 @@ def star_subdivide(rays: RaySet, subset) -> RaySet:
 
     The caller is responsible for the subset actually spanning a cone of the
     fan. Raises DegenerateSubdivision when the subset is empty, repeats a
-    ray or is dependent, or when its primitive sum is already a ray.
+    ray or is dependent, or when its primitive sum is already a ray. The
+    rays of a RaySet are not checked again: the new ray is checked,
+    primitive and not among them.
     """
     subset = [_integers(v, "ray") for v in subset]
     present = set(rays)
@@ -448,6 +462,8 @@ def star_subdivide(rays: RaySet, subset) -> RaySet:
     new = primitive_vector(total)
     if new in present:
         raise DegenerateSubdivision(f"{new} is already a ray")
+    if rays.__class__ is RaySet:
+        return RaySet._valid(rays.rays + (new,))
     return RaySet(rays.rays + (new,))
 
 
@@ -517,14 +533,20 @@ def _blocks(text: str, header: str | None = None) -> list[list[tuple[int, str]]]
     return [block for block in blocks if block]
 
 
-@contextmanager
-def _at_line(lineno: int):
-    """Re-raise a content fault in the block (ValueError, InvalidId,
-    GroupNotClosed) as ParseError(lineno, its message)."""
-    try:
-        yield
-    except (ValueError, InvalidId, GroupNotClosed) as exc:
-        raise ParseError(lineno, str(exc)) from exc
+class _at_line:
+    """with _at_line(lineno): re-raise a content fault in the block
+    (ValueError, InvalidId, GroupNotClosed) as ParseError(lineno, its
+    message). A class, not a generator: a block costs no frame."""
+
+    def __init__(self, lineno: int):
+        self.lineno = lineno
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, (ValueError, InvalidId, GroupNotClosed)):
+            raise ParseError(self.lineno, str(exc)) from exc
 
 
 def _ints(text: str) -> list[int]:

@@ -12,7 +12,7 @@ from toriclct.database import (RANK_SIZES, Database, FamilyId, FamilyRecord,
                                import_table, load_builtin, lookup, query,
                                with_fan)
 from toriclct.errors import InvalidId, ParseError
-from toriclct.toric import projective_space_fan, toric_lct
+from toriclct.toric import RaySet, projective_space_fan, toric_lct
 
 F = Fraction
 
@@ -263,6 +263,35 @@ def test_database_rejects_status_drift():
                                 "made up")
     with pytest.raises(ValueError):
         Database(tuple(records))
+
+
+def _count_post_inits(monkeypatch, *classes):
+    """calls[name]: the instances of each class built through __init__."""
+    calls = dict.fromkeys((cls.__name__ for cls in classes), 0)
+    for cls in classes:
+        def counted(self, original=cls.__post_init__, name=cls.__name__):
+            calls[name] += 1
+            original(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return calls
+
+
+def test_database_construction_builds_each_status_and_id_once(monkeypatch):
+    # one status per (kind, value) row of the table, 17 in all; the checks
+    # of Database read the ids' (rank, index) and build no FamilyId
+    calls = _count_post_inits(monkeypatch, LctStatus, FamilyId, RaySet)
+    db = load_builtin.__wrapped__()
+    # the six stored fans not built from others are checked as they are made
+    assert calls == {"LctStatus": 17, "FamilyId": 105, "RaySet": 6}
+    assert db == DB
+    calls.update(dict.fromkeys(calls, 0))
+    assert Database(DB.records) == DB
+    assert calls == {"LctStatus": 0, "FamilyId": 0, "RaySet": 0}
+    # import_table reads each distinct (kind, value text) once and checks
+    # every parsed fan
+    text = export_table(DB)
+    assert export_table(import_table(text)) == text
+    assert calls == {"LctStatus": 17, "FamilyId": 105 + 18, "RaySet": 18}
 
 
 # ---------------------------------------------------------------------------

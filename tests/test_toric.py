@@ -13,6 +13,7 @@ from conftest import (conjugate_group, inverse_unimodular, oracle_closure,
                       oracle_rank, oracle_toric_lct, random_complete_rays,
                       random_unimodular, transform_rays)
 
+import toriclct.database
 import toriclct.toric
 from toriclct.database import load_builtin, lookup
 from toriclct.errors import (DegenerateSubdivision, FanNotComplete,
@@ -1145,6 +1146,104 @@ def test_star_subdivide_rejects_non_integer_rays():
     for bad in (1.5, 1.0, F(3, 2)):
         with pytest.raises(ValueError, match="non-integer"):
             star_subdivide(P2, [(bad, 0), (0, 1)])
+
+
+class _DuckRays:
+    """Iterates and sizes like a RaySet without being one, so that nothing
+    it holds has been checked."""
+
+    def __init__(self, rays):
+        self.rays, self.dim = rays, len(rays[0])
+
+    def __iter__(self):
+        return iter(self.rays)
+
+
+def _padded(a, b):
+    return (tuple(v + (0,) * b.dim for v in a.rays)
+            + tuple((0,) * a.dim + v for v in b.rays))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_product_fans_of_ray_sets_equal_the_checked_construction(seed):
+    # every ordered pair of the 18 stored fans, each in a seeded basis, as the
+    # benchmark's products are built
+    rng = random.Random(seed)
+    stored = [rec.fan for rec in load_builtin().records if rec.fan is not None]
+    factors = [transform_rays(random_unimodular(rng, fan.dim), fan) for fan in stored]
+    assert len(factors) == 18
+    for a in factors:
+        for b in factors:
+            if a is b:
+                continue
+            fan = product_fan(a, b)
+            assert fan.__class__ is RaySet
+            assert fan == RaySet(_padded(a, b))
+            assert RaySet(fan.rays) == fan
+
+
+def _counted(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args)
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_builtin_fan_constructors_equal_the_checked_construction(monkeypatch):
+    # each star_subdivide and product_fan that builds a stored fan checks
+    # only its subset and its new ray, yet equals the fan RaySet checks
+    database = toriclct.database
+    calls, made = {}, []
+    for name in ("_integers", "primitive_vector"):
+        _counted(monkeypatch, toriclct.toric, name, calls)
+
+    def checked_star(rays, subset):
+        calls.clear()
+        fan = star_subdivide(rays, subset)
+        assert calls == {"_integers": len(subset), "primitive_vector": 1}, calls
+        total = tuple(map(sum, zip(*subset)))
+        assert fan == RaySet(rays.rays + (primitive_vector(total),))
+        assert RaySet(fan.rays) == fan
+        made.append("star")
+        return fan
+
+    def checked_product(a, b):
+        calls.clear()
+        fan = product_fan(a, b)
+        assert calls == {}, calls
+        assert fan == RaySet(_padded(a, b))
+        made.append("product")
+        return fan
+
+    monkeypatch.setattr(database, "star_subdivide", checked_star)
+    monkeypatch.setattr(database, "product_fan", checked_product)
+    fans = database._builtin_fans()
+    assert (made.count("star"), made.count("product")) == (15, 7)
+    assert fans == {str(rec.id): rec.fan for rec in load_builtin().records
+                    if rec.fan is not None}
+
+
+def test_fan_constructors_check_arguments_that_are_not_ray_sets(monkeypatch):
+    calls = {}
+    _counted(monkeypatch, toriclct.toric, "_integers", calls)
+    a, b = lookup(load_builtin(), "1.17").fan, lookup(load_builtin(), "4.10").fan
+    fan = product_fan(a, b)
+    assert calls == {}
+    # 4 + 7 rays, each checked when one factor is not a RaySet
+    assert product_fan(_DuckRays(a.rays), b) == fan
+    assert calls == {"_integers": 11}
+    with pytest.raises(ValueError, match="non-integer"):
+        product_fan(_DuckRays(((1.0,), (-1,))), P1)
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        product_fan(P1, _DuckRays(((1,), (1,))))
+    with pytest.raises(ValueError, match="zero vector"):
+        product_fan(_DuckRays(((0,), (1,))), P2)
+    with pytest.raises(ValueError, match="non-integer"):
+        star_subdivide(_DuckRays(((1, 0), (0, 1), (-1, -1), (1.5, 2))), [(1, 0), (0, 1)])
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        star_subdivide(_DuckRays(((1, 0), (0, 1), (-1, -1), (1, 0))), [(0, 1), (-1, -1)])
 
 
 def test_wps_fan_values():
