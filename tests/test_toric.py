@@ -510,6 +510,29 @@ def test_group_faults_keep_their_type_and_message(call, error, message):
     assert type(info.value) is error and str(info.value) == message
 
 
+# (lookups built, compositions) by GroupAction.generate(B4_GENERATORS, cap=c)
+# before it gives up: the span walk stops within one coset of the cap, where
+# a walk that finishes the closure first builds 12, 27 and 27 lookups
+CAP_STOPS = {10: (7, 20), 50: (15, 121), 100: (16, 148)}
+
+
+def test_generate_stops_the_span_walk_at_its_cap(compositions, monkeypatch):
+    built = []
+    counted = toriclct.toric.itemgetter
+
+    def building(*items):
+        built.append(items)
+        return counted(*items)
+
+    monkeypatch.setattr(toriclct.toric, "itemgetter", building)
+    for cap, (lookups, composed) in CAP_STOPS.items():
+        built.clear()
+        compositions.clear()
+        with pytest.raises(GroupNotClosed, match=f"cap of {cap} elements"):
+            GroupAction.generate(B4_GENERATORS, cap=cap)
+        assert (len(built), len(compositions)) == (lookups, composed), cap
+
+
 def test_an_element_list_whose_orbit_outgrows_it_names_a_non_unimodular_element():
     # the shear's closure leaves the list before the walk would reach 2I, but
     # the basis orbit outgrows the 2 * 3 points a group of three could reach
