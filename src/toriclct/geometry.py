@@ -123,6 +123,14 @@ class _Record:
         self.__dict__.update(zip(self._fields, args))
         self.__post_init__()
 
+    @classmethod
+    def _from_checked(cls, *values):
+        """The record of field values that pass __post_init__ as they stand,
+        bound in field order without running it: the one way to skip it."""
+        record = object.__new__(cls)
+        record.__dict__.update(zip(cls._fields, values))
+        return record
+
     def __post_init__(self):
         """Checks and normalises the fields, writing by object.__setattr__."""
 

@@ -79,15 +79,6 @@ class RaySet(_Record):
             raise ValueError("rays must be pairwise distinct")
         object.__setattr__(self, "rays", tuple(rays))
 
-    @classmethod
-    def _valid(cls, rays) -> "RaySet":
-        """The RaySet of a tuple of rays that meet every invariant by
-        construction, built without __post_init__, as GroupAction.generate
-        builds its groups; the one place that skips the checks."""
-        ray_set = object.__new__(cls)
-        object.__setattr__(ray_set, "rays", rays)
-        return ray_set
-
     @property
     def dim(self) -> int:
         return len(self.rays[0])
@@ -134,26 +125,22 @@ def _orbit(matrices, limit: int):
     return points, [tuple(perm) for perm in perms]
 
 
-def _spans(candidates, perms, cap: int, what: str):
-    """Yield (picks, span) before the first greedy pick and after each. The
-    candidates are matrices, given with their perms on a basis orbit O as
-    _orbit makes them, and the span is a set of such perms: g h is
-    itemgetter(*g)(h), exactly, since O spans Q^n and every candidate maps O
-    into O. A pick is a candidate outside the span, with |det| = 1 checked:
-    on the finite spanning set O that holds iff the pick permutes O. The span
-    grows to the closure of the picks by left cosets x H of the old span H
-    (Dimino's algorithm), so only the picks times coset representatives x
-    need a membership test. All stops once the span exceeds cap elements."""
+def _spans(candidates, perms, cap: int):
+    """(picks, span): the greedy picks of the candidates and the set they
+    span. The candidates are matrices, given with their perms on a basis
+    orbit O as _orbit makes them, each a permutation of O, and the span is a
+    set of such perms: g h is itemgetter(*g)(h), exactly, since O spans Q^n.
+    A pick is a candidate outside the span so far. The span grows to the
+    closure of the picks by left cosets x H of the old span H (Dimino's
+    algorithm), so only the picks times coset representatives x need a
+    membership test. The walk stops once the span exceeds cap elements."""
     picks, span = (), {tuple(range(len(perms[0])))}
-    yield picks, span
     # itemgetter of one index returns it bare, but O has one point only when
     # every candidate is the 1-D identity, and that is never picked
     products = []  # r -> r s for each pick s
     for g, s in zip(candidates, perms):
         if s in span:
             continue
-        if len(set(s)) != len(s):
-            raise ValueError(f"{what} {g} is not unimodular")
         picks += (g,)
         products.append(itemgetter(*s))
         old = tuple(span)
@@ -167,9 +154,9 @@ def _spans(candidates, perms, cap: int, what: str):
                 if x not in span:
                     reps.append(x)
                     span.update(map(itemgetter(*x), old))
-        yield picks, span
         if len(span) > cap:
-            return
+            break
+    return picks, span
 
 
 class GroupAction(_Record):
@@ -177,19 +164,19 @@ class GroupAction(_Record):
     product and containing the identity.
 
     generators: the elements outside the span of the ones picked before
-    them, in element order; each pick at least doubles the span. The list
-    is checked as that span grows, coset by coset, once: each pick has
-    |det| = 1 and the span must stay in the list, ending equal to it.
-    A group built by generate skips that check, since it is its own span;
-    its generators are computed on first access.
-
-    The spans run on the orbit O of the standard basis of row vectors, which
-    is the set of the rows of the group's elements: each matrix is the tuple
-    of the indices of its rows in O, and a product is an index lookup. A
-    group of m elements has at most n m distinct rows, so an orbit past that
-    stops the walk before it starts: past n cap points generate raises
-    GroupNotClosed, and past n m points an element list of m raises
-    ValueError for its first element with |det| != 1, else GroupNotClosed.
+    them, in element order; each pick at least doubles the span. A list of
+    m elements is checked once per fact, in this order, whatever its own:
+    1. no element repeats, else GroupNotClosed;
+    2. the identity is listed, else GroupNotClosed;
+    3. the orbit O of the standard basis of row vectors (as in _orbit) has
+       at most n m points, the rows a group of m can have, else ValueError
+       names the first element with |det| != 1, or else GroupNotClosed;
+    4. each element permutes O, which on that finite spanning set holds iff
+       |det| = 1, else ValueError names the first that does not;
+    5. the span of the greedy picks equals the list, else GroupNotClosed.
+    A group built by generate skips these checks, as it is its own span,
+    and computes its generators on first access; past n cap orbit points or
+    cap elements, generate raises GroupNotClosed.
     """
 
     elements: tuple[tuple[tuple[int, ...], ...], ...]
@@ -205,10 +192,12 @@ class GroupAction(_Record):
         if perms is None:
             _check_unimodular(elements, "element")
             raise GroupNotClosed("element list is not closed under product")
-        listed = set(perms)
-        for gens, span in _spans(elements, perms, len(elements), "element"):
-            if not span <= listed:
-                raise GroupNotClosed("element list is not closed under product")
+        for g, s in zip(elements, perms):
+            if len(set(s)) != len(s):
+                raise ValueError(f"element {g} is not unimodular")
+        gens, span = _spans(elements, perms, len(elements))
+        if span != set(perms):
+            raise GroupNotClosed("element list is not closed under product")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_picks", gens)
@@ -216,8 +205,7 @@ class GroupAction(_Record):
     @cached_property
     def generators(self) -> tuple:
         _, perms = _orbit(self.elements, self.dim * len(self))
-        *_, (picks, _) = _spans(self.elements, perms, len(self), "element")
-        return picks
+        return _spans(self.elements, perms, len(self))[0]
 
     @property
     def dim(self) -> int:
@@ -244,13 +232,12 @@ class GroupAction(_Record):
         n = len(gens[0])
         points, perms = _orbit(gens, n * cap)
         if perms is not None:
-            *_, (picks, span) = _spans(gens, perms, cap, "generator")
+            picks, span = _spans(gens, perms, cap)
         if perms is None or len(span) > cap:
             raise GroupNotClosed(f"closure exceeds cap of {cap} elements")
-        # no __post_init__: the span is the closure of picks with |det| = 1,
-        # a group as it stands; row i of an element s is points[s[i]]
-        group = object.__new__(cls)
-        object.__setattr__(group, "elements", tuple(sorted(
+        # the span is the closure of picks with |det| = 1, a group as it
+        # stands; row i of an element s is points[s[i]]
+        group = cls._from_checked(tuple(sorted(
             tuple(map(points.__getitem__, s[:n])) for s in span)))
         object.__setattr__(group, "_picks", picks)
         return group
@@ -403,7 +390,7 @@ def product_fan(a: RaySet, b: RaySet) -> RaySet:
     da, db = a.dim, b.dim
     rays = (*[v + (0,) * db for v in a], *[(0,) * da + v for v in b])
     if a.__class__ is b.__class__ is RaySet:
-        return RaySet._valid(rays)
+        return RaySet._from_checked(rays)
     return RaySet(rays)
 
 
@@ -463,7 +450,7 @@ def star_subdivide(rays: RaySet, subset) -> RaySet:
     if new in present:
         raise DegenerateSubdivision(f"{new} is already a ray")
     if rays.__class__ is RaySet:
-        return RaySet._valid(rays.rays + (new,))
+        return RaySet._from_checked(rays.rays + (new,))
     return RaySet(rays.rays + (new,))
 
 

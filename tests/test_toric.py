@@ -466,6 +466,8 @@ DOUBLE2 = ((2, 0), (0, 1))
 SHEAR2 = ((1, 1), (0, 1))
 B4_GENERATORS = _signed_permutation_generators(4)
 DOUBLE4 = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+ROT4 = ((0, -1), (1, 0))  # order 4: its span outgrows a list of four
+SINGULAR2 = ((1, 0), (0, 0))
 
 # bad group inputs, each with the exception and the whole message it raises
 GROUP_FAULTS = [
@@ -498,6 +500,13 @@ GROUP_FAULTS = [
     ("zero element", lambda: GroupAction((EYE2, ((0, 0), (0, 0)))),
      ValueError, "element ((0, 0), (0, 0)) is not unimodular"),
     ("singular element", lambda: GroupAction((EYE2, ((1, 0), (0, 0)))),
+     ValueError, "element ((1, 0), (0, 0)) is not unimodular"),
+    # every element is checked before the walk, whichever comes first
+    ("singular element after an escaping one",
+     lambda: GroupAction((EYE2, ROT4, SINGULAR2, SWAP2)),
+     ValueError, "element ((1, 0), (0, 0)) is not unimodular"),
+    ("singular element before an escaping one",
+     lambda: GroupAction((EYE2, SINGULAR2, ROT4, SWAP2)),
      ValueError, "element ((1, 0), (0, 0)) is not unimodular"),
 ]
 
