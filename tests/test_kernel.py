@@ -17,7 +17,8 @@ from math import gcd
 
 import pytest
 from conftest import (hpoly, oracle_enumerate_vertices, oracle_extreme_rays,
-                      oracle_is_bounded, random_unimodular, transform_rays)
+                      oracle_is_bounded, random_complete_rays, random_unimodular,
+                      transform_rays)
 
 import toriclct.geometry
 from toriclct.database import load_builtin
@@ -332,10 +333,16 @@ DD_FAMILIES = {
     "triple_product": lambda rng: [
         _fan_rows(product_fan(product_fan(a, b), c))
         for a, b, c in [rng.sample(_stored_fans(), 3)]],
+    # seeded complete fans that are not products, degenerate ones (b = 1)
+    # included: they reach the hashed search with non-simple rays
+    "random_complete_rays": lambda rng: [
+        _fan_rows(random_complete_rays(rng, n, rng.randint(n + 2, 3 * n + 2), b))
+        for n in range(2, 6) for b in (1, 2, 3)],
 }
 # the families whose cones reach the hashed partner search, and whether they
 # reach it with a non-simple ray on either side
-HASHED = {"cross_polytope_7": True, "triple_product": False}
+HASHED = {"cross_polytope_7": True, "triple_product": False,
+          "random_complete_rays": True}
 
 
 def _homogenised(rows):
