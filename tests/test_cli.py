@@ -171,6 +171,17 @@ def test_toric_with_group():
     assert "lct = 1" in out
 
 
+def test_toric_strings_starting_with_a_minus_sign_attach_with_equals():
+    rays, group = "-1,0;1,0;0,1;0,-1", "-1,0,0,-1"
+    assert invoke("toric", "--rays", rays, "--machine")[0] == 2
+    code, out, err = invoke("toric", f"--rays={rays}", f"--group={group}", "--machine")
+    assert code == 0 and err == ""
+    assert out == ("lct=1\n"
+                   "max_pairing=0\n"
+                   "witness_vertex=0,0\n"
+                   "witness_ray=-1,0\n")
+
+
 def test_toric_group_needs_square_matrices():
     code, _, err = invoke("toric", "--rays", P2_RAYS, "--group", "0,1,1")
     assert code == 1 and "entries" in err
