@@ -46,6 +46,8 @@ MUTANTS = [
     ("adjacency_d_minus_1", GEOMETRY, "if common.bit_count() < d - 2 or (",
      "if common.bit_count() < d - 1 or (", "fault"),
     ("no_third_ray_scan", GEOMETRY, SCAN, "False and any(", "fault"),
+    ("own_mask_as_third_ray", GEOMETRY, "and m != mp and m != mq", "and m != mp",
+     "fault"),
     ("scan_every_pair", GEOMETRY, SCAN, "any(", "cost"),
     ("hashed_always", GEOMETRY, SWITCH, "if True:", "cost"),
     ("hashed_never", GEOMETRY, SWITCH, "if False:", "cost"),
@@ -60,6 +62,7 @@ MUTANTS = [
     ("vertex_with_t_zero", GEOMETRY,
      "if rays is None or any(z[0] == 0 for z, _ in rays):", "if rays is None:", "fault"),
     # the threshold read-off
+    ("ties_skipped", TORIC, "if c < 0:", "if c <= 0:", "fault"),
     ("ties_compare_x_alone", TORIC, TIE, "if c or y < x:", "fault"),
     ("ties_never_replace", TORIC, TIE, "if c:", "fault"),
     ("rowless_ray_default_0", TORIC, "default=t) - t", "default=0) - t", "fault"),
