@@ -196,7 +196,8 @@ class GroupAction(_Record):
             if len(set(s)) != len(s):
                 raise ValueError(f"element {g} is not unimodular")
         gens, span = _spans(elements, perms, len(elements))
-        if span != set(perms):
+        # the span holds every element, or stopped past the cap with more
+        if len(span) != len(elements):
             raise GroupNotClosed("element list is not closed under product")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "generators", gens)

@@ -466,7 +466,7 @@ DOUBLE2 = ((2, 0), (0, 1))
 SHEAR2 = ((1, 1), (0, 1))
 B4_GENERATORS = _signed_permutation_generators(4)
 DOUBLE4 = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-ROT4 = ((0, -1), (1, 0))  # order 4: its span outgrows a list of four
+ROT4 = ((0, -1), (1, 0))  # order 4: its span leaves a list holding only I and R of its powers
 SINGULAR2 = ((1, 0), (0, 0))
 
 # bad group inputs, each with the exception and the whole message it raises
