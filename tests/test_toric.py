@@ -394,6 +394,32 @@ def test_group_product_counts_are_pinned(compositions):
         assert len(compositions) == listed, name
 
 
+# toric._row_times calls of GroupAction(G.elements), G the group B4 conjugated
+# by random_unimodular(random.Random(seed), 4): the row products of the
+# element-list check, keyed by seed
+LIST_ROW_PRODUCTS = {2: 47616, 3: 1536}
+
+
+def test_element_list_row_products_are_pinned(monkeypatch):
+    b4 = _signed_permutation_group(4)
+    groups = {}
+    for seed in LIST_ROW_PRODUCTS:
+        u = random_unimodular(random.Random(seed), 4)
+        groups[seed] = conjugate_group(u, inverse_unimodular(u), b4)
+    calls = []
+    row_times = toriclct.toric._row_times
+
+    def counted(p, b):
+        calls.append(1)
+        return row_times(p, b)
+
+    monkeypatch.setattr(toriclct.toric, "_row_times", counted)
+    for seed, count in LIST_ROW_PRODUCTS.items():
+        calls.clear()
+        assert GroupAction(groups[seed].elements) == groups[seed]
+        assert len(calls) == count, seed
+
+
 # geometry._integers and geometry._echelon calls, through either module's
 # binding, made by GroupAction.generate on the generators and then by the
 # equivariant toric_lct: each generator's rows are checked once, as they
