@@ -8,10 +8,10 @@ from operator import itemgetter
 
 import pytest
 from conftest import (conjugate_group, inverse_unimodular, oracle_closure,
-                      oracle_enumerate_vertices, oracle_greedy_picks,
-                      oracle_is_bounded, oracle_is_group, oracle_mat_mul,
-                      oracle_rank, oracle_toric_lct, random_complete_rays,
-                      random_unimodular, transform_rays)
+                      oracle_det, oracle_enumerate_vertices,
+                      oracle_greedy_picks, oracle_is_bounded, oracle_is_group,
+                      oracle_mat_mul, oracle_rank, oracle_toric_lct,
+                      random_complete_rays, random_unimodular, transform_rays)
 
 import toriclct.database
 import toriclct.toric
@@ -177,17 +177,36 @@ def test_generate_infinite_hits_cap():
         GroupAction.generate([shear], cap=100)
 
 
-def _accepts(elements) -> bool:
+def _list_outcome(elements):
+    """None when GroupAction accepts the element list, else the type and the
+    message of what it raises."""
     try:
         GroupAction(tuple(elements))
-    except (ValueError, GroupNotClosed):
-        return False
-    return True
+    except (ValueError, GroupNotClosed) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _oracle_list_outcome(elements):
+    """The outcome of an element list by the rules, in this order: a repeat,
+    a missing identity, the first element with |det| != 1, and then the
+    list is accepted exactly when it is a group."""
+    if len(set(elements)) != len(elements):
+        return GroupNotClosed, "repeated elements"
+    if identity_matrix(len(elements[0])) not in elements:
+        return GroupNotClosed, "identity element missing"
+    for g in elements:
+        if abs(oracle_det(g)) != 1:
+            return ValueError, f"element {g} is not unimodular"
+    if oracle_is_group(elements):
+        return None
+    return GroupNotClosed, "element list is not closed under product"
 
 
 def test_element_lists_are_accepted_exactly_when_the_oracle_accepts():
+    # and each rejected list raises what the rules name, type and message
     rng = random.Random(7)
-    verdicts = []
+    outcomes = []
     for full in (_signed_permutation_group(3), GroupAction.generate(S4_ON_P3)):
         eye = identity_matrix(full.dim)
         double = ((2,) + (0,) * (full.dim - 1),) + eye[1:]
@@ -207,10 +226,12 @@ def test_element_lists_are_accepted_exactly_when_the_oracle_accepts():
                     lists.append(sub + (extra,))
             lists += [tuple(rng.sample(els, len(els))) for els in lists]
             for elements in lists:
-                verdict = oracle_is_group(elements)
-                assert _accepts(elements) == verdict, elements
-                verdicts.append(verdict)
-    assert verdicts.count(True) > 30 and verdicts.count(False) > 30
+                outcome = _list_outcome(elements)
+                assert (outcome is None) == oracle_is_group(elements), elements
+                assert outcome == _oracle_list_outcome(elements), elements
+                outcomes.append(outcome and outcome[0])
+    assert outcomes.count(None) > 30 and outcomes.count(GroupNotClosed) > 30
+    assert outcomes.count(ValueError) > 30
 
 
 def test_generate_matches_the_breadth_first_oracle():
@@ -534,6 +555,10 @@ GROUP_FAULTS = [
     ("singular element before an escaping one",
      lambda: GroupAction((EYE2, SINGULAR2, ROT4, SWAP2)),
      ValueError, "element ((1, 0), (0, 0)) is not unimodular"),
+    # both its rows are e1, so it maps the basis orbit into itself, two points
+    # to one, and its span with the identity is the list
+    ("idempotent singular element", lambda: GroupAction((EYE2, ((1, 0), (1, 0)))),
+     ValueError, "element ((1, 0), (1, 0)) is not unimodular"),
 ]
 
 
