@@ -125,22 +125,33 @@ def _orbit(matrices, limit: int):
     return points, [tuple(perm) for perm in perms]
 
 
-def _spans(candidates, perms, cap: int):
+def _spans(candidates, points, perm, cap: int):
     """(picks, span): the greedy picks of the candidates and the set they
-    span. The candidates are matrices, given with their perms on a basis
-    orbit O as _orbit makes them, each a permutation of O, and the span is a
-    set of such perms: g h is itemgetter(*g)(h), exactly, since O spans Q^n.
-    A pick is a candidate outside the span so far. The span grows to the
+    span. points iterates over a basis orbit O, basis first, that holds
+    every row of every candidate, and the span is a set of permutations of
+    O: g h is itemgetter(*g)(h), exactly, since O spans Q^n. A candidate is
+    tested by its head, the indices of its rows in O, against the heads of
+    the span so far, the first n entries of its perms; a pick is a candidate
+    outside it. perm(g) is asked only for a pick: g's permutation of O, or
+    None when it is not one, which ends the walk with (picks, None). So a
+    candidate costs n dict lookups, and only a pick is applied to all of O.
+    The span grows to the
     closure of the picks by left cosets x H of the old span H (Dimino's
     algorithm), so only the picks times coset representatives x need a
     membership test. The walk stops once the span exceeds cap elements."""
-    picks, span = (), {tuple(range(len(perms[0])))}
+    at = dict(zip(points, range(len(points))))
+    picks, span, heads = (), {tuple(range(len(points)))}, set()
     # itemgetter of one index returns it bare, but O has one point only when
     # every candidate is the 1-D identity, and that is never picked
     products = []  # r -> r s for each pick s
-    for g, s in zip(candidates, perms):
-        if s in span:
+    for g in candidates:
+        if len(heads) != len(span):
+            heads = {x[:len(g)] for x in span}
+        if tuple(map(at.__getitem__, g)) in heads:
             continue
+        s = perm(g)
+        if s is None:
+            return picks, None
         picks += (g,)
         products.append(itemgetter(*s))
         old = tuple(span)
@@ -168,45 +179,49 @@ class GroupAction(_Record):
     m elements is checked once per fact, in this order, whatever its own:
     1. no element repeats, else GroupNotClosed;
     2. the identity is listed, else GroupNotClosed;
-    3. the orbit O of the standard basis of row vectors (as in _orbit) has
-       at most n m points, the rows a group of m can have, else ValueError
-       names the first element with |det| != 1, or else GroupNotClosed;
-    4. each element permutes O, which on that finite spanning set holds iff
-       |det| = 1, else ValueError names the first that does not;
-    5. the span of the greedy picks equals the list, else GroupNotClosed.
-    A group built by generate skips these checks, as it is its own span,
-    and computes its generators on first access; past n cap orbit points or
-    cap elements, generate raises GroupNotClosed.
+    3. the span of the greedy picks equals the list, else ValueError names
+       the first element with |det| != 1, or else GroupNotClosed.
+    Fact 3 is the walk of generators, which __post_init__ reads. It runs
+    _spans on O, the identity's rows and then every listed row, each once:
+    for a group, O is the orbit of the standard basis of row vectors, since
+    row i of g is e_i g. A pick that sends a point of O outside it, or two
+    points to one, fails it, and so does a span of other than m elements.
+    A list that passes is a group: each pick permutes the finite spanning
+    set O, so has |det| = 1, and every other element equals one of the
+    span. A group built by generate skips these checks, as it is its own
+    span, and computes its generators on first access; past n cap orbit
+    points or cap elements, generate raises GroupNotClosed.
     """
 
     elements: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
         elements = _matrices(self.elements, "element")
-        table = set(elements)
-        if len(table) != len(elements):
+        if len(set(elements)) != len(elements):
             raise GroupNotClosed("repeated elements")
-        if identity_matrix(len(elements[0])) not in table:
+        if identity_matrix(len(elements[0])) not in elements:
             raise GroupNotClosed("identity element missing")
-        _, perms = _orbit(elements, len(elements[0]) * len(elements))
-        if perms is None:
-            _check_unimodular(elements, "element")
-            raise GroupNotClosed("element list is not closed under product")
-        for g, s in zip(elements, perms):
-            if len(set(s)) != len(s):
-                raise ValueError(f"element {g} is not unimodular")
-        gens, span = _spans(elements, perms, len(elements))
-        # the span holds every element, or stopped past the cap with more
-        if len(span) != len(elements):
-            raise GroupNotClosed("element list is not closed under product")
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "_picks", gens)
+        # the walk of generators checks the rest
+        object.__setattr__(self, "_picks", self.generators)
 
     @cached_property
     def generators(self) -> tuple:
-        _, perms = _orbit(self.elements, self.dim * len(self))
-        return _spans(self.elements, perms, len(self))[0]
+        # O: the identity's rows, then every listed row, each once, as a
+        # dict from each point to its index
+        at = {p: k for k, p in enumerate(dict.fromkeys(
+            [p for g in (identity_matrix(self.dim), *self.elements) for p in g]))}
+
+        def perm(g):
+            # None when g sends a point outside O, or two points to one
+            s = tuple([at.get(_row_times(p, g)) for p in at])
+            return None if None in s or len(set(s)) < len(s) else s
+
+        picks, span = _spans(self.elements, at, perm, len(self))
+        if span is None or len(span) != len(self):
+            _check_unimodular(self.elements, "element")
+            raise GroupNotClosed("element list is not closed under product")
+        return picks
 
     @property
     def dim(self) -> int:
@@ -233,7 +248,7 @@ class GroupAction(_Record):
         n = len(gens[0])
         points, perms = _orbit(gens, n * cap)
         if perms is not None:
-            picks, span = _spans(gens, perms, cap)
+            picks, span = _spans(gens, points, dict(zip(gens, perms)).get, cap)
         if perms is None or len(span) > cap:
             raise GroupNotClosed(f"closure exceeds cap of {cap} elements")
         # the span is the closure of picks with |det| = 1, a group as it

@@ -75,9 +75,13 @@ MUTANTS = [
     ("fixed_subspace_of_g", TORIC, "basis = fixed_subspace(transposes)",
      "basis = fixed_subspace(gens)", "fault"),
     # the group layer
-    ("no_permutation_check", TORIC, "if len(set(s)) != len(s):", "if False:", "fault"),
-    ("no_final_span_check", TORIC, "if len(span) != len(elements):", "if False:",
-     "fault"),
+    ("no_permutation_check", TORIC,
+     "return None if None in s or len(set(s)) < len(s) else s",
+     "return None if None in s else s", "fault"),
+    ("no_final_span_check", TORIC, "if span is None or len(span) != len(self):",
+     "if span is None:", "fault"),
+    ("perm_of_every_candidate", TORIC, "if tuple(map(at.__getitem__, g)) in heads:",
+     "if perm(g) and tuple(map(at.__getitem__, g)) in heads:", "cost"),
     ("no_cap_break", TORIC, "            if len(span) > cap:\n                break\n",
      "", "cost"),
     ("no_cap_break_after_pick", TORIC,
