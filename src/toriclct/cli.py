@@ -384,3 +384,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
 
 def main() -> int:
     return run()
+
+
+if __name__ == "__main__":
+    sys.exit(main())

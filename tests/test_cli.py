@@ -41,6 +41,22 @@ def test_cli_import_loads_no_dataclasses_machinery():
     assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize", "copy"})
 
 
+def test_the_module_runs_as_a_script():
+    # python -m toriclct.cli is the CLI: its output and its exit status
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "toriclct.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = module("db", "--machine")
+    code, out, _ = invoke("db", "--machine")
+    assert code == 0 and out
+    assert (done.returncode, done.stdout) == (0, out)
+    assert module("bogus").returncode == 2
+
+
 @pytest.mark.parametrize("argv, built", [
     (("toric", "--rays", P2_RAYS, "--machine"), 2),
     (("db", "--machine"), 2),
