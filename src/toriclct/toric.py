@@ -127,18 +127,17 @@ def _orbit(matrices, limit: int):
 
 def _spans(candidates, points, perm, cap: int):
     """(picks, span): the greedy picks of the candidates and the set they
-    span. points iterates over a basis orbit O, basis first, that holds
-    every row of every candidate, and the span is a set of permutations of
-    O: g h is itemgetter(*g)(h), exactly, since O spans Q^n. A candidate is
-    tested by its head, the indices of its rows in O, against the heads of
-    the span so far, the first n entries of its perms; a pick is a candidate
+    span. points iterates over a basis orbit O, basis first, that holds every
+    row of every candidate, and the span is a set of permutations of O: g h
+    is itemgetter(*g)(h), exactly, since O spans Q^n. A candidate is tested
+    by its head, the indices of its n rows in O, against the heads of the
+    span so far, each element's first n entries; a pick is a candidate
     outside it. perm(g) is asked only for a pick: g's permutation of O, or
-    None when it is not one, which ends the walk with (picks, None). So a
-    candidate costs n dict lookups, and only a pick is applied to all of O.
-    The span grows to the
-    closure of the picks by left cosets x H of the old span H (Dimino's
-    algorithm), so only the picks times coset representatives x need a
-    membership test. The walk stops once the span exceeds cap elements."""
+    None when g does not permute O, which ends the walk with (picks, None).
+    The span grows to the closure of the picks by left cosets x H of the
+    old span H (Dimino's algorithm), so only the picks times coset
+    representatives x need a membership test. The walk stops once the span
+    exceeds cap elements."""
     at = dict(zip(points, range(len(points))))
     picks, span, heads = (), {tuple(range(len(points)))}, set()
     # itemgetter of one index returns it bare, but O has one point only when
