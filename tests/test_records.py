@@ -1,4 +1,4 @@
-"""The 13 frozen value classes behave as records: each prints, compares and
+"""The 14 frozen value classes behave as records: each prints, compares and
 hashes by its fields in order, refuses writes, fills its defaults, matches
 positionally, and FamilyId alone is ordered."""
 
@@ -8,7 +8,7 @@ import pytest
 
 from toriclct.database import (CrossCheckReport, Database, FamilyId, FamilyRecord,
                                FanCheck, LctStatus, load_builtin)
-from toriclct.formulas import DelPezzoDescriptor
+from toriclct.formulas import DelPezzoDescriptor, EquivariantLct
 from toriclct.geometry import HalfSpace, HPolytope, SmithDecomposition
 from toriclct.toric import GroupAction, RaySet, ToricLctReport
 
@@ -40,6 +40,8 @@ RECORDS = [
      "DelPezzoDescriptor(degree=8, nodes=0, has_cuspidal_anticanonical=False, "
      "has_tacnodal_anticanonical=False, has_eckardt_point=False, "
      "degree8_type='product')"),
+    (EquivariantLct(F(2), "p"), ("value", "provenance"),
+     "EquivariantLct(value=Fraction(2, 1), provenance='p')"),
     (HalfSpace((1, "1/2"), -1), ("normal", "offset"),
      "HalfSpace(normal=(Fraction(1, 1), Fraction(1, 2)), offset=Fraction(-1, 1))"),
     (HPolytope((HalfSpace((1,), -1), HalfSpace((-1,), -2))), ("halfspaces",),
@@ -66,8 +68,8 @@ def _values(obj, fields):
 def test_every_value_class_is_listed():
     assert sorted(IDS) == sorted(
         ["FamilyId", "LctStatus", "FamilyRecord", "Database", "FanCheck",
-         "CrossCheckReport", "DelPezzoDescriptor", "HalfSpace", "HPolytope",
-         "SmithDecomposition", "RaySet", "GroupAction", "ToricLctReport"])
+         "CrossCheckReport", "DelPezzoDescriptor", "EquivariantLct", "HalfSpace",
+         "HPolytope", "SmithDecomposition", "RaySet", "GroupAction", "ToricLctReport"])
 
 
 @pytest.mark.parametrize("obj, fields, text", RECORDS, ids=IDS)
