@@ -175,7 +175,7 @@ def _cmd_family(args, out) -> int:
         fields = [("status", kind), ("lct", value), ("provenance", record.provenance)]
         return _emit(out, True, *(field for field in fields if field[1] is not None))
     print(f"family {record.id}", file=out)
-    _emit(out, False, ("rank", record.picard_rank), ("status", _STATUS_HUMAN[kind]))
+    _emit(out, False, ("rank", record.id.rank), ("status", _STATUS_HUMAN[kind]))
     if kind == "upper_bound":
         print(f"lct <= {value}", file=out)
     elif value is not None:

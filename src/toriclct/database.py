@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from operator import ge, gt, le, lt
+from operator import attrgetter, ge, gt, le, lt
 
 from .errors import InvalidId, ParseError
 from .geometry import _Record, _integers, _rational, _threshold
@@ -89,22 +89,6 @@ class LctStatus(_Record):
         else:
             object.__setattr__(self, "value", _threshold(self.value, "status value"))
 
-    @classmethod
-    def exact_all(cls, value) -> "LctStatus":
-        return cls("exact_all", value)
-
-    @classmethod
-    def exact_general(cls, value) -> "LctStatus":
-        return cls("exact_general", value)
-
-    @classmethod
-    def upper_bound(cls, value) -> "LctStatus":
-        return cls("upper_bound", value)
-
-    @classmethod
-    def unknown(cls) -> "LctStatus":
-        return cls("unknown", None)
-
 
 class FamilyRecord(_Record):
     id: FamilyId
@@ -112,10 +96,6 @@ class FamilyRecord(_Record):
     provenance: str
     fan: RaySet | None = None
     notes: str | None = None
-
-    @property
-    def picard_rank(self) -> int:
-        return self.id.rank
 
 
 # every family's (rank, index), in order
@@ -139,15 +119,16 @@ class Database(_Record):
 
     def __post_init__(self):
         records = tuple(self.records)
-        # FamilyIds order, compare and hash as their (rank, index) pairs; any
-        # other id is sorted and hashed as itself, and covers no family
-        pairs = all([r.id.__class__ is FamilyId for r in records])
-        key = (lambda r: (r.id.rank, r.id.index)) if pairs else (lambda r: r.id)
+        # an id that is not a FamilyId covers no family; a FamilyId orders,
+        # compares and hashes as its (rank, index) pair
+        if not all([r.id.__class__ is FamilyId for r in records]):
+            raise ValueError("records must cover exactly the 105 families")
+        key = attrgetter("id.rank", "id.index")
         records = tuple(sorted(records, key=key))
         ids = list(map(key, records))
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate family ids")
-        if not pairs or ids != _ID_PAIRS:
+        if ids != _ID_PAIRS:
             raise ValueError("records must cover exactly the 105 families")
         counts = status_counts(records)
         if counts != {"exact_all": 64, "exact_general": 20,

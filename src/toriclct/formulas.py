@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import OutOfRegime, UnknownKey, UnsupportedDescriptor
 from .geometry import _Record, _integers, _threshold
@@ -80,8 +80,8 @@ def product_lct(a, b) -> Fraction:
 
 def p1_product_lct(a) -> Fraction:
     """lct of a product of the projective line with a log terminal Fano:
-    min(1/2, lct of the second factor), read by geometry._threshold."""
-    return min(Fraction(1, 2), _threshold(a, "factor threshold"))
+    product_lct(1/2, a), the projective line's threshold being 1/2."""
+    return product_lct(Fraction(1, 2), a)
 
 
 # The global lct of every tabulated del Pezzo surface, keyed by (degree,
@@ -171,7 +171,9 @@ def cubic_surface_lct(singularities: Iterable[str]) -> Fraction:
     return Fraction(1, 2)
 
 
-class EquivariantLct(NamedTuple):
+class EquivariantLct(_Record):
+    """A tabulated equivariant threshold and the action it is known for."""
+
     value: Fraction
     provenance: str
 

@@ -105,7 +105,7 @@ def test_instances_refuse_writes(obj, fields, text):
 
 def test_defaults():
     assert LctStatus("unknown").value is None
-    record = FamilyRecord(FamilyId(1, 1), LctStatus.unknown(), "p")
+    record = FamilyRecord(FamilyId(1, 1), LctStatus("unknown", None), "p")
     assert (record.fan, record.notes) == (None, None)
     surface = DelPezzoDescriptor(5)
     assert (surface.nodes, surface.has_cuspidal_anticanonical,
@@ -136,7 +136,7 @@ def test_positional_match():
             assert (rank, index) == (4, 5)
         case _:
             pytest.fail("no match")
-    match LctStatus.upper_bound("6/7"):
+    match LctStatus("upper_bound", "6/7"):
         case LctStatus("upper_bound", value):
             assert value == F(6, 7)
         case _:
