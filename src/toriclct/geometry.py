@@ -18,9 +18,11 @@ inputs are read exactly by _rational. No floats, no epsilon.
 Vectors are tuples, matrices are tuples of row tuples. A row vector times
 a matrix, p @ b, is _row_times: the sum of the rows of b that the nonzero
 entries of p pick, so the mostly-zero group matrices cost a few row copies,
-not n^2 dot products. It has three callers: mat_mul builds each row of a
-product with it, toric._orbit the image p g of an orbit point, and
-toric_lct's fan check each image g v of a ray, as v g^T.
+not n^2 dot products. It has four callers: mat_mul builds each row of a
+product with it, toric._orbit the image p g of an orbit point,
+GroupAction.generators the image p g of each listed row under a pick, for
+the pick's permutation of those rows, and toric_lct's fan check each image
+g v of a ray, as v g^T.
 An H-polytope is a finite intersection of closed halfspaces
 {w : <normal, w> >= offset}.
 
