@@ -40,11 +40,12 @@ def _det(b):
             + b[0][2] * (b[1][0] * b[2][1] - b[1][1] * b[2][0]))
 
 
-def _adjugate(b):
-    """adj(b), with b adj(b) = det(b) I."""
+def _inverse(b):
+    """b^-1 = det(b) adj(b) of an integer matrix with det(b) = +-1."""
+    det = _det(b)
     return tuple(tuple(
-        b[(j + 1) % 3][(i + 1) % 3] * b[(j + 2) % 3][(i + 2) % 3]
-        - b[(j + 1) % 3][(i + 2) % 3] * b[(j + 2) % 3][(i + 1) % 3]
+        det * (b[(j + 1) % 3][(i + 1) % 3] * b[(j + 2) % 3][(i + 2) % 3]
+               - b[(j + 1) % 3][(i + 2) % 3] * b[(j + 2) % 3][(i + 1) % 3])
         for j in range(3)) for i in range(3))
 
 
@@ -58,12 +59,10 @@ def normal_form(rays):
     ordered triple of rays with |det| = 1, as the rows of a matrix."""
     best, bases = None, []
     for basis in permutations(rays, 3):
-        det = _det(basis)
-        if det not in (1, -1):
+        if _det(basis) not in (1, -1):
             continue
-        # v = c basis, so c = v basis^-1 = det * v adj(basis)
-        inverse = tuple(tuple(det * x for x in row) for row in _adjugate(basis))
-        form = sorted(_times(rays, inverse))
+        # v = c basis, so c = v basis^-1
+        form = sorted(_times(rays, _inverse(basis)))
         if best is None or form < best:
             best, bases = form, [basis]
         elif form == best:
@@ -78,24 +77,12 @@ def automorphisms(rays):
     first = bases[0]
     # v -> v basis^-1 first sends the rays written in basis to the same list
     # written in first, so it permutes them; g is its transpose
-    autos = []
-    for basis in bases:
-        inverse = tuple(tuple(_det(basis) * x for x in row) for row in _adjugate(basis))
-        m = _times(inverse, first)
-        autos.append(tuple(zip(*m)))
-    return autos
+    return [tuple(zip(*_times(_inverse(basis), first))) for basis in bases]
 
 
 def _stored_fans():
     return {str(record.id): record.fan for record in load_builtin().records
             if record.fan is not None}
-
-
-def test_adjugate_inverts():
-    b = ((2, 1, 0), (1, 1, 3), (0, -1, 1))
-    det = _det(b)
-    assert det == 7
-    assert _times(b, _adjugate(b)) == ((det, 0, 0), (0, det, 0), (0, 0, det))
 
 
 def test_stored_fans_have_distinct_normal_forms():
