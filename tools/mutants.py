@@ -38,6 +38,8 @@ TIMEOUT = 300  # seconds per child
 MEMORY_MB = 1024  # address-space limit per child
 GEOMETRY = "src/toriclct/geometry.py"
 TORIC = "src/toriclct/toric.py"
+DATABASE = "src/toriclct/database.py"
+FORMULAS = "src/toriclct/formulas.py"
 SCAN = "mp.bit_count() >= d and mq.bit_count() >= d and any("
 SWITCH = "if len(pos) * len(neg) > 2 * (len(pos) + len(neg)) * (d - 1):"
 TIE = "if c or (y < x if t == den else [a * den for a in y] < [a * t for a in x]):"
@@ -96,6 +98,17 @@ MUTANTS = [
      "fault"),
     ("fixed_subspace_d_for_d_squared", GEOMETRY, "vec = [d * d * (c == free)",
      "vec = [d * (c == free)", "fault"),
+    # the records layer
+    ("ids_other_than_family_ids", DATABASE,
+     "if not all([r.id.__class__ is FamilyId for r in records]):", "if False:", "fault"),
+    ("no_duplicate_id_check", DATABASE, "if len(set(ids)) != len(ids):", "if False:",
+     "fault"),
+    ("no_coverage_check", DATABASE, "if ids != _ID_PAIRS:", "if False:", "fault"),
+    ("no_status_count_check", DATABASE, 'if counts != {"exact_all": 64,',
+     'if False and counts != {"exact_all": 64,', "fault"),
+    ("unknown_with_value", DATABASE, "if self.value is not None:", "if False:", "fault"),
+    ("p1_product_one_third", FORMULAS, "product_lct(Fraction(1, 2), a)",
+     "product_lct(Fraction(1, 3), a)", "fault"),
 ]
 
 
