@@ -91,11 +91,20 @@ class LctStatus(_Record):
 
 
 class FamilyRecord(_Record):
+    """One family's record. Its status must be an LctStatus and its fan a
+    RaySet or None, else ValueError; Database checks the id."""
+
     id: FamilyId
     status: LctStatus
     provenance: str
     fan: RaySet | None = None
     notes: str | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.status, LctStatus):
+            raise ValueError(f"status {self.status!r} is not an LctStatus")
+        if not (self.fan is None or isinstance(self.fan, RaySet)):
+            raise ValueError(f"fan {self.fan!r} is not a RaySet or None")
 
 
 # every family's (rank, index), in order
@@ -271,10 +280,9 @@ def load_builtin() -> Database:
         for value, ids in by_value.items():
             # one status per row, shared by its families
             status = LctStatus(kind, value)
-            records += [FamilyRecord(FamilyId.parse(key), status,
-                                     _PROVENANCE.get(key, _PROVENANCE_DEFAULT[kind]),
-                                     fans.get(key), _NOTES.get(key))
-                        for key in ids.split()]
+            records += [FamilyRecord._from_checked(
+                FamilyId.parse(key), status, _PROVENANCE.get(key, _PROVENANCE_DEFAULT[kind]),
+                fans.get(key), _NOTES.get(key)) for key in ids.split()]
     return Database(tuple(records))
 
 
@@ -434,5 +442,6 @@ def import_table(text: str) -> Database:
             entries[fid] = (status, provenance)
 
     # (id, status, provenance, fan, notes), positional: no binding by name
-    return Database(tuple([FamilyRecord(fid, status, provenance, fans.get(fid), None)
-                           for fid, (status, provenance) in entries.items()]))
+    return Database(tuple([
+        FamilyRecord._from_checked(fid, status, provenance, fans.get(fid), None)
+        for fid, (status, provenance) in entries.items()]))

@@ -213,7 +213,7 @@ def _echelon(rows, width: int):
     take one. The rows must hold integers already; callers check them.
 
     It is the package's one elimination. Its callers: toric._check_unimodular
-    (det), the rank checks of toric_lct and star_subdivide, fixed_subspace,
+    (det), the rank checks of toric_lct and star_subdivide, _fixed_subspace,
     solve_square_system and the first cone of _extreme_rays."""
     a = list(rows)
     n = len(a)
@@ -562,7 +562,12 @@ def fixed_subspace(gens) -> list[tuple[int, ...]]:
     system and positive there, in ascending column order. The identity yields
     the standard basis; an empty list means the fixed subspace is {0}.
     """
-    gens = _matrices(gens, "matrix")
+    return _fixed_subspace(_matrices(gens, "matrix"))
+
+
+def _fixed_subspace(gens) -> list[tuple[int, ...]]:
+    """fixed_subspace of a nonempty list of integer square matrices of one
+    dimension, which the caller has checked."""
     n = len(gens[0])
     rows = [(*row[:i], row[i] - 1, *row[i + 1:]) for g in gens for i, row in enumerate(g)]
     reduced, pivots, d = _echelon(rows, n)

@@ -42,12 +42,12 @@ from .errors import (DegenerateSubdivision, FanNotComplete,
                      GroupDoesNotPreserveFan, GroupNotClosed, InvalidId,
                      NotWellFormed, ParseError, Unbounded)
 # bench/layers.py rebinds is_bounded, enumerate_vertices, fixed_subspace and
-# mat_mul here to trace them; toric calls only fixed_subspace of the four
-from .geometry import (HalfSpace, HPolytope, _echelon, _Record, _integers,
-                       _matrices, _row_times, _scale_to_integers, _vertex_rays,
-                       dot, enumerate_vertices, fixed_subspace, identity_matrix,
-                       is_bounded, mat_mul, mat_vec, primitive_vector,
-                       smith_normal_form, transpose)
+# mat_mul here to trace them; toric calls none of the four
+from .geometry import (HalfSpace, HPolytope, _echelon, _fixed_subspace, _Record,
+                       _integers, _matrices, _row_times, _scale_to_integers,
+                       _vertex_rays, dot, enumerate_vertices, fixed_subspace,
+                       identity_matrix, is_bounded, mat_mul, mat_vec,
+                       primitive_vector, smith_normal_form, transpose)
 
 
 class RaySet(_Record):
@@ -348,7 +348,8 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
                 f"generator {bad} does not permute the rays")
         if len(_echelon(rays, rays.dim)[1]) < rays.dim:
             raise FanNotComplete("rays do not positively span the lattice")
-        basis = fixed_subspace(transposes)
+        # the picks were checked as the group was built
+        basis = _fixed_subspace(transposes)
         # <v, B s> >= -1 is <B^T v, s> >= -1
         normals, d = [[sum(map(mul, v, b)) for b in basis] for v in paired], len(basis)
     rows = [(*a, -1) for a in normals]
@@ -391,10 +392,12 @@ def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:
 
 
 def projective_space_fan(n: int) -> RaySet:
-    """Rays e_1, ..., e_n, -(e_1 + ... + e_n) of projective n-space."""
+    """Rays e_1, ..., e_n, -(e_1 + ... + e_n) of projective n-space. Unit
+    vectors and a vector of -1s are primitive, nonzero and distinct, so the
+    rays skip RaySet's checks."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return RaySet(identity_matrix(n) + ((-1,) * n,))
+    return RaySet._from_checked(identity_matrix(n) + ((-1,) * n,))
 
 
 def product_fan(a: RaySet, b: RaySet) -> RaySet:
@@ -423,13 +426,16 @@ def projectivized_bundle_fan(n: int, twists) -> RaySet:
     """Fan of P(O + O(-a_1) + ... + O(-a_k)) over projective n-space.
 
     Fiber rays e_1..e_k and -(e_1+...+e_k); base rays e_{k+1}..e_{k+n} and
-    the twisted ray (-a_1, ..., -a_k, -1, ..., -1).
+    the twisted ray (-a_1, ..., -a_k, -1, ..., -1). From checked integer
+    twists these are unit vectors and two vectors with a -1 entry, one 0 on
+    the base and one not: primitive, nonzero and distinct, so the rays skip
+    RaySet's checks.
     """
     twists = _twists(n, twists)
     k = len(twists)
     unit = identity_matrix(k + n)
-    return RaySet((*unit[:k], (-1,) * k + (0,) * n, *unit[k:],
-                   tuple(-a for a in twists) + (-1,) * n))
+    return RaySet._from_checked((*unit[:k], (-1,) * k + (0,) * n, *unit[k:],
+                                 tuple(-a for a in twists) + (-1,) * n))
 
 
 def bundle_lct_closed_form(n: int, twists) -> Fraction:

@@ -248,10 +248,15 @@ def test_database_rejections_keep_their_type_and_message():
         (records + (records[0],), ValueError, "duplicate family ids"),
         (records[:40] + records[41:], ValueError, "records must cover exactly the 105 families"),
         (records[1:] + (records[-1],), ValueError, "duplicate family ids"),
+        # a record checks its status and fan as it is built
+        (lambda: with_fan(DB, "3.27", "not a fan"), ValueError,
+         "fan 'not a fan' is not a RaySet or None"),
+        (lambda: Database(records[:9] + (FamilyRecord(records[9].id, "exact_all", "x"),)
+                          + records[10:]), ValueError, "status 'exact_all' is not an LctStatus"),
     ]
     for given, kind, message in cases:
         with pytest.raises(kind) as info:
-            Database(given)
+            given() if callable(given) else Database(given)
         assert str(info.value) == message
     assert Database(iter(records[::-1])) == DB
 
@@ -281,8 +286,9 @@ def test_database_construction_builds_each_status_and_id_once(monkeypatch):
     # of Database read the ids' (rank, index) and build no FamilyId
     calls = _count_post_inits(monkeypatch, LctStatus, FamilyId, RaySet)
     db = load_builtin.__wrapped__()
-    # the six stored fans not built from others are checked as they are made
-    assert calls == {"LctStatus": 17, "FamilyId": 105, "RaySet": 6}
+    # the constructors build the fans of projective spaces and bundles
+    # checked by construction; only the literal 3.31 fan is checked
+    assert calls == {"LctStatus": 17, "FamilyId": 105, "RaySet": 1}
     assert db == DB
     calls.update(dict.fromkeys(calls, 0))
     assert Database(DB.records) == DB

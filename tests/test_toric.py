@@ -444,11 +444,11 @@ def test_element_list_row_products_are_pinned(monkeypatch):
 # geometry._integers and geometry._echelon calls, through either module's
 # binding, made by GroupAction.generate on the generators and then by the
 # equivariant toric_lct: each generator's rows are checked once, as they
-# enter, and its |det| is one elimination; toric_lct checks only the rows of
-# the fixed-subspace call and eliminates for the rays' rank, that subspace
-# and the double description
-WORK_COUNTS = {"B3": ((9, 3), (9, 3)), "B4": ((12, 3), (12, 3)),
-               "S4 on P3": ((9, 3), (9, 3))}
+# enter, and its |det| is one elimination; toric_lct checks no row again,
+# since the group checked its picks, and eliminates for the rays' rank, the
+# fixed subspace and the double description
+WORK_COUNTS = {"B3": ((9, 3), (0, 3)), "B4": ((12, 3), (0, 3)),
+               "S4 on P3": ((9, 3), (0, 3))}
 
 
 def test_equivariant_requests_check_each_integer_row_once(monkeypatch):
@@ -1199,6 +1199,19 @@ def test_bundle_holds_outside_fano_range():
     # P(O + O(-3)) over P1 is not Fano, yet the formula still matches
     fan = projectivized_bundle_fan(1, (3,))
     assert toric_lct(fan).lct == bundle_lct_closed_form(1, (3,)) == F(1, 5)
+
+
+def test_constructed_fans_pass_the_checks_they_skip():
+    # both constructors build their RaySet without its checks; RaySet of the
+    # same rays checks them, and its warning on a non-primitive ray is an
+    # error under the test settings
+    for n in range(1, 7):
+        fan = projective_space_fan(n)
+        assert fan == RaySet(fan.rays), n
+    for n in range(1, 4):
+        for twists in ((0,), (1,), (3,), (0, 0), (1, 2), (2, 4), (2, 0, 5)):
+            fan = projectivized_bundle_fan(n, twists)
+            assert fan == RaySet(fan.rays), (n, twists)
 
 
 def test_star_subdivide_blowup_of_p3_line():

@@ -74,8 +74,14 @@ MUTANTS = [
      "best[slot.get(row, 0)] - den >= num - 1)", "fault"),
     ("no_group_rank_check", TORIC,
      "if len(_echelon(rays, rays.dim)[1]) < rays.dim:", "if False:", "fault"),
-    ("fixed_subspace_of_g", TORIC, "basis = fixed_subspace(transposes)",
-     "basis = fixed_subspace(gens)", "fault"),
+    ("fixed_subspace_of_g", TORIC, "basis = _fixed_subspace(transposes)",
+     "basis = _fixed_subspace(gens)", "fault"),
+    ("picks_checked_again", TORIC, "basis = _fixed_subspace(transposes)",
+     "basis = fixed_subspace(transposes)", "cost"),
+    # the fan constructors
+    ("projective_space_rays_checked", TORIC,
+     "return RaySet._from_checked(identity_matrix(n) + ((-1,) * n,))",
+     "return RaySet(identity_matrix(n) + ((-1,) * n,))", "cost"),
     # the group layer
     ("no_permutation_check", TORIC,
      "return None if None in s or len(set(s)) < len(s) else s",
@@ -106,6 +112,10 @@ MUTANTS = [
     ("no_coverage_check", DATABASE, "if ids != _ID_PAIRS:", "if False:", "fault"),
     ("no_status_count_check", DATABASE, 'if counts != {"exact_all": 64,',
      'if False and counts != {"exact_all": 64,', "fault"),
+    ("record_status_unchecked", DATABASE,
+     "if not isinstance(self.status, LctStatus):", "if False:", "fault"),
+    ("record_fan_unchecked", DATABASE,
+     "if not (self.fan is None or isinstance(self.fan, RaySet)):", "if False:", "fault"),
     ("unknown_with_value", DATABASE, "if self.value is not None:", "if False:", "fault"),
     ("p1_product_one_third", FORMULAS, "product_lct(Fraction(1, 2), a)",
      "product_lct(Fraction(1, 3), a)", "fault"),
