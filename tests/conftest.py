@@ -4,8 +4,9 @@ off it, the brute-force Fraction vertex oracle, the double description with
 its full adjacency scan, the Fraction vertex-pairing threshold oracle, the
 dense matrix product, the two-sided Smith normal form, the all-products group
 oracle, the breadth-first closure and greedy-pick oracles, random unimodular
-matrices, group conjugation, and seeded complete ray sets that are not
-products.
+matrices, group conjugation, seeded complete ray sets that are not products,
+the stored fans, the generators of the signed permutation groups, a call's
+outcome, and the calls fixture that logs the calls of a wrapped name.
 
 The group, boundedness and threshold oracles take their determinants, ranks
 and kernels from the Fraction oracle, not from the package's elimination."""
@@ -16,9 +17,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
+import pytest
+
+from toriclct.database import load_builtin
 from toriclct.errors import (EmptyPolytope, FanNotComplete,
                              GroupDoesNotPreserveFan, GroupNotClosed,
-                             Unbounded)
+                             ToolkitError, Unbounded)
 from toriclct.geometry import (HalfSpace, HPolytope, _echelon, _integer_rows,
                                _scale_to_integers, dot, enumerate_vertices,
                                identity_matrix, is_bounded, mat_mul, mat_vec,
@@ -26,6 +30,52 @@ from toriclct.geometry import (HalfSpace, HPolytope, _echelon, _integer_rows,
                                transpose)
 from toriclct.toric import (GroupAction, RaySet, ToricLctReport, dual_polytope,
                             toric_lct)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """calls(owners, name) wraps name on each owner that binds it, an owner
+    being a module, a class or a tuple of them, and returns the one list to
+    which every call appends its positional arguments; keyword arguments
+    pass through. monkeypatch puts the names back."""
+    def record(owners, name):
+        log = []
+
+        def logged(original):
+            def wrapper(*args, **kwargs):
+                log.append(args)
+                return original(*args, **kwargs)
+            return wrapper
+
+        owners = [o for o in (owners if isinstance(owners, tuple) else (owners,))
+                  if name in vars(o)]
+        if not owners:
+            raise AttributeError(f"no owner binds {name!r}")
+        for owner in owners:
+            monkeypatch.setattr(owner, name, logged(vars(owner)[name]))
+        return log
+    return record
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the ToolkitError it raises."""
+    try:
+        return fn(*args)
+    except ToolkitError as exc:
+        return type(exc)
+
+
+def stored_fans() -> dict:
+    """The 18 stored fans of the builtin table, by family id text."""
+    return {str(rec.id): rec.fan for rec in load_builtin().records
+            if rec.fan is not None}
+
+
+def signed_permutation_generators(n):
+    """A transposition, an n-cycle and one sign change: they generate B_n."""
+    eye = [list(row) for row in identity_matrix(n)]
+    return [[eye[1], eye[0]] + eye[2:], eye[1:] + eye[:1],
+            [[-1] + [0] * (n - 1)] + eye[1:]]
 
 
 def hpoly(rows):

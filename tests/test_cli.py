@@ -66,17 +66,10 @@ def test_the_module_runs_as_a_script():
     ((), 14),
     (("frobnicate",), 14),
 ])
-def test_a_call_builds_only_its_own_subcommands_parser(monkeypatch, argv, built):
+def test_a_call_builds_only_its_own_subcommands_parser(calls, argv, built):
     # the top-level parser plus one subparser, or plus all 13 for help and
     # the errors that print the whole tree
-    built_parsers = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built_parsers.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    built_parsers = calls(argparse.ArgumentParser, "__init__")
     invoke(*argv)
     assert len(built_parsers) == built
 

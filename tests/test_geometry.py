@@ -9,9 +9,9 @@ import pytest
 from conftest import (hpoly, oracle_det, oracle_echelon, oracle_kernel,
                       oracle_mat_mul, oracle_rank, oracle_smith_normal_form,
                       oracle_vertices_2d, random_bounded_poly,
-                      random_unimodular, transform_rays)
+                      random_unimodular, signed_permutation_generators,
+                      stored_fans, transform_rays)
 
-from toriclct.database import load_builtin
 from toriclct.errors import EmptyPolytope, Unbounded
 from toriclct.geometry import (HalfSpace, HPolytope, _echelon, _row_times,
                                enumerate_vertices, fixed_subspace,
@@ -472,13 +472,6 @@ def _fixing_generators(rng, n):
     return gens
 
 
-def _signed_permutation_generators(n):
-    """A transposition, an n-cycle and one sign change: they generate B_n."""
-    eye = [list(row) for row in identity_matrix(n)]
-    return [[eye[1], eye[0]] + eye[2:], eye[1:] + eye[:1],
-            [[-1] + [0] * (n - 1)] + eye[1:]]
-
-
 def _elimination_inputs():
     """Seeded integer matrices, singular and rank-deficient ones included,
     and the transposed generators of B3, B4, S3 on P2 and S4 on P3, as
@@ -490,7 +483,7 @@ def _elimination_inputs():
         squares.append(_random_matrix(rng, n, n))
         others.append(_random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)))
         gen_lists += [[squares[-1]], _fixing_generators(rng, n)]
-    named = [_signed_permutation_generators(3), _signed_permutation_generators(4),
+    named = [signed_permutation_generators(3), signed_permutation_generators(4),
              [((0, 1), (1, 0)), ((0, -1), (1, -1))],
              [((0, 1, 0), (1, 0, 0), (0, 0, 1)), ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
               ((-1, 0, 0), (-1, 1, 0), (-1, 0, 1))]]
@@ -562,7 +555,7 @@ def test_elimination_of_sparse_unimodular_rows_matches_the_fraction_oracle():
     for n in (2, 3, 4):
         # every signed permutation, alone and beside the identity, which
         # carries its inverse along
-        for g in GroupAction.generate(_signed_permutation_generators(n)).elements:
+        for g in GroupAction.generate(signed_permutation_generators(n)).elements:
             assert len(_echelon_matches_the_oracle(g, n)) == n
             assert len(_echelon_matches_the_oracle(
                 [row + e for row, e in zip(g, identity_matrix(n))], n)) == n
@@ -570,7 +563,7 @@ def test_elimination_of_sparse_unimodular_rows_matches_the_fraction_oracle():
     # the [rows^T | I] that the double description's first cone eliminates,
     # for the homogenised rows of product fans, in the stored basis and in a
     # seeded one
-    fans = [rec.fan for rec in load_builtin().records if rec.fan is not None]
+    fans = list(stored_fans().values())
     for a, b in rng.sample(list(itertools.combinations(fans, 2)), 10):
         for fan in (product_fan(a, b), product_fan(
                 transform_rays(random_unimodular(rng, a.dim), a), b)):

@@ -17,54 +17,42 @@ from math import gcd
 
 import pytest
 from conftest import (hpoly, oracle_enumerate_vertices, oracle_extreme_rays,
-                      oracle_is_bounded, random_complete_rays, random_unimodular,
-                      transform_rays)
+                      oracle_is_bounded, outcome, random_complete_rays,
+                      random_unimodular, stored_fans, transform_rays)
 
 import toriclct.geometry
-from toriclct.database import load_builtin
-from toriclct.errors import EmptyPolytope, ToolkitError, Unbounded
+from toriclct.errors import EmptyPolytope, Unbounded
 from toriclct.geometry import (HalfSpace, HPolytope, _extreme_rays, dot,
                                enumerate_vertices, is_bounded, mat_vec)
 from toriclct.toric import (GroupAction, RaySet, dual_polytope, product_fan,
                             projective_space_fan, toric_lct)
 
 F = Fraction
-
-
-def _outcome(enumerate_fn, poly):
-    try:
-        return enumerate_fn(poly)
-    except ToolkitError as exc:
-        return type(exc)
+FANS = list(stored_fans().values())
 
 
 def _agree(poly):
     """Kernel and oracle agree on poly; returns the oracle's outcome."""
     assert is_bounded(poly) == oracle_is_bounded(poly)
-    expected = _outcome(oracle_enumerate_vertices, poly)
-    got = _outcome(enumerate_vertices, poly)
+    expected = outcome(oracle_enumerate_vertices, poly)
+    got = outcome(enumerate_vertices, poly)
     assert got == expected
     if isinstance(got, tuple):
         assert all(type(c) is Fraction for w in got for c in w)
     return expected
 
 
-def _stored_fans():
-    return [rec.fan for rec in load_builtin().records if rec.fan is not None]
-
-
 def test_stored_fans_in_seeded_bases_match_oracle():
     rng = random.Random(91)
-    fans = _stored_fans()
-    assert len(fans) == 18
-    for fan in fans:
+    assert len(FANS) == 18
+    for fan in FANS:
         u = random_unimodular(rng, fan.dim)
         assert isinstance(_agree(dual_polytope(transform_rays(u, fan))), tuple)
 
 
 def test_product_fans_in_seeded_bases_match_oracle():
     rng = random.Random(92)
-    pairs = rng.sample(list(itertools.combinations(_stored_fans(), 2)), 20)
+    pairs = rng.sample(list(itertools.combinations(FANS, 2)), 20)
     for a, b in pairs:
         a = transform_rays(random_unimodular(rng, a.dim), a)
         b = transform_rays(random_unimodular(rng, b.dim), b)
@@ -126,7 +114,7 @@ def test_unbounded_and_empty_match_oracle():
 
 def test_shuffled_halfspace_order_gives_identical_tuples():
     rng = random.Random(94)
-    for fan in _stored_fans():
+    for fan in FANS:
         poly = dual_polytope(fan)
         expected = oracle_enumerate_vertices(poly)
         for _ in range(5):
@@ -139,7 +127,7 @@ def test_shuffled_halfspace_order_gives_identical_tuples():
 
 def test_fans_missing_one_ray_match_oracle():
     outcomes = []
-    for fan in _stored_fans():
+    for fan in FANS:
         for k in range(len(fan.rays)):
             rays = fan.rays[:k] + fan.rays[k + 1:]
             outcomes.append(_agree(dual_polytope(RaySet(rays))))
@@ -193,7 +181,7 @@ def test_empty_polytope_with_non_spanning_normals_is_unbounded():
 
 def test_extreme_ray_masks_are_the_tight_rows():
     rng = random.Random(95)
-    for fan in _stored_fans():
+    for fan in FANS:
         poly = dual_polytope(transform_rays(random_unimodular(rng, fan.dim), fan))
         n = poly.dim
         # t >= 0, then <v, x> + t >= 0 for each ray v
@@ -213,36 +201,22 @@ def test_extreme_ray_masks_are_the_tight_rows():
     assert _extreme_rays([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3) is None
 
 
-def test_double_description_starts_from_one_elimination(monkeypatch):
+def test_double_description_starts_from_one_elimination(calls):
     # the first cone's rows are picked and inverted by the same _echelon call
-    calls = []
-    echelon = toriclct.geometry._echelon
-
-    def counted(rows, width):
-        calls.append(width)
-        return echelon(rows, width)
-
-    monkeypatch.setattr(toriclct.geometry, "_echelon", counted)
+    echelon = calls(toriclct.geometry, "_echelon")
     p3 = projective_space_fan(3)
     poly = dual_polytope(product_fan(p3, p3))
     assert len(enumerate_vertices(poly)) == 16
-    assert calls == [len(poly.halfspaces) + 1]
-    calls.clear()
+    assert [width for _, width in echelon] == [len(poly.halfspaces) + 1]
+    echelon.clear()
     assert is_bounded(poly)
-    assert calls == [len(poly.halfspaces)]
+    assert [width for _, width in echelon] == [len(poly.halfspaces)]
 
 
-def test_toric_lct_runs_one_double_description(monkeypatch):
+def test_toric_lct_runs_one_double_description(calls):
     # the DD on D^G decides completeness and finds the vertices; its cone
     # has the dimension of the fixed subspace plus one
-    calls = []
-    extreme_rays = toriclct.geometry._extreme_rays
-
-    def counted(rows, d):
-        calls.append(d)
-        return extreme_rays(rows, d)
-
-    monkeypatch.setattr(toriclct.geometry, "_extreme_rays", counted)
+    extreme_rays = calls(toriclct.geometry, "_extreme_rays")
     p3 = projective_space_fan(3)
     swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
     cycle = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
@@ -251,26 +225,18 @@ def test_toric_lct_runs_one_double_description(monkeypatch):
                           (GroupAction.generate([swap]), Fraction(1, 4), 3),
                           (GroupAction.generate([cycle]), Fraction(1, 4), 2),
                           (GroupAction.generate(s4), 1, 1)):
-        calls.clear()
+        extreme_rays.clear()
         assert toric_lct(p3, group).lct == lct
-        assert calls == [d], group
+        assert [cone for _, cone in extreme_rays] == [d], group
 
 
-def test_toric_lct_reads_pairings_from_the_tableau(monkeypatch):
+def test_toric_lct_reads_pairings_from_the_tableau(calls):
     # the double description's sign tests and the vertex pairings are read
     # from each ray's row products, so no inner product is recomputed
-    calls = []
-    inner = toriclct.geometry.dot
-
-    def counted(u, v):
-        calls.append(len(u))
-        return inner(u, v)
-
-    monkeypatch.setattr(toriclct.geometry, "dot", counted)
-    fans = _stored_fans()
-    report = toric_lct(product_fan(fans[0], fans[5]))
+    inner = calls(toriclct.geometry, "dot")
+    report = toric_lct(product_fan(FANS[0], FANS[5]))
     assert report.lct == Fraction(1, 4)
-    assert calls == []
+    assert inner == []
 
 
 # The double description against oracle_extreme_rays, which scans every mask
@@ -317,10 +283,10 @@ def _random_sign_rows(rng):
 
 
 DD_FAMILIES = {
-    "stored_fans": lambda rng: [_fan_rows(fan) for fan in _stored_fans()],
+    "stored_fans": lambda rng: [_fan_rows(fan) for fan in FANS],
     "product_fans": lambda rng: [
         _fan_rows(product_fan(a, b))
-        for a, b in rng.sample(list(itertools.combinations(_stored_fans(), 2)), 30)],
+        for a, b in rng.sample(list(itertools.combinations(FANS, 2)), 30)],
     "cross_polytopes": lambda rng: [_cross_polytope(n) for n in (3, 4, 5)],
     "pyramids": lambda rng: [_pyramid(base) for base in
                              (SQUARE, HEXAGON, _cross_polytope(3), _cross_polytope(4))],
@@ -332,7 +298,7 @@ DD_FAMILIES = {
     "cross_polytope_7": lambda rng: [_cross_polytope(7)],
     "triple_product": lambda rng: [
         _fan_rows(product_fan(product_fan(a, b), c))
-        for a, b, c in [rng.sample(_stored_fans(), 3)]],
+        for a, b, c in [rng.sample(FANS, 3)]],
     # seeded complete fans that are not products, degenerate ones (b = 1)
     # included: they reach the hashed search with non-simple rays
     "random_complete_rays": lambda rng: [
@@ -399,25 +365,17 @@ def test_double_description_matches_the_full_scan_oracle(family, monkeypatch):
 PINNED_WORK = [(57, 0), (74, 0), (98, 0), (48, 0), (148, 2), (40, 0), (154, 1), (39, 0)]
 
 
-def test_double_description_work_on_product_fans_is_pinned(monkeypatch):
+def test_double_description_work_on_product_fans_is_pinned(calls):
     rng = random.Random(97)
     fans = [product_fan(transform_rays(random_unimodular(rng, a.dim), a),
                         transform_rays(random_unimodular(rng, b.dim), b))
-            for a, b in rng.sample(list(itertools.combinations(_stored_fans(), 2)), 8)]
-    primitive, search = toriclct.geometry.primitive_vector, toriclct.geometry._hashed_pairs
-    calls = []
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls.append(name)
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(toriclct.geometry, "primitive_vector", counted("ray", primitive))
-    monkeypatch.setattr(toriclct.geometry, "_hashed_pairs", counted("hashed", search))
+            for a, b in rng.sample(list(itertools.combinations(FANS, 2)), 8)]
+    made = calls(toriclct.geometry, "primitive_vector")
+    hashed = calls(toriclct.geometry, "_hashed_pairs")
     work = []
     for fan in fans:
-        calls.clear()
+        made.clear()
+        hashed.clear()
         toric_lct(fan)
-        work.append((calls.count("ray"), calls.count("hashed")))
+        work.append((len(made), len(hashed)))
     assert work == PINNED_WORK

@@ -17,7 +17,8 @@ matrix, which the test checks beside the engine's value.
 from fractions import Fraction
 from itertools import permutations
 
-from toriclct.database import load_builtin
+from conftest import stored_fans
+
 from toriclct.toric import GroupAction, toric_lct
 
 AUT_ORDER = {
@@ -80,13 +81,8 @@ def automorphisms(rays):
     return [tuple(zip(*_times(_inverse(basis), first))) for basis in bases]
 
 
-def _stored_fans():
-    return {str(record.id): record.fan for record in load_builtin().records
-            if record.fan is not None}
-
-
 def test_stored_fans_have_distinct_normal_forms():
-    fans = _stored_fans()
+    fans = stored_fans()
     assert sorted(fans) == sorted(AUT_ORDER)
     forms = {key: normal_form(tuple(fan)) for key, fan in fans.items()}
     assert len({tuple(form) for form, _ in forms.values()}) == 18
@@ -94,7 +90,7 @@ def test_stored_fans_have_distinct_normal_forms():
 
 
 def test_automorphisms_permute_the_rays_and_form_a_group():
-    for key, fan in _stored_fans().items():
+    for key, fan in stored_fans().items():
         rays = set(fan)
         autos = automorphisms(tuple(fan))
         assert len(set(autos)) == AUT_ORDER[key]
@@ -106,7 +102,7 @@ def test_automorphisms_permute_the_rays_and_form_a_group():
 
 def test_threshold_under_the_automorphism_group_is_1_exactly_without_invariant_divisors():
     found = {}
-    for key, fan in _stored_fans().items():
+    for key, fan in stored_fans().items():
         autos = automorphisms(tuple(fan))
         lct = found[key] = toric_lct(fan, GroupAction.generate(autos)).lct
         total = tuple(tuple(sum(g[i][j] for g in autos) for j in range(3))

@@ -10,15 +10,17 @@ import pytest
 from conftest import (conjugate_group, inverse_unimodular, oracle_closure,
                       oracle_det, oracle_enumerate_vertices,
                       oracle_greedy_picks, oracle_is_bounded, oracle_is_group,
-                      oracle_mat_mul, oracle_rank, oracle_toric_lct,
-                      random_complete_rays, random_unimodular, transform_rays)
+                      oracle_mat_mul, oracle_rank, oracle_toric_lct, outcome,
+                      random_complete_rays, random_unimodular,
+                      signed_permutation_generators, stored_fans,
+                      transform_rays)
 
 import toriclct.database
 import toriclct.toric
 from toriclct.database import load_builtin, lookup
 from toriclct.errors import (DegenerateSubdivision, FanNotComplete,
                              GroupDoesNotPreserveFan, GroupNotClosed,
-                             NotWellFormed, ParseError, ToolkitError)
+                             NotWellFormed, ParseError)
 from toriclct.geometry import (dot, fixed_subspace, identity_matrix, mat_mul,
                                mat_vec, primitive_vector)
 from toriclct.toric import (GroupAction, RaySet, ToricLctReport,
@@ -114,17 +116,8 @@ def test_group_requires_closure_when_greedy_span_overshoots():
         GroupAction((EYE2, shear))
 
 
-def _signed_permutation_generators(n):
-    """A transposition, an n-cycle and one sign change: they generate B_n."""
-    eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    swap = [eye[1], eye[0]] + eye[2:]
-    cycle = eye[1:] + eye[:1]
-    flip = [[-1] + [0] * (n - 1)] + eye[1:]
-    return [swap, cycle, flip]
-
-
 def _signed_permutation_group(n):
-    return GroupAction.generate(_signed_permutation_generators(n))
+    return GroupAction.generate(signed_permutation_generators(n))
 
 
 def _named_groups():
@@ -258,8 +251,8 @@ def test_generate_matches_the_breadth_first_oracle():
 
 
 ROT6 = ((0, -1), (1, 1))  # order 6 in GL(2, Z)
-GENERATING_SETS = {"B3": _signed_permutation_generators(3),
-                   "B4": _signed_permutation_generators(4),
+GENERATING_SETS = {"B3": signed_permutation_generators(3),
+                   "B4": signed_permutation_generators(4),
                    "S4 on P3": S4_ON_P3, "rotation of order 6": [ROT6]}
 
 
@@ -421,24 +414,17 @@ def test_group_product_counts_are_pinned(compositions):
 LIST_ROW_PRODUCTS = {2: 384, 3: 40}
 
 
-def test_element_list_row_products_are_pinned(monkeypatch):
+def test_element_list_row_products_are_pinned(calls):
     b4 = _signed_permutation_group(4)
     groups = {}
     for seed in LIST_ROW_PRODUCTS:
         u = random_unimodular(random.Random(seed), 4)
         groups[seed] = conjugate_group(u, inverse_unimodular(u), b4)
-    calls = []
-    row_times = toriclct.toric._row_times
-
-    def counted(p, b):
-        calls.append(1)
-        return row_times(p, b)
-
-    monkeypatch.setattr(toriclct.toric, "_row_times", counted)
+    row_times = calls(toriclct.toric, "_row_times")
     for seed, count in LIST_ROW_PRODUCTS.items():
-        calls.clear()
+        row_times.clear()
         assert GroupAction(groups[seed].elements) == groups[seed]
-        assert len(calls) == count, seed
+        assert len(row_times) == count, seed
 
 
 # geometry._integers and geometry._echelon calls, through either module's
@@ -451,19 +437,14 @@ WORK_COUNTS = {"B3": ((9, 3), (0, 3)), "B4": ((12, 3), (0, 3)),
                "S4 on P3": ((9, 3), (0, 3))}
 
 
-def test_equivariant_requests_check_each_integer_row_once(monkeypatch):
-    calls = {"_integers": 0, "_echelon": 0}
-    for module in (toriclct.geometry, toriclct.toric):
-        for name in calls:
-            if name in vars(module):
-                def counted(*args, name=name, original=vars(module)[name]):
-                    calls[name] += 1
-                    return original(*args)
-                monkeypatch.setattr(module, name, counted)
+def test_equivariant_requests_check_each_integer_row_once(calls):
+    logs = [calls((toriclct.geometry, toriclct.toric), name)
+            for name in ("_integers", "_echelon")]
 
     def read():
-        counts = (calls["_integers"], calls["_echelon"])
-        calls.update(dict.fromkeys(calls, 0))
+        counts = tuple(map(len, logs))
+        for log in logs:
+            log.clear()
         return counts
 
     fans = {"B3": product_fan(product_fan(P1, P1), P1),
@@ -511,7 +492,7 @@ def test_generate_reports_a_bad_generator_before_the_cap():
 
 DOUBLE2 = ((2, 0), (0, 1))
 SHEAR2 = ((1, 1), (0, 1))
-B4_GENERATORS = _signed_permutation_generators(4)
+B4_GENERATORS = signed_permutation_generators(4)
 DOUBLE4 = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 ROT4 = ((0, -1), (1, 0))  # order 4: its span leaves a list holding only I and R of its powers
 SINGULAR2 = ((1, 0), (0, 0))
@@ -576,15 +557,8 @@ def test_group_faults_keep_their_type_and_message(call, error, message):
 CAP_STOPS = {10: (7, 20), 50: (15, 121), 100: (16, 148)}
 
 
-def test_generate_stops_the_span_walk_at_its_cap(compositions, monkeypatch):
-    built = []
-    counted = toriclct.toric.itemgetter
-
-    def building(*items):
-        built.append(items)
-        return counted(*items)
-
-    monkeypatch.setattr(toriclct.toric, "itemgetter", building)
+def test_generate_stops_the_span_walk_at_its_cap(compositions, calls):
+    built = calls(toriclct.toric, "itemgetter")
     for cap, (lookups, composed) in CAP_STOPS.items():
         built.clear()
         compositions.clear()
@@ -769,8 +743,8 @@ DENSE_CONJUGATES = {
     "S3 on P2": (P2, [SWAP2, ROT3], [SWAP2, ROT3, NEG2]),
     "S4 on P3": (P3, S4_ON_P3, S4_ON_P3 + [tuple(tuple(-int(i == j) for j in range(3))
                                                   for i in range(3))]),
-    "B3": (product_fan(product_fan(P1, P1), P1), _signed_permutation_generators(3),
-           _signed_permutation_generators(3)[:2] + [S4_ON_P3[2]]),
+    "B3": (product_fan(product_fan(P1, P1), P1), signed_permutation_generators(3),
+           signed_permutation_generators(3)[:2] + [S4_ON_P3[2]]),
 }
 DENSE_CONJUGATE_FAULTS = {
     ("S3 on P2", 1): "generator ((-1, 0), (-1, 1)) does not permute the rays",
@@ -895,13 +869,6 @@ def _orbit_fans(rng, count):
         made += 1
 
 
-def _outcome(lct, rays, group):
-    try:
-        return lct(rays, group)
-    except ToolkitError as exc:
-        return type(exc)
-
-
 def test_orbit_fans_match_the_fraction_oracle():
     # the oracle decides completeness on the whole dual polytope, and the
     # brute-force boundedness oracle decides it once more without the DD
@@ -909,8 +876,8 @@ def test_orbit_fans_match_the_fraction_oracle():
     for rays, group in _orbit_fans(random.Random(1212), 150):
         complete = oracle_is_bounded(dual_polytope(rays))
         for g in (None, group):
-            got = _outcome(toric_lct, rays, g)
-            assert got == _outcome(oracle_toric_lct, rays, g), (rays, g)
+            got = outcome(toric_lct, rays, g)
+            assert got == outcome(oracle_toric_lct, rays, g), (rays, g)
             assert (got is FanNotComplete) == (not complete), (rays, g)
         seen["complete" if complete else "incomplete"] += 1
         seen["rank deficient"] += oracle_rank(rays.rays) < rays.dim
@@ -948,19 +915,6 @@ def _factor_swap(n, k):
     return tuple(tuple(int(perm[i] == j) for j in range(n * k)) for i in range(n * k))
 
 
-def _rows_handed_to_the_dd(monkeypatch):
-    """A list that records how many rows each toric_lct passes to
-    _vertex_rays."""
-    counts, vertex_rays = [], toriclct.toric._vertex_rays
-
-    def counted(rows, n):
-        counts.append(len(rows))
-        return vertex_rays(rows, n)
-
-    monkeypatch.setattr(toriclct.toric, "_vertex_rays", counted)
-    return counts
-
-
 def _swapped_power(fan, k, seed):
     """X^k with the factor swap, as it is and in a seeded basis."""
     power = _power(fan, k)
@@ -971,13 +925,13 @@ def _swapped_power(fan, k, seed):
 
 
 @pytest.mark.parametrize("family", ["P2", "2.35"])
-def test_squares_with_a_factor_swap_match_the_fraction_oracle(family, monkeypatch):
+def test_squares_with_a_factor_swap_match_the_fraction_oracle(family, calls):
     fan = P2 if family == "P2" else lookup(load_builtin(), family).fan
-    counts = _rows_handed_to_the_dd(monkeypatch)
+    dd = calls(toriclct.toric, "_vertex_rays")
     for rays, group in _swapped_power(fan, 2, 1301):
         assert toric_lct(rays, group) == oracle_toric_lct(rays, group)
-    # one row per orbit of the swap
-    assert counts == [len(fan)] * 2
+    # one row per orbit of the swap, handed to the double description
+    assert [len(rows) for rows, _ in dd] == [len(fan)] * 2
 
 
 # toric_lct on 3.31^5 with the swap, as computed before the double
@@ -990,12 +944,12 @@ POWER_3_31_REPORTS = [
 ]
 
 
-def test_fifth_power_with_a_factor_swap_keeps_its_reports(monkeypatch):
-    counts = _rows_handed_to_the_dd(monkeypatch)
+def test_fifth_power_with_a_factor_swap_keeps_its_reports(calls):
+    dd = calls(toriclct.toric, "_vertex_rays")
     cases = _swapped_power(lookup(load_builtin(), "3.31").fan, 5, 31)
     assert [toric_lct(rays, group) for rays, group in cases] == POWER_3_31_REPORTS
     # 30 rays; the swap pairs the 12 of the first two factors
-    assert counts == [24] * 2
+    assert [len(rows) for rows, _ in dd] == [24] * 2
 
 
 def _brute_force_maximum(rays):
@@ -1048,42 +1002,26 @@ def test_seeded_ray_sets_match_the_brute_force_and_fraction_oracles(b, dims, see
     assert non_simple >= 5 and ties_across_t >= 1, (non_simple, ties_across_t)
 
 
-def test_toric_lct_builds_fractions_only_for_the_report(monkeypatch):
+def test_toric_lct_builds_fractions_only_for_the_report(calls):
     # the threshold and the witness entries, none per vertex or halfspace
     db = load_builtin()
     fan = product_fan(lookup(db, "2.33").fan, lookup(db, "3.26").fan)
-    made = []
-
-    class Counted(Fraction):
-        def __new__(cls, *args, **kwargs):
-            made.append(args)
-            return super().__new__(cls, *args, **kwargs)
-
-    for module in ("toriclct.toric", "toriclct.geometry"):
-        monkeypatch.setattr(f"{module}.Fraction", Counted)
+    made = calls((toriclct.toric, toriclct.geometry), "Fraction")
     report = toric_lct(fan)
     assert fan.dim == 6 and report.lct == F(1, 4)
     assert len(made) <= fan.dim + 1, len(made)
 
 
-def test_report_check_builds_no_fractions(monkeypatch):
+def test_report_check_builds_no_fractions(calls, monkeypatch):
     # checked in Fraction arithmetic, the report made 2n + 2 of them: 14 at
     # 6-D and 32 at 15-D
     db = load_builtin()
     six = toric_lct(product_fan(lookup(db, "2.33").fan, lookup(db, "3.26").fan))
     cases = [six._values, POWER_3_31_REPORTS[1]._values]
-    made = []
-    new = Fraction.__new__
-
-    def counted(cls, *args, **kwargs):
-        made.append(args)
-        return new(cls, *args, **kwargs)
-
-    for fields in cases:
-        monkeypatch.setattr(Fraction, "__new__", counted)
-        report = ToricLctReport(*fields)
-        monkeypatch.undo()
-        assert report._values == fields
+    made = calls(Fraction, "__new__")
+    reports = [ToricLctReport(*fields) for fields in cases]
+    monkeypatch.undo()
+    assert [report._values for report in reports] == cases
     assert [len(fields[2]) for fields in cases] == [6, 15]
     assert made == []
 
@@ -1265,8 +1203,8 @@ def test_product_fans_of_ray_sets_equal_the_checked_construction(seed):
     # every ordered pair of the 18 stored fans, each in a seeded basis, as the
     # benchmark's products are built
     rng = random.Random(seed)
-    stored = [rec.fan for rec in load_builtin().records if rec.fan is not None]
-    factors = [transform_rays(random_unimodular(rng, fan.dim), fan) for fan in stored]
+    factors = [transform_rays(random_unimodular(rng, fan.dim), fan)
+               for fan in stored_fans().values()]
     assert len(factors) == 18
     for a in factors:
         for b in factors:
@@ -1278,27 +1216,19 @@ def test_product_fans_of_ray_sets_equal_the_checked_construction(seed):
             assert RaySet(fan.rays) == fan
 
 
-def _counted(monkeypatch, module, name, calls):
-    original = getattr(module, name)
-
-    def counted(*args):
-        calls[name] = calls.get(name, 0) + 1
-        return original(*args)
-    monkeypatch.setattr(module, name, counted)
-
-
-def test_builtin_fan_constructors_equal_the_checked_construction(monkeypatch):
+def test_builtin_fan_constructors_equal_the_checked_construction(calls, monkeypatch):
     # each star_subdivide and product_fan that builds a stored fan checks
     # only its subset and its new ray, yet equals the fan RaySet checks
     database = toriclct.database
-    calls, made = {}, []
-    for name in ("_integers", "primitive_vector"):
-        _counted(monkeypatch, toriclct.toric, name, calls)
+    made = []
+    integers = calls(toriclct.toric, "_integers")
+    primitive = calls(toriclct.toric, "primitive_vector")
 
     def checked_star(rays, subset):
-        calls.clear()
+        integers.clear()
+        primitive.clear()
         fan = star_subdivide(rays, subset)
-        assert calls == {"_integers": len(subset), "primitive_vector": 1}, calls
+        assert (len(integers), len(primitive)) == (len(subset), 1), integers
         total = tuple(map(sum, zip(*subset)))
         assert fan == RaySet(rays.rays + (primitive_vector(total),))
         assert RaySet(fan.rays) == fan
@@ -1306,9 +1236,10 @@ def test_builtin_fan_constructors_equal_the_checked_construction(monkeypatch):
         return fan
 
     def checked_product(a, b):
-        calls.clear()
+        integers.clear()
+        primitive.clear()
         fan = product_fan(a, b)
-        assert calls == {}, calls
+        assert integers == primitive == [], integers
         assert fan == RaySet(_padded(a, b))
         made.append("product")
         return fan
@@ -1317,19 +1248,17 @@ def test_builtin_fan_constructors_equal_the_checked_construction(monkeypatch):
     monkeypatch.setattr(database, "product_fan", checked_product)
     fans = database._builtin_fans()
     assert (made.count("star"), made.count("product")) == (15, 7)
-    assert fans == {str(rec.id): rec.fan for rec in load_builtin().records
-                    if rec.fan is not None}
+    assert fans == stored_fans()
 
 
-def test_fan_constructors_check_arguments_that_are_not_ray_sets(monkeypatch):
-    calls = {}
-    _counted(monkeypatch, toriclct.toric, "_integers", calls)
+def test_fan_constructors_check_arguments_that_are_not_ray_sets(calls):
+    integers = calls(toriclct.toric, "_integers")
     a, b = lookup(load_builtin(), "1.17").fan, lookup(load_builtin(), "4.10").fan
     fan = product_fan(a, b)
-    assert calls == {}
+    assert integers == []
     # 4 + 7 rays, each checked when one factor is not a RaySet
     assert product_fan(_DuckRays(a.rays), b) == fan
-    assert calls == {"_integers": 11}
+    assert len(integers) == 11
     with pytest.raises(ValueError, match="non-integer"):
         product_fan(_DuckRays(((1.0,), (-1,))), P1)
     with pytest.raises(ValueError, match="pairwise distinct"):
