@@ -38,7 +38,7 @@ from .formulas import (DelPezzoDescriptor, KNOWN_EQUIVARIANT,
                        cubic_surface_lct, del_pezzo_lct, double_cover_lct,
                        fermat_cse, hypersurface_lct, known_equivariant_lct,
                        monomial_cse, p1_product_lct, product_lct, wps_lct)
-from .geometry import _rational
+from .geometry import _decimal, _rational
 from .toric import (GroupAction, RaySet, _ints, _square_matrix,
                     bundle_lct_closed_form, parse_fan, projectivized_bundle_fan,
                     toric_lct, wps_fan)
@@ -92,6 +92,7 @@ def _option(read, what: str):
 
 
 _fraction = _option(lambda text: _rational(text, "value"), "Fraction value")
+_integer = _option(_decimal, "integer")
 _int_list = _option(_ints, "integer list")
 _vector_list = _option(lambda text: [tuple(_ints(part)) for part in text.split(";")
                                      if part.strip()], "vector list")
@@ -248,7 +249,7 @@ def _toric_args(p) -> None:
 
 
 def _bundle_args(p) -> None:
-    p.add_argument("--base-dim", type=int, required=True,
+    p.add_argument("--base-dim", type=_integer, required=True,
                    help="dimension of the base projective space")
     p.add_argument("--twists", type=_int_list, required=True, help="twist degrees like '1,2'")
 
@@ -262,15 +263,15 @@ def _cse_args(p) -> None:
 def _ambient_args(space: str, degree_help: str | None = None):
     """The arguments of hypersurface and double-cover, whose help differs."""
     def arguments(p) -> None:
-        p.add_argument("--ambient", type=int, required=True,
+        p.add_argument("--ambient", type=_integer, required=True,
                        help=f"dimension n of the {space} projective space")
-        p.add_argument("--degree", type=int, required=True, help=degree_help)
+        p.add_argument("--degree", type=_integer, required=True, help=degree_help)
     return arguments
 
 
 def _dp_args(p) -> None:
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--nodes", type=int, choices=(0, 1), default=0)
+    p.add_argument("--degree", type=_integer, required=True)
+    p.add_argument("--nodes", type=_integer, choices=(0, 1), default=0)
     flags = p.add_mutually_exclusive_group()
     flags.add_argument("--cuspidal", action="store_true",
                        help="degree 1 with a cuspidal anticanonical curve")
@@ -285,7 +286,7 @@ def _dp_args(p) -> None:
 def _family_args(p) -> None:
     p.add_argument("id", nargs="?", help="family id like 3.27")
     p.add_argument("--list", action="store_true")
-    p.add_argument("--rank", type=int)
+    p.add_argument("--rank", type=_integer)
     p.add_argument("--status", choices=STATUS_KINDS)
     p.add_argument("--value", type=_fraction)
 
@@ -306,7 +307,7 @@ def _db_args(p) -> None:
 _SUBCOMMANDS = {
     "toric": (_cmd_toric, "threshold of a complete fan", _toric_args),
     "wps": (_cmd_wps, "threshold of a well-formed weighted projective space",
-            lambda p: p.add_argument("weights", nargs="+", type=int)),
+            lambda p: p.add_argument("weights", nargs="+", type=_integer)),
     "bundle": (_cmd_bundle, "threshold of a projectivized split bundle over projective space",
                _bundle_args),
     "cse": (_cmd_cse, "complex singularity exponent at the origin", _cse_args),

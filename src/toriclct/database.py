@@ -15,18 +15,13 @@ from functools import cache
 from operator import attrgetter, ge, gt, le, lt
 
 from .errors import InvalidId, ParseError
-from .geometry import _Record, _integers, _rational, _threshold
+from .geometry import _decimal, _Record, _integers, _rational, _threshold
 from .toric import (RaySet, _at_line, _blocks, _int_rows, _ray_block,
                     format_fan, product_fan, projective_space_fan,
                     projectivized_bundle_fan, star_subdivide, toric_lct)
 
 RANK_SIZES = {1: 17, 2: 36, 3: 31, 4: 13, 5: 8}
 STATUS_KINDS = ("exact_all", "exact_general", "upper_bound", "unknown")
-
-
-def _decimal(text: str) -> int | None:
-    """The value of an ASCII decimal numeral, else None."""
-    return int(text) if text.isascii() and text.isdigit() else None
 
 
 def _value_text(value: Fraction | None) -> str:
@@ -61,10 +56,11 @@ class FamilyId(_Record):
 
     @classmethod
     def parse(cls, text: str) -> "FamilyId":
-        parts = [_decimal(p) for p in str(text).strip().split(".")]
-        if len(parts) != 2 or None in parts:
-            raise InvalidId(f"{text!r} is not of the form rank.index")
-        return cls(*parts)
+        try:
+            rank, index = map(_decimal, str(text).split("."))
+        except ValueError:
+            raise InvalidId(f"{text!r} is not of the form rank.index") from None
+        return cls(rank, index)
 
     def __str__(self) -> str:
         return f"{self.rank}.{self.index}"
@@ -430,8 +426,8 @@ def import_table(text: str) -> Database:
             id_text, rank_text, kind, value_text, provenance = fields
             with _at_line(lineno):
                 fid = FamilyId.parse(id_text)
-            if _decimal(rank_text) != fid.rank:
-                raise ParseError(lineno, f"rank {rank_text!r} does not match id {fid}")
+                if _decimal(rank_text) != fid.rank:
+                    raise ValueError(f"rank {rank_text!r} does not match id {fid}")
             if fid in entries:
                 raise ParseError(lineno, f"duplicate record for {fid}")
             status = statuses.get((kind, value_text))

@@ -18,11 +18,7 @@ inputs are read exactly by _rational. No floats, no epsilon.
 Vectors are tuples, matrices are tuples of row tuples. A row vector times
 a matrix, p @ b, is _row_times: the sum of the rows of b that the nonzero
 entries of p pick, so the mostly-zero group matrices cost a few row copies,
-not n^2 dot products. It has four callers: mat_mul builds each row of a
-product with it, toric._orbit the image p g of an orbit point,
-GroupAction.generators the image p g of each listed row under a pick, for
-the pick's permutation of those rows, and toric_lct's fan check each image
-g v of a ray, as v g^T.
+not n^2 dot products.
 An H-polytope is a finite intersection of closed halfspaces
 {w : <normal, w> >= offset}.
 
@@ -68,6 +64,16 @@ def _integers(v, what: str) -> tuple[int, ...]:
         return tuple([index(c) for c in v])
     except TypeError:
         raise ValueError(f"{what} {v} has a non-integer entry") from None
+
+
+def _decimal(text: str) -> int:
+    """The integer a token spells: an optional leading '-' and ASCII digits,
+    whitespace around them ignored. Any other token, '+1', '1_0' and
+    non-ASCII digits among them, raises ValueError."""
+    token = text.strip()
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(token)
 
 
 def _rational(x, what: str) -> Fraction:
@@ -212,9 +218,7 @@ def _echelon(rows, width: int):
     such. The loop stops once every row holds a pivot: no later column can
     take one. The rows must hold integers already; callers check them.
 
-    It is the package's one elimination. Its callers: toric._check_unimodular
-    (det), the rank checks of toric_lct and star_subdivide, _fixed_subspace,
-    solve_square_system and the first cone of _extreme_rays."""
+    It is the package's one elimination."""
     a = list(rows)
     n = len(a)
     pivots: list[int] = []

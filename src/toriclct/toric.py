@@ -31,6 +31,7 @@ product is an index lookup and an element is read back row by row.
 
 from __future__ import annotations
 
+import re
 import warnings
 from fractions import Fraction
 from functools import cached_property
@@ -43,8 +44,8 @@ from .errors import (DegenerateSubdivision, FanNotComplete,
                      NotWellFormed, ParseError, Unbounded)
 # bench/layers.py rebinds is_bounded, enumerate_vertices, fixed_subspace and
 # mat_mul here to trace them; toric calls none of the four
-from .geometry import (HalfSpace, HPolytope, _echelon, _fixed_subspace, _Record,
-                       _integers, _matrices, _row_times, _scale_to_integers,
+from .geometry import (HalfSpace, HPolytope, _decimal, _echelon, _fixed_subspace,
+                       _Record, _integers, _matrices, _row_times, _scale_to_integers,
                        _vertex_rays, dot, enumerate_vertices, fixed_subspace,
                        identity_matrix, is_bounded, mat_mul, mat_vec,
                        primitive_vector, smith_normal_form, transpose)
@@ -529,10 +530,12 @@ def format_fan(rays: RaySet, group: GroupAction | None = None) -> str:
 
 
 def _blocks(text: str, header: str | None = None) -> list[list[tuple[int, str]]]:
-    """The runs of non-blank lines of text, as (lineno, line) pairs. A blank
-    line ends a run; so does a line starting with header, if one is given."""
+    """The runs of non-blank lines of text, as (lineno, line) pairs. A line
+    ends at LF, CR LF or CR only, not at the other breaks that str.splitlines
+    knows, such as a form feed or NEL. A blank line ends a run; so does a
+    line starting with header, if one is given."""
     blocks: list[list[tuple[int, str]]] = [[]]
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
         line = raw.strip()
         if blocks[-1] and (not line or header is not None and line.startswith(header)):
             blocks.append([])
@@ -558,12 +561,9 @@ class _at_line:
 
 
 def _ints(text: str) -> list[int]:
-    """The integers of a comma-separated list; a blank or non-integer token
-    raises ValueError."""
-    try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise ValueError(f"not a comma-separated integer list: {text!r}") from None
+    """The integers of a comma-separated list, each token read by
+    geometry._decimal; a blank or non-integer token raises ValueError."""
+    return [_decimal(tok) for tok in text.split(",")]
 
 
 def _int_rows(lines) -> list[tuple[int, list[int]]]:

@@ -374,6 +374,14 @@ def test_bad_fraction_is_a_usage_error(argv):
     (("bundle", "--base-dim", "1", "--twists", "1,,2"), "--twists"),
     (("toric", "--rays", "1,,0;0,1;-1,-1"), "--rays"),
     (("toric", "--rays", P2_RAYS, "--group", "0,1,,1,0"), "--group"),
+    # a token is an optional '-' and ASCII digits, in lists and scalars alike
+    (("toric", "--rays=1,0;0,1;-1,-\u0661"), "--rays"),
+    (("toric", "--rays", "1,0;0,1;1_0,-1"), "--rays"),
+    (("bundle", "--base-dim", "1", "--twists", "+1"), "--twists"),
+    (("bundle", "--base-dim", "1_0", "--twists", "1"), "--base-dim"),
+    (("bundle", "--base-dim", "\u0662", "--twists", "1"), "--base-dim"),
+    (("wps", "1", "1_0", "1"), "weights"),
+    (("wps", "1", "+1", "\u0661"), "weights"),
 ])
 def test_bad_integer_list_is_a_usage_error_naming_the_option(argv, option):
     code, out, err = invoke(*argv, "--machine")

@@ -50,6 +50,14 @@ def test_family_id_takes_integers_only():
     assert fid == FamilyId.parse("1.1")
 
 
+def test_family_id_tokens_follow_the_integer_rule():
+    # an optional '-' and ASCII digits, whitespace around each token ignored
+    assert FamilyId.parse(" 3 . 27 ") == FamilyId.parse("3.27") == FamilyId(3, 27)
+    for text in ("+3.27", "3.2_7", "3.+27", "3.27.", "3 2.7"):
+        with pytest.raises(InvalidId, match="rank.index"):
+            FamilyId.parse(text)
+
+
 def test_family_id_rejects_non_ascii_digits():
     # str.isdigit accepts both; int() rejects the first and reads the second
     for text in ("1.\u00b2", "1.\u0661", "\u0661.1"):
@@ -310,6 +318,17 @@ def test_round_trip_is_identity():
     text = export_table(DB)
     again = export_table(import_table(text))
     assert again == text
+
+
+def test_round_trip_keeps_provenance_that_holds_other_line_breaks():
+    # export_table writes a provenance as it is; only LF and CR end a line
+    records = [FamilyRecord(rec.id, rec.status, f"{rec.provenance} \x85\u2028\f end",
+                            rec.fan, rec.notes) if str(rec.id) == "3.27" else rec
+               for rec in DB.records]
+    text = export_table(Database(tuple(records)))
+    again = import_table(text)
+    assert lookup(again, "3.27").provenance.endswith(" \x85\u2028\f end")
+    assert export_table(again).encode() == text.encode()
 
 
 def test_import_drops_notes():

@@ -119,11 +119,11 @@ def test_each_input_rule_has_one_home():
                     homes.add((rule, path.name, getattr(top, "name", None)))
     assert homes == {
         ("ArgumentTypeError", "cli.py", "_option"),
-        ("isdigit", "database.py", "_decimal"),
         ("isinstance(..., FamilyId)", "database.py", "_family_id"),
         ('"-" if value is None', "database.py", "_value_text"),
         ("ParseError(lineno, str(exc))", "toric.py", "_at_line"),
         ("ParseError(lineno, 'expected n coordinates')", "toric.py", "_ray_block"),
+        ("isdigit", "geometry.py", "_decimal"),
         ("must lie in (0, 1]", "geometry.py", "_threshold"),
         ("square of one dimension", "geometry.py", "_matrices"),
     }

@@ -9,9 +9,10 @@ from types import SimpleNamespace
 import pytest
 
 from toriclct import cli
+from toriclct.database import export_table, import_table, load_builtin
 from toriclct.errors import DegenerateSubdivision, GroupNotClosed, ParseError
 from toriclct.formulas import double_cover_lct, fermat_cse, p1_product_lct
-from toriclct.geometry import (HPolytope, dot, fixed_subspace,
+from toriclct.geometry import (HPolytope, _decimal, dot, fixed_subspace,
                                smith_normal_form, solve_square_system)
 from toriclct.toric import (GroupAction, RaySet, ToricLctReport, parse_fan,
                             projective_space_fan, star_subdivide)
@@ -80,6 +81,19 @@ REJECTIONS = [
      ParseError, "line 2: zero vector is not a ray"),
     ("parse_fan group row", lambda: parse_fan(P2_FAN + "1,0,0\n"),
      ParseError, "line 5: expected 4 row-major entries"),
+    ("parse_fan token with an underscore", lambda: parse_fan("1,0\n0,1\n-1,-1_0\n"),
+     ParseError, "^line 3: '-1_0' is not an integer$"),
+    ("parse_fan token with a plus sign", lambda: parse_fan("1,0\n+0,1\n-1,-1\n"),
+     ParseError, "^line 2: '\\+0' is not an integer$"),
+    ("parse_fan non-ASCII digit", lambda: parse_fan("1,0\n0,1\n-1,-\u0661\n"),
+     ParseError, "^line 3: '-\u0661' is not an integer$"),
+    # the builtin table has 251 lines, so an appended block's rows start at 254
+    ("import_table fan block token",
+     lambda: import_table(export_table(load_builtin()) + "\n[fan 2.6]\n1\n-1_0\n"),
+     ParseError, "^line 255: '-1_0' is not an integer$"),
+    ("import_table fan block non-ASCII digit",
+     lambda: import_table(export_table(load_builtin()) + "\n[fan 2.6]\n\u0661\n-1\n"),
+     ParseError, "^line 254: '\u0661' is not an integer$"),
     ("parse_fan group not closed",
      lambda: parse_fan(P2_FAN + "1,0,0,1\n0,1,1,0\n0,-1,1,-1\n"),
      ParseError, "not closed under product"),
@@ -95,6 +109,20 @@ REJECTIONS = [
 def test_malformed_input_is_rejected(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", 0), ("-0", 0), ("007", 7), (" -12\t", -12), ("\u00a03\n", 3)])
+def test_an_integer_token_is_a_sign_and_ascii_digits(text, value):
+    assert _decimal(text) == value and type(_decimal(text)) is int
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "-", "+1", "1_0", "- 1", "--1", "1.0", "1e3", "0x1", "\u0661",
+    "\u00b2", "\uff11", "-\u0661"])
+def test_any_other_token_is_not_an_integer(text):
+    with pytest.raises(ValueError, match="is not an integer$"):
+        _decimal(text)
 
 
 def test_report_takes_int_fields():

@@ -1339,3 +1339,27 @@ def test_parse_fan_errors_carry_line_numbers():
         parse_fan("1,0\n\n1,0,0,1\n\n1,0,0,1\n")
     with pytest.raises(ParseError, match="entries"):
         parse_fan("1,0\n0,1\n-1,-1\n\n1,0\n")
+
+
+# the characters other than LF and CR at which str.splitlines breaks a line
+NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=[hex(ord(c)) for c in NOT_LINE_ENDS])
+def test_parse_fan_breaks_lines_at_line_ends_only(char):
+    # inside a comment the character is text, so the comment goes on
+    rays, group = parse_fan(f"1,0\n0,1 # unit{char}vector\n-1,-1\n")
+    assert tuple(rays) == tuple(P2) and group is None
+    # outside one, it is inside a token
+    with pytest.raises(ParseError) as info:
+        parse_fan(f"1,0\n0,1{char}1\n-1,-1\n")
+    assert str(info.value) == f"line 2: {'1' + char + '1'!r} is not an integer"
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_parse_fan_reads_lf_crlf_and_cr_alike(end):
+    text = end.join(["# P2", "1,0", "0,1", "-1,-1", "", "1,0,0,1", "0,1,1,0", ""])
+    rays, group = parse_fan(text)
+    assert tuple(rays) == tuple(P2) and len(group) == 2
+    with pytest.raises(ParseError, match="^line 3: "):
+        parse_fan(end.join(["1,0", "", "1,0,0"]))

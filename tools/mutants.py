@@ -104,6 +104,11 @@ MUTANTS = [
      "fault"),
     ("fixed_subspace_d_for_d_squared", GEOMETRY, "vec = [d * d * (c == free)",
      "vec = [d * (c == free)", "fault"),
+    # the text formats
+    ("ints_read_by_int", TORIC, 'return [_decimal(tok) for tok in text.split(",")]',
+     'return [int(tok) for tok in text.split(",")]', "fault"),
+    ("blocks_split_by_splitlines", TORIC, r're.split(r"\r\n?|\n", text)',
+     "text.splitlines()", "fault"),
     # the records layer
     ("ids_other_than_family_ids", DATABASE,
      "if not all([r.id.__class__ is FamilyId for r in records]):", "if False:", "fault"),
