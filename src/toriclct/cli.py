@@ -18,8 +18,10 @@ provenance; every other computing subcommand lct.
 
 Ray strings list vectors separated by ';' with coordinates separated by ','
 (whitespace is ignored); group strings list row-major dim*dim matrices the
-same way. A blank ';' part is skipped, as a blank line is in a fan file; a
-blank or non-integer token, here and in any integer list, is a usage error.
+same way. A blank ';' part is skipped, as a blank line is in a fan file. An
+integer token, here, in any integer list and in any integer option, is an
+optional '-' and ASCII digits (geometry._decimal); any other token is a
+usage error.
 """
 
 from __future__ import annotations
