@@ -20,8 +20,9 @@ Ray strings list vectors separated by ';' with coordinates separated by ','
 (whitespace is ignored); group strings list row-major dim*dim matrices the
 same way. A blank ';' part is skipped, as a blank line is in a fan file. An
 integer token, here, in any integer list and in any integer option, is an
-optional '-' and ASCII digits (geometry._decimal); any other token is a
-usage error.
+optional '-' and ASCII digits (geometry._decimal); a threshold argument or
+--value is an integer token, optionally followed by '/' or '.' and ASCII
+digits (geometry._rational). Any other token is a usage error.
 """
 
 from __future__ import annotations

@@ -87,8 +87,9 @@ class LctStatus(_Record):
 
 
 class FamilyRecord(_Record):
-    """One family's record. Its status must be an LctStatus and its fan a
-    RaySet or None, else ValueError; Database checks the id."""
+    """One family's record. Its status must be an LctStatus, its provenance
+    one line of text (a str without LF or CR) and its fan a RaySet or None,
+    else ValueError; Database checks the id."""
 
     id: FamilyId
     status: LctStatus
@@ -99,6 +100,8 @@ class FamilyRecord(_Record):
     def __post_init__(self):
         if not isinstance(self.status, LctStatus):
             raise ValueError(f"status {self.status!r} is not an LctStatus")
+        if not isinstance(self.provenance, str) or "\n" in self.provenance or "\r" in self.provenance:
+            raise ValueError(f"provenance {self.provenance!r} is not one line of text")
         if not (self.fan is None or isinstance(self.fan, RaySet)):
             raise ValueError(f"fan {self.fan!r} is not a RaySet or None")
 
@@ -396,8 +399,9 @@ def export_table(db: Database) -> str:
 def import_table(text: str) -> Database:
     """Inverse of export_table (notes are not serialized). A blank line or a
     '[fan id]' header starts a new block; a fan block holds the ray rows of
-    a fan file. A value of '-' is no value. Raises ParseError with the
-    offending line number on malformed input."""
+    a fan file. A value of '-' is no value; a provenance is kept as written,
+    to the end of its line. Raises ParseError with the offending line number
+    on malformed input."""
     entries: dict[FamilyId, tuple[LctStatus, str]] = {}
     fans: dict[FamilyId, RaySet] = {}
     # (kind, value text) -> its status, read once
@@ -420,7 +424,7 @@ def import_table(text: str) -> Database:
             fans[fan_id] = _ray_block(rows, header_line)
             continue
         for lineno, raw in block:
-            fields = raw.strip().split("|", 4)
+            fields = raw.split("|", 4)
             if len(fields) != 5:
                 raise ParseError(lineno, "expected id|rank|status_kind|value|provenance")
             id_text, rank_text, kind, value_text, provenance = fields

@@ -77,11 +77,19 @@ def _decimal(text: str) -> int:
 
 
 def _rational(x, what: str) -> Fraction:
-    """x as a Fraction, read exactly from an int, a Fraction or a string such
-    as '3/4' or '0.75'. Floats, other inexact numbers, malformed strings and
-    zero denominators raise ValueError naming what."""
-    if isinstance(x, (_Exact, str)):
-        with suppress(ValueError, ZeroDivisionError):
+    """x as a Fraction, read exactly from an int, a Fraction or a string: an
+    integer token (_decimal) optionally followed by '/' or '.' and ASCII
+    digits, such as '3/4' or '-0.75', whitespace around it ignored. Floats,
+    other inexact numbers, any other string and zero denominators raise
+    ValueError naming what."""
+    with suppress(ValueError, ZeroDivisionError):
+        if isinstance(x, str):
+            head, sep, tail = x.strip().partition("/" if "/" in x else ".")
+            _decimal(head)
+            if sep:  # then ASCII digits: an integer token once a '-' leads
+                _decimal(f"-{tail}")
+            return Fraction(x)
+        if isinstance(x, _Exact):
             return Fraction(x)
     raise ValueError(f"{what} {x!r} is not an exact rational")
 

@@ -5,6 +5,7 @@ its full adjacency scan, the Fraction vertex-pairing threshold oracle, the
 dense matrix product, the two-sided Smith normal form, the all-products group
 oracle, the breadth-first closure and greedy-pick oracles, random unimodular
 matrices, group conjugation, seeded complete ray sets that are not products,
+the (fan, group) setups of acceptance criterion 6 and its subgroup draw,
 the stored fans, the generators of the signed permutation groups, a call's
 outcome, and the calls fixture that logs the calls of a wrapped name.
 
@@ -29,7 +30,7 @@ from toriclct.geometry import (HalfSpace, HPolytope, _echelon, _integer_rows,
                                primitive_vector, solve_square_system,
                                transpose)
 from toriclct.toric import (GroupAction, RaySet, ToricLctReport, dual_polytope,
-                            toric_lct)
+                            product_fan, projective_space_fan, toric_lct)
 
 
 @pytest.fixture
@@ -622,3 +623,32 @@ def random_complete_rays(rng: random.Random, n: int, m: int, b: int) -> RaySet:
         except FanNotComplete:
             continue
         return rays
+
+
+def criterion_6_setups():
+    """The four (fan, full group) pairs of acceptance criterion 6."""
+    p1 = projective_space_fan(1)
+    p3 = projective_space_fan(3)
+    swap12_3d = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    return (
+        (projective_space_fan(2),
+         GroupAction.generate([((0, 1), (1, 0)), ((0, -1), (1, -1))])),
+        (product_fan(p1, p1),
+         GroupAction.generate([((0, 1), (1, 0)), ((-1, 0), (0, 1))])),
+        (product_fan(product_fan(p1, p1), p1),
+         GroupAction.generate([((0, 0, 1), (1, 0, 0), (0, 1, 0)), swap12_3d,
+                               ((-1, 0, 0), (0, 1, 0), (0, 0, 1))])),
+        (p3,
+         GroupAction.generate([swap12_3d, ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+                               ((-1, 0, 0), (-1, 1, 0), (-1, 0, 1))])),
+    )
+
+
+def criterion_6_subgroups(rng: random.Random, setups):
+    """The 50 (fan, full group, subgroup) trials of criterion 6, drawn from
+    rng: trial i takes setup i mod 4 and the group that a random sample of
+    its elements generates."""
+    for trial in range(50):
+        fan, full = setups[trial % len(setups)]
+        picked = rng.sample(full.elements, rng.randint(1, len(full)))
+        yield fan, full, GroupAction.generate(picked)

@@ -8,8 +8,9 @@ import random
 import sys
 from fractions import Fraction
 
-from conftest import (inverse_unimodular, oracle_vertices_2d,
-                      random_bounded_poly, random_unimodular, transform_rays)
+from conftest import (criterion_6_setups, criterion_6_subgroups,
+                      oracle_vertices_2d, random_bounded_poly,
+                      random_unimodular, transform_rays)
 
 from toriclct.cli import run
 from toriclct.database import (cross_check_toric, export_table, import_table,
@@ -18,9 +19,8 @@ from toriclct.formulas import (DelPezzoDescriptor, cubic_surface_lct,
                                del_pezzo_lct, fermat_cse, monomial_cse,
                                wps_lct)
 from toriclct.geometry import enumerate_vertices, smith_normal_form
-from toriclct.toric import (GroupAction, RaySet, bundle_lct_closed_form,
-                            product_fan, projective_space_fan,
-                            projectivized_bundle_fan, star_subdivide,
+from toriclct.toric import (GroupAction, bundle_lct_closed_form, product_fan,
+                            projective_space_fan, projectivized_bundle_fan,
                             toric_lct, wps_fan)
 
 F = Fraction
@@ -106,24 +106,6 @@ def test_criterion_05_symmetric_thresholds_reach_one():
               "is 1/2 and 1/3", check)
 
 
-def _monotonicity_setups():
-    p1 = projective_space_fan(1)
-    p3 = projective_space_fan(3)
-    swap12_3d = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
-    return (
-        (projective_space_fan(2),
-         GroupAction.generate([((0, 1), (1, 0)), ((0, -1), (1, -1))])),
-        (product_fan(p1, p1),
-         GroupAction.generate([((0, 1), (1, 0)), ((-1, 0), (0, 1))])),
-        (product_fan(product_fan(p1, p1), p1),
-         GroupAction.generate([((0, 0, 1), (1, 0, 0), (0, 1, 0)), swap12_3d,
-                               ((-1, 0, 0), (0, 1, 0), (0, 0, 1))])),
-        (p3,
-         GroupAction.generate([swap12_3d, ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
-                               ((-1, 0, 0), (-1, 1, 0), (-1, 0, 1))])),
-    )
-
-
 def test_criterion_06_invariance_monotonicity_products():
     def check():
         rng = random.Random(2026)
@@ -141,11 +123,7 @@ def test_criterion_06_invariance_monotonicity_products():
         assert transforms == 300
 
         # shrinking the group can only shrink the threshold
-        setups = _monotonicity_setups()
-        for trial in range(50):
-            fan, full = setups[trial % len(setups)]
-            picked = rng.sample(full.elements, rng.randint(1, len(full)))
-            sub = GroupAction.generate(picked)
+        for fan, full, sub in criterion_6_subgroups(rng, criterion_6_setups()):
             assert set(sub.elements) <= set(full.elements)
             plain = toric_lct(fan).lct
             middle = toric_lct(fan, sub).lct

@@ -1,8 +1,9 @@
 """The names the benchmark's traced run rebinds must stay bound: a refactor
 that drops one breaks `bench/run.py --trace 1`, which the tests would not
 otherwise notice. Past those, toric imports from geometry only what it
-uses, every public definition in the package has a use, and the test
-oracles take nothing from the package's elimination."""
+uses, every test module uses each name it imports, every public definition
+in the package has a use, and the test oracles take nothing from the
+package's elimination."""
 
 import ast
 import importlib
@@ -48,6 +49,17 @@ def test_toric_imports_from_geometry_only_names_it_uses_or_the_trace_rebinds():
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     rebound = {attr for module, attr in _traced_places() if module == "toric"}
     assert imported and sorted(imported - used - rebound) == []
+
+
+def test_test_modules_use_every_name_they_import():
+    unused = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []
 
 
 def test_public_definitions_have_a_use_and_the_oracles_an_elimination_of_their_own():

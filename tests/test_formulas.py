@@ -1,6 +1,5 @@
 """Closed-form threshold and singularity-exponent formulas."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,6 @@ from toriclct.formulas import (CUBIC_SINGULARITY_TYPES, KNOWN_EQUIVARIANT,
                                hypersurface_lct, known_equivariant_lct,
                                monomial_cse, p1_product_lct, product_lct,
                                wps_lct)
-from toriclct.toric import toric_lct, wps_fan
 
 F = Fraction
 
@@ -47,11 +45,6 @@ def test_wps_rejects_non_integer_weights():
         with pytest.raises(ValueError, match="non-integer"):
             wps_lct((1, 1, bad))
     assert wps_lct((1, 1, 2)) == F(1, 4)
-
-
-def test_wps_matches_engine():
-    for weights in ((1, 1), (1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 1, 2, 3)):
-        assert wps_lct(weights) == toric_lct(wps_fan(weights)).lct
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +123,6 @@ def test_fermat_cse():
     assert fermat_cse((4,)) == F(1, 4)
 
 
-def test_fermat_dominates_monomial():
-    rng = random.Random(5)
-    for _ in range(100):
-        exps = tuple(rng.randint(1, 9)
-                     for _ in range(rng.randint(1, 5)))
-        assert fermat_cse(exps) >= monomial_cse(exps)
-
-
 def test_fermat_caps_at_one():
     assert fermat_cse((1, 1)) == 1
     assert fermat_cse((2, 2, 2, 2)) == 1
@@ -185,56 +170,6 @@ def test_product_rules_read_ints_fractions_and_strings_exactly():
 
 # ---------------------------------------------------------------------------
 # del Pezzo surfaces
-
-
-def test_del_pezzo_smooth_values():
-    assert del_pezzo_lct(DelPezzoDescriptor(1)) == 1
-    assert del_pezzo_lct(DelPezzoDescriptor(2)) == F(5, 6)
-    assert del_pezzo_lct(DelPezzoDescriptor(3)) == F(3, 4)
-    assert del_pezzo_lct(DelPezzoDescriptor(4)) == F(2, 3)
-    assert del_pezzo_lct(DelPezzoDescriptor(5)) == F(1, 2)
-    assert del_pezzo_lct(DelPezzoDescriptor(6)) == F(1, 2)
-    assert del_pezzo_lct(DelPezzoDescriptor(7)) == F(1, 3)
-    assert del_pezzo_lct(DelPezzoDescriptor(9)) == F(1, 3)
-
-
-def test_del_pezzo_flagged_values():
-    assert del_pezzo_lct(
-        DelPezzoDescriptor(1, has_cuspidal_anticanonical=True)) == F(5, 6)
-    assert del_pezzo_lct(
-        DelPezzoDescriptor(2, has_tacnodal_anticanonical=True)) == F(3, 4)
-    assert del_pezzo_lct(
-        DelPezzoDescriptor(3, has_eckardt_point=True)) == F(2, 3)
-    assert del_pezzo_lct(
-        DelPezzoDescriptor(8, degree8_type="product")) == F(1, 2)
-    assert del_pezzo_lct(
-        DelPezzoDescriptor(8, degree8_type="nonproduct")) == F(1, 3)
-
-
-def test_del_pezzo_one_node_values():
-    assert del_pezzo_lct(DelPezzoDescriptor(4, nodes=1)) == F(1, 2)
-    assert del_pezzo_lct(DelPezzoDescriptor(5, nodes=1)) == F(1, 2)
-    assert del_pezzo_lct(DelPezzoDescriptor(6, nodes=1)) == F(1, 3)
-
-
-def test_del_pezzo_totality():
-    # every descriptor the type admits gets a value in the published range
-    descriptors = [
-        DelPezzoDescriptor(1), DelPezzoDescriptor(1, has_cuspidal_anticanonical=True),
-        DelPezzoDescriptor(2), DelPezzoDescriptor(2, has_tacnodal_anticanonical=True),
-        DelPezzoDescriptor(3), DelPezzoDescriptor(3, has_eckardt_point=True),
-        DelPezzoDescriptor(4), DelPezzoDescriptor(4, nodes=1),
-        DelPezzoDescriptor(5), DelPezzoDescriptor(5, nodes=1),
-        DelPezzoDescriptor(6), DelPezzoDescriptor(6, nodes=1),
-        DelPezzoDescriptor(7),
-        DelPezzoDescriptor(8, degree8_type="product"),
-        DelPezzoDescriptor(8, degree8_type="nonproduct"),
-        DelPezzoDescriptor(9),
-    ]
-    assert len(descriptors) == 16
-    allowed = {F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(5, 6), F(1)}
-    for d in descriptors:
-        assert del_pezzo_lct(d) in allowed
 
 
 def test_del_pezzo_unsupported():

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 from conftest import (hpoly, oracle_det, oracle_echelon, oracle_kernel,
                       oracle_mat_mul, oracle_rank, oracle_smith_normal_form,
-                      oracle_vertices_2d, random_bounded_poly,
-                      random_unimodular, signed_permutation_generators,
-                      stored_fans, transform_rays)
+                      random_bounded_poly, random_unimodular,
+                      signed_permutation_generators, stored_fans,
+                      transform_rays)
 
 from toriclct.errors import EmptyPolytope, Unbounded
 from toriclct.geometry import (HalfSpace, HPolytope, _echelon, _row_times,
@@ -131,13 +131,6 @@ def test_vertex_maximum_dominates_interior_samples():
         pt = [sum(t * v[i] for t, v in zip(weights, verts)) / total
               for i in range(2)]
         assert a[0] * pt[0] + a[1] * pt[1] <= vmax
-
-
-def test_agrees_with_angular_sort_oracle():
-    rng = random.Random(23)
-    for _ in range(50):
-        poly = random_bounded_poly(rng)
-        assert set(enumerate_vertices(poly)) == oracle_vertices_2d(poly)
 
 
 def test_snf_identity():

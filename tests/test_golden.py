@@ -10,8 +10,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import (conjugate_group, inverse_unimodular, oracle_toric_lct,
-                      random_unimodular, transform_rays)
+from conftest import (conjugate_group, criterion_6_setups,
+                      criterion_6_subgroups, inverse_unimodular,
+                      oracle_toric_lct, random_unimodular, transform_rays)
 
 from toriclct.database import load_builtin, lookup
 from toriclct.errors import FanNotComplete
@@ -20,41 +21,12 @@ from toriclct.toric import (GroupAction, RaySet, product_fan,
 
 P1 = projective_space_fan(1)
 P2 = projective_space_fan(2)
-P3 = projective_space_fan(3)
 
 SWAP2 = ((0, 1), (1, 0))
 ROT3 = ((0, -1), (1, -1))
 NEG2 = ((-1, 0), (0, -1))
 EYE2 = ((1, 0), (0, 1))
-SWAP12_3D = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
-CYCLE_3D = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
 SIGN = GroupAction((((1,),), ((-1,),)))
-
-
-def _full_setups():
-    """The four (fan, full group) pairs of acceptance criterion 6."""
-    return (
-        (P2, GroupAction.generate([SWAP2, ROT3])),
-        (product_fan(P1, P1), GroupAction.generate([SWAP2, ((-1, 0), (0, 1))])),
-        (product_fan(product_fan(P1, P1), P1),
-         GroupAction.generate([CYCLE_3D, SWAP12_3D,
-                               ((-1, 0, 0), (0, 1, 0), (0, 0, 1))])),
-        (P3, GroupAction.generate([SWAP12_3D, CYCLE_3D,
-                                   ((-1, 0, 0), (-1, 1, 0), (-1, 0, 1))])),
-    )
-
-
-def _criterion_6_subgroups(setups):
-    """The 50 (fan, subgroup) trials of criterion 6, replayed from its seed:
-    the 300 unimodular transforms come first and only advance the stream."""
-    rng = random.Random(2026)
-    for dim in (2, 2, 3):
-        for _ in range(100):
-            random_unimodular(rng, dim)
-    for trial in range(50):
-        fan, full = setups[trial % len(setups)]
-        picked = rng.sample(full.elements, rng.randint(1, len(full)))
-        yield trial, fan, GroupAction.generate(picked)
 
 
 def _cases():
@@ -63,10 +35,16 @@ def _cases():
             yield f"fan {rec.id}", rec.fan, None
     yield "P1 sign", P1, SIGN
     yield "P2 S3", P2, GroupAction.generate([SWAP2, ROT3])
-    setups = _full_setups()
+    setups = criterion_6_setups()
     for i, (fan, full) in enumerate(setups):
         yield f"c6 full {i}", fan, full
-    for trial, fan, sub in _criterion_6_subgroups(setups):
+    # criterion 6's trials, replayed from its seed: its 300 unimodular
+    # transforms come first and only advance the stream
+    rng = random.Random(2026)
+    for dim in (2, 2, 3):
+        for _ in range(100):
+            random_unimodular(rng, dim)
+    for trial, (fan, _, sub) in enumerate(criterion_6_subgroups(rng, setups)):
         yield f"c6 trial {trial}", fan, sub
     # the random trials mostly regenerate the full group; the cyclic
     # subgroups give fixed subspaces of every dimension

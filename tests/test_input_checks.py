@@ -12,8 +12,9 @@ from toriclct import cli
 from toriclct.database import export_table, import_table, load_builtin
 from toriclct.errors import DegenerateSubdivision, GroupNotClosed, ParseError
 from toriclct.formulas import double_cover_lct, fermat_cse, p1_product_lct
-from toriclct.geometry import (HPolytope, _decimal, dot, fixed_subspace,
-                               smith_normal_form, solve_square_system)
+from toriclct.geometry import (HPolytope, _decimal, _rational, dot,
+                               fixed_subspace, smith_normal_form,
+                               solve_square_system)
 from toriclct.toric import (GroupAction, RaySet, ToricLctReport, parse_fan,
                             projective_space_fan, star_subdivide)
 
@@ -94,6 +95,10 @@ REJECTIONS = [
     ("import_table fan block non-ASCII digit",
      lambda: import_table(export_table(load_builtin()) + "\n[fan 2.6]\n\u0661\n-1\n"),
      ParseError, "^line 254: '\u0661' is not an integer$"),
+    ("import_table value token",
+     lambda: import_table(export_table(load_builtin()).replace("|exact_general|1|",
+                                                               "|exact_general|1_0/10|", 1)),
+     ParseError, "^line 1: status value '1_0/10' is not an exact rational$"),
     ("parse_fan group not closed",
      lambda: parse_fan(P2_FAN + "1,0,0,1\n0,1,1,0\n0,-1,1,-1\n"),
      ParseError, "not closed under product"),
@@ -123,6 +128,21 @@ def test_an_integer_token_is_a_sign_and_ascii_digits(text, value):
 def test_any_other_token_is_not_an_integer(text):
     with pytest.raises(ValueError, match="is not an integer$"):
         _decimal(text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1", 1), ("1/1", 1), ("1.0", 1), ("0.25", Fraction(1, 4)), (" 6/14\t", Fraction(3, 7)),
+    ("-0.5", Fraction(-1, 2)), ("-007/2", Fraction(-7, 2))])
+def test_a_rational_token_is_an_integer_token_then_digits_after_a_slash_or_point(text, value):
+    assert _rational(text, "value") == value and type(_rational(text, "value")) is Fraction
+
+
+@pytest.mark.parametrize("text", [
+    "", "\u0662/\u0663", "1/\u0663", "1_0/30", "1/2_0", "1e-1", "1.5e3", "+1/3", "1/+2",
+    "1/-2", ".5", "1.", "1/", "/2", "1 /2", "1/2/3", "1/0"])
+def test_any_other_string_is_not_an_exact_rational(text):
+    with pytest.raises(ValueError, match="is not an exact rational$"):
+        _rational(text, "value")
 
 
 def test_report_takes_int_fields():

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from toriclct.database import (CrossCheckReport, Database, FamilyId, FamilyRecord,
-                               FanCheck, LctStatus, load_builtin)
+from toriclct.database import (CrossCheckReport, FamilyId, FamilyRecord, FanCheck,
+                               LctStatus, load_builtin)
 from toriclct.formulas import DelPezzoDescriptor, EquivariantLct
 from toriclct.geometry import HalfSpace, HPolytope, SmithDecomposition
 from toriclct.toric import GroupAction, RaySet, ToricLctReport

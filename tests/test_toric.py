@@ -1039,11 +1039,6 @@ def test_projective_space_fans():
         projective_space_fan(0)
 
 
-def test_lct_projective_spaces():
-    for n in range(1, 5):
-        assert toric_lct(projective_space_fan(n)).lct == F(1, n + 1)
-
-
 def test_product_fan_p1_p1():
     assert set(product_fan(P1, P1)) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
 

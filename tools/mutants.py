@@ -40,6 +40,7 @@ GEOMETRY = "src/toriclct/geometry.py"
 TORIC = "src/toriclct/toric.py"
 DATABASE = "src/toriclct/database.py"
 FORMULAS = "src/toriclct/formulas.py"
+CLI = "src/toriclct/cli.py"
 SCAN = "mp.bit_count() >= d and mq.bit_count() >= d and any("
 SWITCH = "if len(pos) * len(neg) > 2 * (len(pos) + len(neg)) * (d - 1):"
 TIE = "if c or (y < x if t == den else [a * den for a in y] < [a * t for a in x]):"
@@ -109,6 +110,10 @@ MUTANTS = [
      'return [int(tok) for tok in text.split(",")]', "fault"),
     ("blocks_split_by_splitlines", TORIC, r're.split(r"\r\n?|\n", text)',
      "text.splitlines()", "fault"),
+    ("rational_read_by_fraction", GEOMETRY, "_decimal(head)\n            if sep:",
+     "if False:", "fault"),
+    ("provenance_stripped", DATABASE, 'fields = raw.split("|", 4)',
+     'fields = raw.strip().split("|", 4)', "fault"),
     # the records layer
     ("ids_other_than_family_ids", DATABASE,
      "if not all([r.id.__class__ is FamilyId for r in records]):", "if False:", "fault"),
@@ -124,6 +129,14 @@ MUTANTS = [
     ("unknown_with_value", DATABASE, "if self.value is not None:", "if False:", "fault"),
     ("p1_product_one_third", FORMULAS, "product_lct(Fraction(1, 2), a)",
      "product_lct(Fraction(1, 3), a)", "fault"),
+    # the command line output
+    ("upper_bound_as_strict", CLI, 'print(f"lct <= {value}", file=out)',
+     'print(f"lct < {value}", file=out)', "fault"),
+    ("notes_dropped", CLI, "if record.notes:", "if False:", "fault"),
+    ("machine_family_keeps_none", CLI,
+     "*(field for field in fields if field[1] is not None)", "*fields", "fault"),
+    ("group_order_renamed", CLI, '("group_order", len(group))', '("group_size", len(group))',
+     "fault"),
 ]
 
 
