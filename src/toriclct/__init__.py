@@ -4,7 +4,7 @@ covering the 105 deformation families of smooth Fano threefolds."""
 
 from .database import (CrossCheckReport, Database, FamilyId, FamilyRecord,
                        FanCheck, LctStatus, cross_check_toric, export_table,
-                       import_table, load_builtin, lookup, query, with_fan)
+                       import_table, load_builtin, lookup, query)
 from .errors import (DegenerateSubdivision, EmptyPolytope, FanNotComplete,
                      GroupDoesNotPreserveFan, GroupNotClosed, InvalidId,
                      NotWellFormed, OutOfRegime, ParseError, ToolkitError,
@@ -16,10 +16,10 @@ from .formulas import (CUBIC_SINGULARITY_TYPES, DelPezzoDescriptor,
                        p1_product_lct, product_lct, wps_lct)
 from .geometry import (HPolytope, HalfSpace, Rational, SmithDecomposition,
                        enumerate_vertices, fixed_subspace, is_bounded,
-                       smith_normal_form, solve_square_system)
+                       smith_normal_form)
 from .toric import (GroupAction, RaySet, ToricLctReport,
-                    bundle_lct_closed_form, check_well_formed, dual_polytope,
-                    format_fan, parse_fan, product_fan, projective_space_fan,
+                    bundle_lct_closed_form, check_well_formed, format_fan,
+                    parse_fan, product_fan, projective_space_fan,
                     projectivized_bundle_fan, star_subdivide, toric_lct,
                     wps_fan)
 
@@ -36,12 +36,12 @@ __all__ = [
     "ToolkitError", "ToricLctReport", "Unbounded", "UnknownKey",
     "UnsupportedDescriptor", "bundle_lct_closed_form", "check_well_formed",
     "cross_check_toric", "cubic_surface_lct", "del_pezzo_lct",
-    "double_cover_lct", "dual_polytope", "enumerate_vertices",
+    "double_cover_lct", "enumerate_vertices",
     "export_table", "fermat_cse", "fixed_subspace", "format_fan",
     "hypersurface_lct", "import_table", "is_bounded",
     "known_equivariant_lct", "load_builtin", "lookup", "monomial_cse",
     "p1_product_lct", "parse_fan", "product_fan", "product_lct",
     "projective_space_fan", "projectivized_bundle_fan", "query",
-    "smith_normal_form", "solve_square_system", "star_subdivide",
-    "toric_lct", "with_fan", "wps_fan", "wps_lct",
+    "smith_normal_form", "star_subdivide", "toric_lct", "wps_fan",
+    "wps_lct",
 ]

@@ -289,14 +289,9 @@ def load_builtin() -> Database:
 # queries
 
 
-def _family_id(family) -> FamilyId:
-    """A family id given as FamilyId or 'rank.index' string."""
-    return family if isinstance(family, FamilyId) else FamilyId.parse(family)
-
-
 def lookup(db: Database, family) -> FamilyRecord:
     """The record for a family id given as FamilyId or 'rank.index' string."""
-    fid = _family_id(family)
+    fid = family if isinstance(family, FamilyId) else FamilyId.parse(family)
     # a Database holds every id that FamilyId accepts
     return next(record for record in db.records if record.id == fid)
 
@@ -365,15 +360,6 @@ def cross_check_toric(db: Database) -> CrossCheckReport:
             witness_ray=report.witness_ray,
         ))
     return CrossCheckReport(tuple(checks))
-
-
-def with_fan(db: Database, family, fan: RaySet | None) -> Database:
-    """A copy of the database with one family's fan replaced (fault
-    injection and what-if checks)."""
-    fid = _family_id(family)
-    records = tuple(FamilyRecord(r.id, r.status, r.provenance, fan, r.notes)
-                    if r.id == fid else r for r in db.records)
-    return Database(records)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ tight rows and, unless one of them is simple (tight at exactly d - 1 rows),
 no third ray is tight at all of those; when an inserted row has many rays on
 both sides, simple rays find their simple partners by hashing those shared
 rows instead of testing every pair. Eliminations run in integers, fraction
-free; Fraction holds only halfspaces, returned points and solutions, whose
-inputs are read exactly by _rational. No floats, no epsilon.
+free; Fraction holds only halfspaces and returned points, and a halfspace's
+entries are read exactly by _rational. No floats, no epsilon.
 
 Vectors are tuples, matrices are tuples of row tuples. A row vector times
 a matrix, p @ b, is _row_times: the sum of the rows of b that the nonzero
@@ -281,9 +281,6 @@ class HalfSpace(_Record):
     def dim(self) -> int:
         return len(self.normal)
 
-    def contains(self, point: Sequence) -> bool:
-        return dot(self.normal, point) >= self.offset
-
 
 class HPolytope(_Record):
     """An intersection of finitely many halfspaces of one dimension."""
@@ -302,9 +299,6 @@ class HPolytope(_Record):
     @property
     def dim(self) -> int:
         return self.halfspaces[0].dim
-
-    def contains(self, point: Sequence) -> bool:
-        return all(h.contains(point) for h in self.halfspaces)
 
 
 def _integer_rows(poly: HPolytope) -> list[tuple[int, ...]]:
@@ -471,24 +465,6 @@ def enumerate_vertices(poly: HPolytope) -> tuple[tuple[Fraction, ...], ...]:
     den = lcm(*(y[n] for y in rays))
     points = sorted(rays, key=lambda y: [x * (den // y[n]) for x in y[:n]])
     return tuple(tuple(Fraction(x, y[n]) for x in y[:n]) for y in points)
-
-
-def solve_square_system(matrix, rhs) -> tuple[Fraction, ...] | None:
-    """Solve A x = b exactly for rational A and b, each entry read exactly
-    by _rational; None when A is singular.
-
-    Raises ValueError on dimension mismatch and on a float entry or a zero
-    denominator.
-    """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("dimension mismatch")
-    reduced, pivots, d = _echelon(
-        [_scale_to_integers([_rational(c, "matrix entry") for c in (*row, b)])[0]
-         for row, b in zip(matrix, rhs)], n)
-    if len(pivots) < n:
-        return None
-    return tuple(Fraction(row[n], d) for row in reduced)
 
 
 # ---------------------------------------------------------------------------

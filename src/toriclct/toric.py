@@ -44,11 +44,11 @@ from .errors import (DegenerateSubdivision, FanNotComplete,
                      NotWellFormed, ParseError, Unbounded)
 # bench/layers.py rebinds is_bounded, enumerate_vertices, fixed_subspace and
 # mat_mul here to trace them; toric calls none of the four
-from .geometry import (HalfSpace, HPolytope, _decimal, _echelon, _fixed_subspace,
-                       _Record, _integers, _matrices, _row_times, _scale_to_integers,
-                       _vertex_rays, dot, enumerate_vertices, fixed_subspace,
-                       identity_matrix, is_bounded, mat_mul, mat_vec,
-                       primitive_vector, smith_normal_form, transpose)
+from .geometry import (_decimal, _echelon, _fixed_subspace, _Record, _integers,
+                       _matrices, _row_times, _scale_to_integers, _vertex_rays,
+                       dot, enumerate_vertices, fixed_subspace, identity_matrix,
+                       is_bounded, mat_mul, mat_vec, primitive_vector,
+                       smith_normal_form, transpose)
 
 
 class RaySet(_Record):
@@ -292,11 +292,6 @@ class ToricLctReport(_Record):
         x, t = _scale_to_integers(vertex)
         if dot(x, ray) * b != a * t:
             raise ValueError("report inconsistent: witness pairing")
-
-
-def dual_polytope(rays: RaySet) -> HPolytope:
-    """The polytope {w : <w, v> >= -1 for every ray v}."""
-    return HPolytope(tuple(HalfSpace(v, -1) for v in rays))
 
 
 def toric_lct(rays: RaySet, group: GroupAction | None = None) -> ToricLctReport:

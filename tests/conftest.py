@@ -1,16 +1,21 @@
-"""Shared exact helpers: random polytopes, an independent 2D vertex oracle,
-the Fraction Gauss-Jordan oracle with the determinant, rank and kernel read
-off it, the brute-force Fraction vertex oracle, the double description with
-its full adjacency scan, the Fraction vertex-pairing threshold oracle, the
-dense matrix product, the two-sided Smith normal form, the all-products group
-oracle, the breadth-first closure and greedy-pick oracles, random unimodular
-matrices, group conjugation, seeded complete ray sets that are not products,
-the (fan, group) setups of acceptance criterion 6 and its subgroup draw,
-the stored fans, the generators of the signed permutation groups, a call's
-outcome, and the calls fixture that logs the calls of a wrapped name.
+"""Shared exact helpers: random polytopes, a fan's dual polytope, an
+independent 2D vertex oracle, the Fraction Gauss-Jordan oracle with the
+determinant, rank, kernel and square solve read off it, the brute-force
+Fraction vertex oracle, the double description with its full adjacency scan,
+the Fraction vertex-pairing threshold oracle, the dense matrix product, the
+two-sided Smith normal form, the all-products group oracle, the
+breadth-first closure and greedy-pick oracles, random unimodular matrices
+and their inverses, group conjugation, seeded complete ray sets that are not
+products, the (fan, group) setups of acceptance criterion 6 and its subgroup
+draw, the stored fans, the generators of the signed permutation groups, a
+call's outcome, and the calls fixture that logs the calls of a wrapped name.
 
-The group, boundedness and threshold oracles take their determinants, ranks
-and kernels from the Fraction oracle, not from the package's elimination."""
+Every oracle, and inverse_unimodular, has an elimination of its own: its
+determinants, ranks, kernels, solutions and first cones come from the
+Fraction oracle, and none calls the package's elimination. oracle_toric_lct
+takes vertices and boundedness from enumerate_vertices and is_bounded, which
+tests/test_kernel.py holds to oracle_enumerate_vertices and
+oracle_is_bounded."""
 
 import functools
 import random
@@ -24,13 +29,12 @@ from toriclct.database import load_builtin
 from toriclct.errors import (EmptyPolytope, FanNotComplete,
                              GroupDoesNotPreserveFan, GroupNotClosed,
                              ToolkitError, Unbounded)
-from toriclct.geometry import (HalfSpace, HPolytope, _echelon, _integer_rows,
+from toriclct.geometry import (HalfSpace, HPolytope, _integer_rows,
                                _scale_to_integers, dot, enumerate_vertices,
                                identity_matrix, is_bounded, mat_mul, mat_vec,
-                               primitive_vector, solve_square_system,
-                               transpose)
-from toriclct.toric import (GroupAction, RaySet, ToricLctReport, dual_polytope,
-                            product_fan, projective_space_fan, toric_lct)
+                               primitive_vector, transpose)
+from toriclct.toric import (GroupAction, RaySet, ToricLctReport, product_fan,
+                            projective_space_fan, toric_lct)
 
 
 @pytest.fixture
@@ -84,6 +88,11 @@ def hpoly(rows):
     return HPolytope(tuple(HalfSpace(tuple(r[:-1]), r[-1]) for r in rows))
 
 
+def dual_polytope(rays):
+    """The polytope {w : <w, v> >= -1 for every ray v}."""
+    return HPolytope(tuple(HalfSpace(v, -1) for v in rays))
+
+
 def random_bounded_poly(rng: random.Random) -> HPolytope:
     # a box keeps it bounded, offsets <= -1 keep the origin interior
     rows = [(1, 0, rng.randint(-5, -1)), (-1, 0, rng.randint(-5, -1)),
@@ -108,9 +117,9 @@ def oracle_vertices_2d(poly) -> set:
     pts = set()
     for i in range(len(hs)):
         for j in range(i + 1, len(hs)):
-            x = solve_square_system((hs[i].normal, hs[j].normal),
-                                    (hs[i].offset, hs[j].offset))
-            if x is not None and poly.contains(x):
+            x = oracle_solve((hs[i].normal, hs[j].normal),
+                             (hs[i].offset, hs[j].offset))
+            if x is not None and all(dot(h.normal, x) >= h.offset for h in hs):
                 pts.add(x)
     if len(pts) <= 2:
         return pts
@@ -193,6 +202,15 @@ def oracle_kernel(rows, n: int) -> list:
             vec[pc] = -row[free]
         basis.append(primitive_vector(_scale_to_integers(vec)[0]))
     return basis
+
+
+def oracle_solve(matrix, rhs):
+    """The x with matrix x = rhs over Q, for a square matrix: None when it is
+    singular."""
+    n = len(matrix)
+    reduced, pivots, _ = oracle_echelon(
+        [(*row, b) for row, b in zip(matrix, rhs)], n)
+    return tuple(row[n] for row in reduced) if len(pivots) == n else None
 
 
 # The brute-force corner kernel that geometry replaced, kept as the
@@ -317,20 +335,21 @@ def oracle_extreme_rays(rows, d: int):
 
     Each ray is a pair (primitive integer tuple, int bitmask of the rows it
     is tight at). The first cone is cut by the first d independent rows B in
-    input order: one elimination of the transposed rows beside the identity
-    picks B and gives det(B) B^-T, whose rows times det(B) are its rays. Every
+    input order: one Fraction elimination of the transposed rows beside the
+    identity picks B and gives B^-T, whose row i pairs to 1 with row i of B
+    and to 0 with the others, so that, scaled to integers, it is a ray. Every
     other row is inserted in turn: a ray on its positive side and one on its
     negative side combine into a ray on its hyperplane iff they are adjacent,
     that is, their common tight rows Z number at least d - 2 and no third ray
     is tight at all of Z. The test is combinatorial, so it stays exact on
     degenerate cones.
     """
-    eliminated, basis, det = _echelon(
+    eliminated, basis, _ = oracle_echelon(
         [(*col, *e) for col, e in zip(transpose(rows), identity_matrix(d))], len(rows))
     if len(basis) < d:
         return None
     tight = sum(1 << i for i in basis)
-    rays = [(primitive_vector([det * x for x in row[-d:]]), tight ^ (1 << i))
+    rays = [(primitive_vector(_scale_to_integers(row[-d:])[0]), tight ^ (1 << i))
             for row, i in zip(eliminated, basis)]
     for k, row in enumerate(rows):
         if k in basis:
@@ -592,7 +611,7 @@ def inverse_unimodular(m):
     n = len(m)
     cols = []
     for j in range(n):
-        x = solve_square_system(m, tuple(int(i == j) for i in range(n)))
+        x = oracle_solve(m, tuple(int(i == j) for i in range(n)))
         assert all(c.denominator == 1 for c in x)
         cols.append([c.numerator for c in x])
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))

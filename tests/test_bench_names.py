@@ -2,8 +2,8 @@
 that drops one breaks `bench/run.py --trace 1`, which the tests would not
 otherwise notice. Past those, toric imports from geometry only what it
 uses, every test module uses each name it imports, every public definition
-in the package has a use, and the test oracles take nothing from the
-package's elimination."""
+in the package has a caller in src/ or a traced binding (or is cli.main),
+and every test oracle has an elimination of its own."""
 
 import ast
 import importlib
@@ -63,14 +63,14 @@ def test_test_modules_use_every_name_they_import():
 
 
 def test_public_definitions_have_a_use_and_the_oracles_an_elimination_of_their_own():
-    # a public top-level function or class is exported, named elsewhere in
-    # src/, rebound by the traced run or the console script cli.main; one
-    # that is none of these is a second route kept only for the tests
+    # a public top-level function or class is named elsewhere in src/,
+    # rebound by the traced run or the console script cli.main; one that is
+    # none of these, exported or not, is a second route kept only for the
+    # tests
     trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
-    kept = set(importlib.import_module("toriclct").__all__)
-    kept |= {node.id if isinstance(node, ast.Name) else node.attr
-             for tree in trees.values() for node in ast.walk(tree)
-             if isinstance(node, (ast.Name, ast.Attribute))}
+    kept = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
     kept |= {attr for _, attr in _traced_places()}
     unused = [f"{module}.{node.name}" for module, tree in sorted(trees.items())
               for node in tree.body
@@ -79,21 +79,22 @@ def test_public_definitions_have_a_use_and_the_oracles_an_elimination_of_their_o
               and (module, node.name) != ("cli", "main")]
     assert unused == []
 
-    # the group, boundedness and threshold oracles, with every conftest
-    # helper they reach, name no elimination of the package's
+    # every oracle and inverse_unimodular, with every conftest helper they
+    # reach, name no elimination of the package's
+    eliminations = {"_echelon", "fixed_subspace", "mat_det", "mat_rank",
+                    "solve_square_system"}
     conftest = ast.parse((ROOT / "tests" / "conftest.py").read_text())
     imported = {alias.name for node in ast.walk(conftest)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert imported.isdisjoint({"mat_det", "mat_rank", "fixed_subspace"})
+    assert imported.isdisjoint(eliminations)
     names = {node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
              for node in conftest.body if isinstance(node, ast.FunctionDef)}
-    reached, todo = set(), ["oracle_is_bounded", "oracle_is_group",
-                            "oracle_greedy_picks", "oracle_toric_lct"]
+    starts = [name for name in names if name.startswith("oracle_")] + ["inverse_unimodular"]
+    reached, todo = set(), list(starts)
     while todo:
         name = todo.pop()
         if name not in reached:
             reached.add(name)
             todo += names[name] & names.keys()
-    assert "oracle_echelon" in reached
-    assert set().union(*map(names.get, reached)).isdisjoint(
-        {"_echelon", "fixed_subspace", "mat_det", "mat_rank"})
+    assert "oracle_echelon" in starts and reached > set(starts)
+    assert set().union(*map(names.get, reached)).isdisjoint(eliminations)

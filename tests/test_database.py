@@ -9,7 +9,7 @@ import pytest
 from toriclct import database
 from toriclct.database import (Database, FamilyId, FamilyRecord, LctStatus,
                                cross_check_toric, export_table, import_table,
-                               load_builtin, lookup, query, with_fan)
+                               load_builtin, lookup, query)
 from toriclct.errors import InvalidId, ParseError
 from toriclct.toric import RaySet, projective_space_fan
 
@@ -196,7 +196,9 @@ def test_cross_check_builtin_passes():
 
 
 def test_cross_check_detects_corrupted_fan():
-    broken = with_fan(DB, "3.27", projective_space_fan(3))
+    broken = Database(tuple(
+        FamilyRecord(r.id, r.status, r.provenance, projective_space_fan(3), r.notes)
+        if str(r.id) == "3.27" else r for r in DB.records))
     report = cross_check_toric(broken)
     assert not report.passed
     bad = [c for c in report.checks if not c.passed]
@@ -240,8 +242,8 @@ def test_database_rejections_keep_their_type_and_message():
         (records[:40] + records[41:], ValueError, "records must cover exactly the 105 families"),
         (records[1:] + (records[-1],), ValueError, "duplicate family ids"),
         # a record checks its status, provenance and fan as it is built
-        (lambda: with_fan(DB, "3.27", "not a fan"), ValueError,
-         "fan 'not a fan' is not a RaySet or None"),
+        (lambda: FamilyRecord(records[0].id, records[0].status, "x", "not a fan"),
+         ValueError, "fan 'not a fan' is not a RaySet or None"),
         (lambda: Database(records[:9] + (FamilyRecord(records[9].id, "exact_all", "x"),)
                           + records[10:]), ValueError, "status 'exact_all' is not an LctStatus"),
         (lambda: FamilyRecord(records[0].id, records[0].status, "two\nlines"), ValueError,

@@ -119,7 +119,7 @@ def test_each_input_rule_has_one_home():
                     homes.add((rule, path.name, getattr(top, "name", None)))
     assert homes == {
         ("ArgumentTypeError", "cli.py", "_option"),
-        ("isinstance(..., FamilyId)", "database.py", "_family_id"),
+        ("isinstance(..., FamilyId)", "database.py", "lookup"),
         ('"-" if value is None', "database.py", "_value_text"),
         ("ParseError(lineno, str(exc))", "toric.py", "_at_line"),
         ("ParseError(lineno, 'expected n coordinates')", "toric.py", "_ray_block"),

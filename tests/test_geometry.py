@@ -1,4 +1,4 @@
-"""Kernel tests: exact solving, boundedness, vertex enumeration, Smith
+"""Kernel tests: boundedness, vertex enumeration, the elimination, Smith
 normal form, fixed subspaces."""
 
 import itertools
@@ -16,8 +16,7 @@ from toriclct.errors import EmptyPolytope, Unbounded
 from toriclct.geometry import (HalfSpace, HPolytope, _echelon, _row_times,
                                enumerate_vertices, fixed_subspace,
                                identity_matrix, is_bounded, mat_mul,
-                               primitive_vector, smith_normal_form,
-                               solve_square_system, transpose)
+                               primitive_vector, smith_normal_form, transpose)
 from toriclct.toric import GroupAction, product_fan
 
 F = Fraction
@@ -25,35 +24,6 @@ F = Fraction
 BOX = hpoly([(1, 0, -1), (-1, 0, -1), (0, 1, -1), (0, -1, -1)])
 P2_DUAL = hpoly([(1, 0, -1), (0, 1, -1), (-1, -1, -1)])
 P112_DUAL = hpoly([(1, 0, -1), (0, 1, -1), (-1, -2, -1)])
-
-
-def test_solve_identity():
-    assert solve_square_system(((1, 0), (0, 1)), (3, F(-1, 2))) == (3, F(-1, 2))
-
-
-def test_solve_singular_is_none():
-    assert solve_square_system(((1, 1), (1, 1)), (0, 1)) is None
-
-
-def test_solve_2x2():
-    x = solve_square_system(((2, 1), (1, 3)), (1, 0))
-    assert x == (F(3, 5), F(-1, 5))
-    assert (2 * x[0] + x[1], x[0] + 3 * x[1]) == (1, 0)
-
-
-def test_solve_reads_entries_exactly_and_rejects_floats():
-    assert solve_square_system(((F(3, 2), 0), (0, 1)), (1, 1)) == (F(2, 3), 1)
-    assert solve_square_system(((F(1, 3), 0), (0, "0.25")), (1, "1/2")) == (3, 2)
-    for matrix, rhs in ((((1.5, 0), (0, 1)), (1, 1)),
-                        (((F(1, 3), 0), (0, 0.25)), (1, 0.5)),
-                        (((0.1,),), (1,)), (((1,),), ("1/0",))):
-        with pytest.raises(ValueError):
-            solve_square_system(matrix, rhs)
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve_square_system(((1, 0), (0, 1)), (1, 2, 3))
 
 
 def test_halfspace_rejects_zero_normal():
@@ -419,31 +389,8 @@ def test_primitive_vector_rejects_the_zero_vector(v):
         primitive_vector(v)
 
 
-def test_solve_square_system_satisfies_equations():
-    rng = random.Random(47)
-    singular = 0
-    for _ in range(300):
-        n = rng.randint(1, 4)
-        m = _random_matrix(rng, n, n)
-        b = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
-        x = solve_square_system(m, b)
-        if _leibniz_det(m) == 0:
-            assert x is None
-            singular += 1
-        else:
-            assert [sum(a * c for a, c in zip(row, x)) for row in m] == b
-    assert singular > 20
-
-
 # ---------------------------------------------------------------------------
 # the elimination against the Fraction Gauss-Jordan oracle in conftest
-
-
-def _oracle_solve(matrix, rhs):
-    n = len(matrix)
-    reduced, pivots, _ = oracle_echelon(
-        [(*row, b) for row, b in zip(matrix, rhs)], n)
-    return tuple(row[n] for row in reduced) if len(pivots) == n else None
 
 
 def _oracle_fixed_subspace(gens):
@@ -493,8 +440,6 @@ def test_elimination_rejects_non_integer_entries():
     for bad in (1.5, 1.0, F(3, 2)):
         with pytest.raises(ValueError, match="non-integer"):
             fixed_subspace([((bad, 0), (0, 1))])
-    # solve_square_system takes rationals
-    assert solve_square_system(((F(1, 2), 0), (0, 1)), (1, F(1, 3))) == (2, F(1, 3))
 
 
 def test_elimination_matches_the_fraction_oracle():
@@ -504,10 +449,8 @@ def test_elimination_matches_the_fraction_oracle():
         det = _echelon_det(m)
         assert det == oracle_det(m)
         singular += det == 0
-        b = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in m]
-        x = solve_square_system(m, b)
-        assert x == _oracle_solve(m, b)
-        assert x is None or all(type(c) is Fraction for c in x)
+        for _ in m:  # two draws per row, on which the widths drawn below depend
+            rng.randint(-9, 9), rng.randint(1, 4)
     for rows in squares + others:
         rank = _echelon_rank(rows)
         assert rank == oracle_rank(rows)

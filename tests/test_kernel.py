@@ -16,15 +16,16 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from conftest import (hpoly, oracle_enumerate_vertices, oracle_extreme_rays,
-                      oracle_is_bounded, outcome, random_complete_rays,
-                      random_unimodular, stored_fans, transform_rays)
+from conftest import (dual_polytope, hpoly, oracle_enumerate_vertices,
+                      oracle_extreme_rays, oracle_is_bounded, outcome,
+                      random_complete_rays, random_unimodular, stored_fans,
+                      transform_rays)
 
 import toriclct.geometry
 from toriclct.errors import EmptyPolytope, Unbounded
 from toriclct.geometry import (HalfSpace, HPolytope, _extreme_rays, dot,
                                enumerate_vertices, is_bounded, mat_vec)
-from toriclct.toric import (GroupAction, RaySet, dual_polytope, product_fan,
+from toriclct.toric import (GroupAction, RaySet, product_fan,
                             projective_space_fan, toric_lct)
 
 F = Fraction

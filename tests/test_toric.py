@@ -7,8 +7,8 @@ from math import lcm
 from operator import itemgetter
 
 import pytest
-from conftest import (conjugate_group, inverse_unimodular, oracle_closure,
-                      oracle_det, oracle_enumerate_vertices,
+from conftest import (conjugate_group, dual_polytope, inverse_unimodular,
+                      oracle_closure, oracle_det, oracle_enumerate_vertices,
                       oracle_greedy_picks, oracle_is_bounded, oracle_is_group,
                       oracle_mat_mul, oracle_rank, oracle_toric_lct, outcome,
                       random_complete_rays, random_unimodular,
@@ -25,7 +25,7 @@ from toriclct.geometry import (dot, fixed_subspace, identity_matrix, mat_mul,
                                mat_vec, primitive_vector)
 from toriclct.toric import (GroupAction, RaySet, ToricLctReport,
                             bundle_lct_closed_form, check_well_formed,
-                            dual_polytope, format_fan, parse_fan, product_fan,
+                            format_fan, parse_fan, product_fan,
                             projective_space_fan, projectivized_bundle_fan,
                             star_subdivide, toric_lct, wps_fan)
 
@@ -578,12 +578,6 @@ def test_an_element_list_whose_orbit_outgrows_it_names_a_non_unimodular_element(
 
 # ---------------------------------------------------------------------------
 # the threshold computation
-
-
-def test_dual_polytope_p1():
-    poly = dual_polytope(P1)
-    assert [(h.normal, h.offset) for h in poly.halfspaces] == [
-        ((1,), -1), ((-1,), -1)]
 
 
 def test_lct_p2():
@@ -1247,8 +1241,8 @@ def test_builtin_fan_constructors_equal_the_checked_construction(calls, monkeypa
 
 
 def test_fan_constructors_check_arguments_that_are_not_ray_sets(calls):
-    integers = calls(toriclct.toric, "_integers")
     a, b = lookup(load_builtin(), "1.17").fan, lookup(load_builtin(), "4.10").fan
+    integers = calls(toriclct.toric, "_integers")
     fan = product_fan(a, b)
     assert integers == []
     # 4 + 7 rays, each checked when one factor is not a RaySet
